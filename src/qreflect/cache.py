@@ -10,6 +10,9 @@ file used by the CLI when --cache is not given.
 from __future__ import annotations
 
 import json
+import os
+import stat
+import tempfile
 from pathlib import Path
 
 from . import qfamily, threedr
@@ -31,8 +34,30 @@ def export_cache(path: str | Path) -> int:
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    # Write a sibling temp file and rename it over the target, so that a
+    # reader or a concurrent writer sharing the file never sees a torn one.
+    # mkstemp makes the file 0600; give it the target's mode, or the umask
+    # default for a new file, so that other users sharing it can still read.
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(payload))
+        os.chmod(tmp, _file_mode(path))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return len(q_entries) + len(p_entries)
+
+
+def _file_mode(path: Path) -> int:
+    """Permission bits of path, or those a new file would get under the umask."""
+    try:
+        return stat.S_IMODE(path.stat().st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
 
 
 def import_cache(path: str | Path) -> int:

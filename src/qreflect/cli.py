@@ -3,7 +3,9 @@
 Verbs: q (polynomial family), r and k (matrix elements and blocks),
 verify (identity suites, including the golden regression set), export
 (block tables), cache (persistence).  Exit codes: 0 success or
-verification pass, 1 verification failure, 2 usage or domain errors.
+verification pass, 1 verification failure, 2 usage or domain errors,
+3 internal consistency error (an exact division left a remainder or a
+construction-time cross-check failed).
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from ._golden import (
     GOLDEN_Q_TEXT,
     GOLDEN_QUOTIENTS,
 )
-from .exactq import DomainError, LaurentQ
-from .report import VerificationReport
+from .exactq import DomainError, ExactDivisionError, LaurentQ
+from .report import VerificationError, VerificationReport
 
 DEFAULT_SEED = 20260809
 
@@ -335,6 +337,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ExactDivisionError, VerificationError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if cache_path:
         cachemod.export_cache(cache_path)
     return code

@@ -12,7 +12,8 @@ of variables at powers of q (which collapses terms into a LaurentQ).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from operator import mul
+from typing import Iterator, Sequence
 
 from .exactq import DomainError, LaurentQ
 
@@ -233,18 +234,9 @@ class MultiPolyQ:
         """Substitute variable v by q^{exps[v]} for every v; exact LaurentQ."""
         if len(exps) != self.arity:
             raise DomainError("evaluation point has wrong arity")
-        out: dict[int, int] = {}
-        get = out.get
-        for e, coeff in self._terms.items():
-            shift = sum(k * ev for k, ev in zip(exps, e))
-            for qe, ic in coeff.items():
-                pos = qe + shift
-                s = get(pos, 0) + ic
-                if s:
-                    out[pos] = s
-                elif pos in out:
-                    del out[pos]
-        return LaurentQ(out, _trusted=True)
+        return LaurentQ.sum_shifted(
+            (coeff, sum(map(mul, exps, e))) for e, coeff in self._terms.items()
+        )
 
     def partial_eval_q_power(self, var: int, k: int) -> MultiPolyQ:
         """Substitute variable var by q^k, keeping the other variables."""
@@ -366,9 +358,3 @@ def q_power(names: Sequence[str], exp: int, coeff: int = 1) -> MultiPolyQ:
     """The constant polynomial coeff * q^exp."""
     return MultiPolyQ.constant(names, LaurentQ.monomial(exp, coeff))
 
-
-def poly_product(names: Sequence[str], factors: Iterable[MultiPolyQ]) -> MultiPolyQ:
-    out = MultiPolyQ.one(names)
-    for f in factors:
-        out = out * f
-    return out

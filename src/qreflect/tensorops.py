@@ -22,7 +22,6 @@ placement lands on the Q1 positions so determined.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
 from typing import Callable, Iterable, Sequence
@@ -54,18 +53,6 @@ _GENERATOR_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class BasisState:
-    occupations: tuple[int, ...]
-    signature: tuple[SpaceType, ...]
-
-    def __post_init__(self):
-        if len(self.occupations) != len(self.signature):
-            raise DomainError("occupations and signature lengths differ")
-        if any(m < 0 for m in self.occupations):
-            raise DomainError("occupation numbers must be nonnegative")
-
-
 class SparseVector:
     """Finite linear combination of basis states over one signature."""
 
@@ -82,10 +69,6 @@ class SparseVector:
             for occ, coeff in terms.items():
                 if not coeff.is_zero:
                     self.terms[tuple(occ)] = coeff
-
-    @staticmethod
-    def basis(state: BasisState) -> SparseVector:
-        return SparseVector(state.signature, {state.occupations: LaurentQ.one()})
 
     @staticmethod
     def unit(signature: tuple[SpaceType, ...], occ: Sequence[int]) -> SparseVector:

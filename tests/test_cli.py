@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import pytest
 
 from qreflect import cache as cachemod
-from qreflect import qfamily, threedr
+from qreflect import qfamily, tensorops, threedk, threedr
 from qreflect.cli import golden_report, main
 from qreflect.multipoly import MultiPolyQ
 from qreflect.report import VerificationReport
@@ -93,6 +95,37 @@ class TestCommands:
         assert _emit_report(bad, "text") == 1
 
 
+@pytest.fixture
+def clean_caches():
+    """Drop every memo table afterwards, so corrupted entries cannot leak."""
+    yield
+    for module in (qfamily, threedr, threedk, tensorops):
+        module.clear_caches()
+
+
+class TestInternalErrors:
+    def test_corrupted_cache_exits_3(self, tmp_path, capsys, clean_caches):
+        path = tmp_path / "flipped.json"
+        qfamily.q_polynomial(1, 0)
+        cachemod.export_cache(path)
+        payload = json.loads(path.read_text())
+        # The constant term of Q_(1,0) is 1; make it -5.
+        constant = payload["q"]["1,0"]["terms"][0]
+        assert constant["exp"] == [0, 0, 0, 0]
+        constant["coeff"]["q"] = [[0, "-5"]]
+        path.write_text(json.dumps(payload))
+        qfamily.clear_caches()
+        threedk.clear_caches()
+
+        code = main(["--cache", str(path), "verify", "golden"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ExactDivisionError")
+
+
 class TestCache:
     def test_roundtrip_and_equivalence(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -121,6 +154,41 @@ class TestCache:
 
     def test_missing_file(self, tmp_path):
         assert cachemod.import_cache(tmp_path / "absent.json") == 0
+
+    def test_failed_export_keeps_existing_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.json"
+        qfamily.q_polynomial(1, 0)
+        cachemod.export_cache(path)
+        before = path.read_bytes()
+
+        class Unserialisable:
+            def to_json(self):
+                return {"vars": ["x"], "terms": [object()]}
+
+        snapshot = qfamily.cache_snapshot()
+        snapshot[(99, 99)] = Unserialisable()
+        monkeypatch.setattr(qfamily, "cache_snapshot", lambda: snapshot)
+        with pytest.raises(TypeError):
+            cachemod.export_cache(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+    def test_export_keeps_file_mode(self, tmp_path):
+        qfamily.q_polynomial(1, 0)
+        fresh = tmp_path / "fresh.json"
+        old_umask = os.umask(0o022)
+        try:
+            cachemod.export_cache(fresh)
+        finally:
+            os.umask(old_umask)
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
+
+        existing = tmp_path / "existing.json"
+        existing.write_text("{}")
+        existing.chmod(0o664)
+        cachemod.export_cache(existing)
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o664
+        assert cachemod.import_cache(existing) > 0
 
     def test_cli_cache_flag(self, tmp_path, capsys):
         path = tmp_path / "cli_cache.json"

@@ -79,6 +79,206 @@ class TestLaurentQ:
         assert LaurentQ.from_json(p.to_json()) == p
 
 
+
+# -- differential test: packed LaurentQ against a dict reference -----------------
+#
+# The reference keeps a Laurent polynomial as {exponent: nonzero coefficient}
+# and does schoolbook arithmetic on it, with nothing packed and no bounds.
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
+def ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_exact_div(num, den):
+    """Long division from the top; None when the division is not exact."""
+    num = dict(num)
+    quot = {}
+    d_lo, d_hi = min(den), max(den)
+    while num:
+        top = max(num)
+        if top - d_hi < min(num) - d_lo:
+            return None
+        qc, rem = divmod(num[top], den[d_hi])
+        if rem:
+            return None
+        quot[top - d_hi] = qc
+        num = ref_add(num, {e + top - d_hi: -qc * c for e, c in den.items()})
+    return quot
+
+
+def ref_str(a):
+    if not a:
+        return "0"
+    pieces = []
+    for e in sorted(a):
+        c = a[e]
+        if e == 0:
+            body = str(abs(c))
+        else:
+            mono = "q" if e == 1 else f"q^{e}"
+            body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        if not pieces:
+            pieces.append(f"-{body}" if c < 0 else body)
+        else:
+            pieces.append(f"- {body}" if c < 0 else f"+ {body}")
+    return " ".join(pieces)
+
+
+_EDGES = [v + d for v in (2**62, 2**63, 2**127) for d in (-1, 0, 1)]
+wide_coeffs = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.sampled_from(_EDGES + [-v for v in _EDGES]),
+    st.integers(min_value=-(2**300), max_value=2**300),
+)
+ref_polys = st.dictionaries(
+    st.integers(min_value=-40, max_value=40), wide_coeffs, max_size=12
+).map(lambda d: {e: c for e, c in d.items() if c})
+
+
+def check_matches(value, ref):
+    """Every read-out of a packed value agrees with the reference dict."""
+    assert dict(value.items()) == ref
+    assert [e for e, _ in value.items()] == sorted(ref)
+    assert len(value) == len(ref)
+    assert value.is_zero == (not ref)
+    assert str(value) == ref_str(ref)
+    assert value.to_json() == {"q": [[e, str(ref[e])] for e in sorted(ref)]}
+    assert LaurentQ.from_json(value.to_json()) == value
+    if ref:
+        assert (value.min_exp(), value.max_exp()) == (min(ref), max(ref))
+        probe = range(min(ref) - 2, max(ref) + 3)
+    else:
+        probe = range(-2, 3)
+    assert [value.coeff(e) for e in probe] == [ref.get(e, 0) for e in probe]
+
+
+def widened(value):
+    """The same value held at a slot width of at least 256 bits."""
+    big = LaurentQ({e: 2**200 for e in range(-3, 4)})
+    return (value + big) - big
+
+
+class TestPackedAgainstReference:
+    @given(ref_polys)
+    @settings(max_examples=150)
+    def test_construction(self, a):
+        check_matches(LaurentQ(a), a)
+
+    @given(ref_polys, ref_polys)
+    @settings(max_examples=150)
+    def test_add_sub_mul(self, a, b):
+        pa, pb = LaurentQ(a), LaurentQ(b)
+        check_matches(pa + pb, ref_add(a, b))
+        check_matches(pa - pb, ref_add(a, {e: -c for e, c in b.items()}))
+        check_matches(pa * pb, ref_mul(a, b))
+        check_matches(-pa, {e: -c for e, c in a.items()})
+
+    @given(ref_polys, st.integers(min_value=-(2**130), max_value=2**130))
+    @settings(max_examples=100)
+    def test_integer_operands(self, a, k):
+        pa = LaurentQ(a)
+        ka = {0: k} if k else {}
+        check_matches(pa * k, ref_mul(a, ka))
+        check_matches(k * pa, ref_mul(a, ka))
+        check_matches(pa + k, ref_add(a, ka))
+        check_matches(k - pa, ref_add(ka, {e: -c for e, c in a.items()}))
+
+    @given(
+        st.dictionaries(st.integers(-40, 40), wide_coeffs, max_size=4),
+        st.integers(min_value=0, max_value=4),
+    )
+    @settings(max_examples=60)
+    def test_pow(self, a, n):
+        a = {e: c for e, c in a.items() if c}
+        want = {0: 1}
+        for _ in range(n):
+            want = ref_mul(want, a)
+        check_matches(LaurentQ(a) ** n, want)
+
+    @given(ref_polys, st.integers(min_value=-40, max_value=40))
+    @settings(max_examples=60)
+    def test_shifted(self, a, k):
+        check_matches(LaurentQ(a).shifted(k), {e + k: c for e, c in a.items()})
+
+    @given(ref_polys, ref_polys, ref_polys)
+    @settings(max_examples=100)
+    def test_exact_div(self, a, b, r):
+        if not b:
+            return
+        num = ref_add(ref_mul(a, b), r)
+        want = ref_exact_div(num, b) if num else {}
+        pn, pb = LaurentQ(num), LaurentQ(b)
+        if want is None:
+            with pytest.raises(ExactDivisionError):
+                pn.exact_div(pb)
+        else:
+            check_matches(pn.exact_div(pb), want)
+
+    @given(ref_polys, st.dictionaries(st.integers(-40, 40), wide_coeffs, max_size=6))
+    @settings(max_examples=100)
+    def test_end_slots_cancel(self, a, extra):
+        # b cancels a's lowest and highest terms, so the sum loses both end slots.
+        b = dict(extra)
+        for e in (min(a, default=0), max(a, default=0)):
+            b[e] = -a.get(e, 0)
+        b = {e: c for e, c in b.items() if c}
+        check_matches(LaurentQ(a) + LaurentQ(b), ref_add(a, b))
+        check_matches(LaurentQ(a) - LaurentQ(a), {})
+
+    @given(ref_polys)
+    @settings(max_examples=100)
+    def test_equality_across_widths(self, a):
+        narrow, wide = LaurentQ(a), widened(LaurentQ(a))
+        assert wide._w >= 256 or not a
+        check_matches(wide, a)
+        assert wide == narrow and narrow == wide
+        assert hash(wide) == hash(narrow)
+        assert wide * narrow == narrow * narrow
+        assert wide + narrow == narrow * 2
+        if a:
+            assert wide != narrow.shifted(1)
+            assert wide != narrow + 1
+
+    @given(st.lists(st.tuples(ref_polys, st.integers(-40, 40)), max_size=6))
+    @settings(max_examples=100)
+    def test_sum_shifted(self, parts):
+        want = {}
+        for a, k in parts:
+            want = ref_add(want, {e + k: c for e, c in a.items()})
+        check_matches(LaurentQ.sum_shifted((LaurentQ(a), k) for a, k in parts), want)
+
+    def test_bounds_cover_carries(self):
+        # Each product or sum fits the slot before the carries pile up.
+        a = {i: 2**31 - 1 for i in range(16)}
+        check_matches(LaurentQ(a) * LaurentQ(a), ref_mul(a, a))
+        top = {0: 2**62 - 1, 1: -(2**62 - 1)}
+        want = {e: 4 * c for e, c in top.items()}
+        check_matches(LaurentQ.sum_shifted([(LaurentQ(top), 0)] * 4), want)
+
+    def test_bound_overflow_widens(self):
+        # 2^62 fits a 64-bit slot; its square and a sum of three copies do not.
+        a = LaurentQ({0: 2**62, 3: -(2**62)})
+        check_matches(a * a, {0: 2**124, 3: -(2**125), 6: 2**124})
+        check_matches(a + a + a, {0: 3 * 2**62, 3: -3 * 2**62})
+        assert (a * a)._w == 192
+
+
 class TestRationalQ:
     def test_cross_multiplicative_equality(self):
         # (1-q^4)/(1-q^2) == (1+q^2)/1 without reduction
