@@ -3,8 +3,9 @@
 The file layout is {"schema_version": N, "q": {"b,c": <poly>}, "p":
 {"b": <poly>}} with polynomials in the MultiPolyQ JSON schema.  A version
 mismatch triggers a rebuild (the file is ignored) and is never silently
-reused.  The QREFLECT_CACHE environment variable names the default cache
-file used by the CLI when --cache is not given.
+reused; a file that cannot be read or parsed is ignored the same way, with
+a warning on stderr.  The QREFLECT_CACHE environment variable names the
+default cache file used by the CLI when --cache is not given.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from __future__ import annotations
 import json
 import os
 import stat
+import sys
 import tempfile
 from pathlib import Path
 
 from . import qfamily, threedr
-from .multipoly import MultiPolyQ
+from .multipoly import VARS3, VARS4, MultiPolyQ
 
 SCHEMA_VERSION = 1
 
@@ -64,25 +66,41 @@ def import_cache(path: str | Path) -> int:
     """Load a cache file into memory; returns entries accepted.
 
     Returns 0 (and loads nothing) when the file is missing or carries a
-    different schema version.
+    different schema version.  A file that cannot be read or parsed (bad
+    JSON, a bad key or polynomial) is a miss as well: it loads nothing and
+    prints one warning line on stderr.
     """
     path = Path(path)
     if not path.exists():
         return 0
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+        if payload.get("schema_version") != SCHEMA_VERSION:
+            return 0
+        q_entries = _entries(payload, "q", _q_key, VARS4)
+        p_entries = _entries(payload, "p", int, VARS3)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        print(
+            f"warning: ignoring cache file {path}: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
         return 0
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        return 0
-    q_entries = {}
-    for key, data in payload.get("q", {}).items():
-        b, c = (int(part) for part in key.split(","))
-        q_entries[(b, c)] = MultiPolyQ.from_json(data)
-    p_entries = {
-        int(key): MultiPolyQ.from_json(data)
-        for key, data in payload.get("p", {}).items()
-    }
     qfamily.cache_install(q_entries)
     threedr.p_cache_install(p_entries)
     return len(q_entries) + len(p_entries)
+
+
+def _q_key(key: str) -> tuple[int, int]:
+    b, c = key.split(",")
+    return int(b), int(c)
+
+
+def _entries(payload: dict, section: str, parse_key, names: tuple[str, ...]) -> dict:
+    """One section's polynomials by parsed key; raises on any malformed entry."""
+    entries = {}
+    for key, data in payload.get(section, {}).items():
+        poly = MultiPolyQ.from_json(data)
+        if poly.names != names:
+            raise ValueError(f"{section} entry {key!r} is over {poly.names}, need {names}")
+        entries[parse_key(key)] = poly
+    return entries

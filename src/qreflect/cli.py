@@ -163,9 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
     qv.add_argument("what", choices=("props",))
     qv.add_argument("--max-bc", type=int, default=3)
     add_format(qv)
-    qcache = qsub.add_parser("cache", help="persist or load the polynomial cache")
-    qcache.add_argument("direction", choices=("export", "import"))
-    qcache.add_argument("path")
 
     cache_verb = verbs.add_parser("cache", help="persist or load the polynomial cache")
     cache_verb.add_argument("direction", choices=("export", "import"))
@@ -231,16 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_cache(direction: str, path: str) -> int:
-    if direction == "export":
-        count = cachemod.export_cache(path)
-        print(f"exported {count} entries to {path}")
-    else:
-        count = cachemod.import_cache(path)
-        print(f"imported {count} entries from {path}")
-    return 0
-
-
 def _dispatch(args: argparse.Namespace) -> int:
     if args.verb == "q":
         if args.action == "compute":
@@ -248,10 +235,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.action == "verify":
             rep = qfamily.verify_properties(args.max_bc)
             return _emit_report(rep, args.format)
-        if args.action == "cache":
-            return _run_cache(args.direction, args.path)
     if args.verb == "cache":
-        return _run_cache(args.direction, args.path)
+        if args.direction == "export":
+            count = cachemod.export_cache(args.path)
+            print(f"exported {count} entries to {args.path}")
+        else:
+            count = cachemod.import_cache(args.path)
+            print(f"imported {count} entries from {args.path}")
+        return 0
     if args.verb == "r":
         if args.action == "element":
             value = threedr.r_element(

@@ -266,9 +266,6 @@ class LaurentQ:
             raise DomainError("zero polynomial has no maximal exponent")
         return self._lo + self._p.bit_length() // self._w
 
-    def exponent_range(self) -> tuple[int, int]:
-        return (self.min_exp(), self.max_exp())
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = LaurentQ.integer(other)
@@ -455,10 +452,6 @@ class RationalQ:
     def one() -> RationalQ:
         return RationalQ(_ONE, _ONE)
 
-    @staticmethod
-    def from_laurent(p: LaurentQ) -> RationalQ:
-        return RationalQ(p, _ONE)
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
@@ -603,7 +596,12 @@ def gaussian_binomial(n: int, k: int, base_exp: int) -> LaurentQ:
 
 
 class PowerSeriesU:
-    """Power series in u truncated at a fixed order, RationalQ coefficients."""
+    """Power series in u truncated at a fixed order, RationalQ coefficients.
+
+    Products take series whose u^k coefficient is a Laurent polynomial over
+    (q^2;q^2)_k, as every series built in this package is; multiplying a
+    series of any other form raises DomainError.
+    """
 
     __slots__ = ("order", "coeffs")
 
@@ -629,14 +627,16 @@ class PowerSeriesU:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def _canonical_numerators(self) -> list[LaurentQ] | None:
-        """Coefficient k as a Laurent numerator over (q^2; q^2)_k, if exact."""
+    def _canonical_numerators(self) -> list[LaurentQ]:
+        """Coefficient k as a Laurent numerator over (q^2; q^2)_k."""
         nums = []
         for k, c in enumerate(self.coeffs):
             try:
                 nums.append((c.num * qq_pochhammer(2, k)).exact_div(c.den))
             except ExactDivisionError:
-                return None
+                raise DomainError(
+                    f"u^{k} coefficient {c} is not a Laurent polynomial over (q^2;q^2)_{k}"
+                ) from None
         return nums
 
     def __mul__(self, other: PowerSeriesU) -> PowerSeriesU:
@@ -645,24 +645,16 @@ class PowerSeriesU:
         order = min(self.order, other.order)
         a = self._canonical_numerators()
         b = other._canonical_numerators()
-        if a is not None and b is not None:
-            # n_i/(q^2)_i * m_j/(q^2)_j = n_i m_j C(i+j,i)_{q^2} / (q^2)_{i+j},
-            # so each product coefficient again sits over (q^2;q^2)_k.
-            coeffs = []
-            for k in range(order + 1):
-                num = _ZERO
-                for i in range(k + 1):
-                    if a[i].is_zero or b[k - i].is_zero:
-                        continue
-                    num = num + a[i] * b[k - i] * gaussian_binomial(k, i, 2)
-                coeffs.append(RationalQ(num, qq_pochhammer(2, k)))
-            return PowerSeriesU(order, coeffs)
+        # n_i/(q^2)_i * m_j/(q^2)_j = n_i m_j C(i+j,i)_{q^2} / (q^2)_{i+j},
+        # so each product coefficient again sits over (q^2;q^2)_k.
         coeffs = []
         for k in range(order + 1):
-            acc = RationalQ.zero()
+            num = _ZERO
             for i in range(k + 1):
-                acc = acc + self.coeffs[i] * other.coeffs[k - i]
-            coeffs.append(acc)
+                if a[i].is_zero or b[k - i].is_zero:
+                    continue
+                num = num + a[i] * b[k - i] * gaussian_binomial(k, i, 2)
+            coeffs.append(RationalQ(num, qq_pochhammer(2, k)))
         return PowerSeriesU(order, coeffs)
 
     def __str__(self) -> str:

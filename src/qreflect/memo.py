@@ -1,0 +1,31 @@
+"""The registry of every memo table in the package.
+
+Each table is a plain dict, filled by the module that registered it, so a
+lookup costs what any dict lookup costs.  `clear` empties every table and
+puts back the entries it was registered with (P_0 = 1 is the only one).
+The lru_caches on the pure q-Pochhammer and Gaussian-binomial functions in
+exactq read no table, so they are not registered here.
+"""
+
+from __future__ import annotations
+
+_TABLES: dict[str, tuple[dict, dict]] = {}
+
+
+def table(name: str, seed: dict | None = None) -> dict:
+    """A new memo table registered under name, holding seed's entries."""
+    memo = dict(seed or {})
+    _TABLES[name] = (memo, dict(memo))
+    return memo
+
+
+def tables() -> dict[str, dict]:
+    """Every registered table by name; the live dicts, not copies."""
+    return {name: memo for name, (memo, _) in _TABLES.items()}
+
+
+def clear() -> None:
+    """Empty every registered table, then restore its seed entries."""
+    for memo, seed in _TABLES.values():
+        memo.clear()
+        memo.update(seed)

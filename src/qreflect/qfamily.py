@@ -16,6 +16,7 @@ the boundary.
 
 from __future__ import annotations
 
+from . import memo
 from .exactq import (
     DomainError,
     LaurentQ,
@@ -30,8 +31,8 @@ from .report import VerificationError, VerificationReport
 _ZERO4 = MultiPolyQ.zero(VARS4)
 _ONE4 = MultiPolyQ.one(VARS4)
 
-_Q_CACHE: dict[tuple[int, int], MultiPolyQ] = {}
-_Q_DUAL_CACHE: dict[tuple[int, int], MultiPolyQ] = {}
+_Q_CACHE: dict[tuple[int, int], MultiPolyQ] = memo.table("Q")
+_Q_DUAL_CACHE: dict[tuple[int, int], MultiPolyQ] = memo.table("Q_dual")
 
 
 # -- exponent bookkeeping ------------------------------------------------------
@@ -145,27 +146,32 @@ def _assert_even_nonneg(p: MultiPolyQ, b: int, c: int) -> None:
                 )
 
 
+def _walk(table: dict, b: int, c: int, b_step, c_step, check=None) -> MultiPolyQ:
+    """Entry (b, c) of a memo table filled from (0,0) = 1 by reducing c first.
+
+    The walk fills (1..b, 0) by b_step, then (b, 1..c) by c_step, and
+    passes each new entry to check.
+    """
+    cached = table.get((b, c))
+    if cached is not None:
+        return cached
+    table.setdefault((0, 0), _ONE4)
+    walk = [((bb, 0), (bb - 1, 0), b_step) for bb in range(1, b + 1)]
+    walk += [((b, cc), (b, cc - 1), c_step) for cc in range(1, c + 1)]
+    for key, prev, step in walk:
+        if key not in table:
+            poly = step(table[prev], *key)
+            if check is not None:
+                check(poly, *key)
+            table[key] = poly
+    return table[(b, c)]
+
+
 def q_polynomial(b: int, c: int) -> MultiPolyQ:
     """Q_{b,c} by memoized recursion (c-reduction first, then b-reduction)."""
     if b < 0 or c < 0:
         return _ZERO4
-    key = (b, c)
-    cached = _Q_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if (0, 0) not in _Q_CACHE:
-        _Q_CACHE[(0, 0)] = _ONE4
-    for bb in range(1, b + 1):
-        if (bb, 0) not in _Q_CACHE:
-            poly = _rec_b_step(_Q_CACHE[(bb - 1, 0)], bb, 0)
-            _assert_even_nonneg(poly, bb, 0)
-            _Q_CACHE[(bb, 0)] = poly
-    for cc in range(1, c + 1):
-        if (b, cc) not in _Q_CACHE:
-            poly = _rec_c_step(_Q_CACHE[(b, cc - 1)], b, cc)
-            _assert_even_nonneg(poly, b, cc)
-            _Q_CACHE[(b, cc)] = poly
-    return _Q_CACHE[key]
+    return _walk(_Q_CACHE, b, c, _rec_b_step, _rec_c_step, _assert_even_nonneg)
 
 
 def q_polynomial_alt_route(b: int, c: int) -> MultiPolyQ:
@@ -225,19 +231,7 @@ def q_polynomial_dual(b: int, c: int) -> MultiPolyQ:
     """
     if b < 0 or c < 0:
         return _ZERO4
-    key = (b, c)
-    cached = _Q_DUAL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if (0, 0) not in _Q_DUAL_CACHE:
-        _Q_DUAL_CACHE[(0, 0)] = _ONE4
-    for bb in range(1, b + 1):
-        if (bb, 0) not in _Q_DUAL_CACHE:
-            _Q_DUAL_CACHE[(bb, 0)] = _rec_b_step_dual(_Q_DUAL_CACHE[(bb - 1, 0)], bb, 0)
-    for cc in range(1, c + 1):
-        if (b, cc) not in _Q_DUAL_CACHE:
-            _Q_DUAL_CACHE[(b, cc)] = _rec_c_step_dual(_Q_DUAL_CACHE[(b, cc - 1)], b, cc)
-    poly = _Q_DUAL_CACHE[key]
+    poly = _walk(_Q_DUAL_CACHE, b, c, _rec_b_step_dual, _rec_c_step_dual)
     expected = q_polynomial(b, c).transform_q_inverse(phi_bc(b, c))
     if poly != expected:
         raise VerificationError(f"dual recursion mismatch at (b,c)=({b},{c})")
@@ -553,6 +547,4 @@ def cache_install(entries: dict[tuple[int, int], MultiPolyQ]) -> None:
     _Q_CACHE.update(entries)
 
 
-def clear_caches() -> None:
-    _Q_CACHE.clear()
-    _Q_DUAL_CACHE.clear()
+clear_caches = memo.clear

@@ -11,6 +11,13 @@ confine the output to a single finite block, so there is no truncation
 parameter anywhere and every verification below is an exact identity of
 sparse vectors with Laurent polynomial coefficients.
 
+R and K are two LocalOperators (factor types, conserved weights, weight
+block enumerator, element function, memo table) applied by one engine,
+apply_local.  Their memo tables sit in the package's one registry (memo),
+whose single clear is every module's clear_caches.  All three verifiers
+report through compare_words, which names the first basis state where the
+two sides differ.
+
 The nine-space signature used by the reflection-equation verifier,
 (Q2,Q1,Q2,Q1,Q1,Q1,Q2,Q1,Q1), is the unique assignment making all three
 K placements {1234, 1678, 3579} type (Q2,Q1,Q2,Q1) and all four R
@@ -24,12 +31,14 @@ from __future__ import annotations
 import random
 from enum import Enum
 from itertools import combinations, product
-from typing import Callable, Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, NamedTuple, Sequence
 
+from . import memo
 from .exactq import DomainError, LaurentQ
 from .report import VerificationReport
-from .threedk import k_element
-from .threedr import r_element
+from .threedk import k_block_states, k_element
+from .threedr import r_block_states, r_element
 
 
 class SpaceType(Enum):
@@ -185,116 +194,104 @@ def apply_word(gens: Sequence[str], vec: SparseVector, positions: Sequence[int])
 
 # -- R and K application -----------------------------------------------------------
 
-RLocal = Callable[[int, int, int, int, int, int], LaurentQ]
-KLocal = Callable[..., LaurentQ]
-
-_R_LOCAL_CACHE: dict[tuple[int, int, int], tuple] = {}
-_K_LOCAL_CACHE: dict[tuple[int, int, int, int], tuple] = {}
+# A matrix element function: element(*out, *inp).
+ElementFn = Callable[..., LaurentQ]
 
 
-def _r_local(i: int, j: int, k: int, element: RLocal | None) -> tuple:
-    """Nonzero (output occupations, coefficient) pairs of R on |i,j,k>."""
-    if element is None:
-        cached = _R_LOCAL_CACHE.get((i, j, k))
-        if cached is not None:
-            return cached
-        fn = r_element
-    else:
-        fn = element
-    m, n = i + j, j + k
-    outs = []
-    for bb in range(min(m, n) + 1):
-        out = (m - bb, bb, n - bb)
-        value = fn(*out, i, j, k)
-        if not value.is_zero:
-            outs.append((out, value))
-    result = tuple(outs)
-    if element is None:
-        _R_LOCAL_CACHE[(i, j, k)] = result
-    return result
+class LocalOperator(NamedTuple):
+    """An operator on a few tensor factors, finite on each weight block.
+
+    weights maps local occupations to the block they lie in, states lists
+    that block, element(*out, *inp) is one matrix element and table holds
+    the nonzero (out, element) pairs of each local input seen so far.
+    """
+
+    signature: tuple[SpaceType, ...]
+    weights: Callable[..., tuple[int, int]]
+    states: Callable[[int, int], list[tuple[int, ...]]]
+    element: ElementFn
+    table: dict
 
 
-def _k_local(i: int, j: int, k: int, l: int, element: KLocal | None) -> tuple:
-    """Nonzero (output occupations, coefficient) pairs of K on |i,j,k,l>."""
-    if element is None:
-        cached = _K_LOCAL_CACHE.get((i, j, k, l))
-        if cached is not None:
-            return cached
-        fn = k_element
-    else:
-        fn = element
-    m, n = i + j + k, j + 2 * k + l
-    outs = []
-    for c in range(min(m, n // 2) + 1):
-        for b in range(min(m - c, n - 2 * c) + 1):
-            out = (m - b - c, b, c, n - b - 2 * c)
-            value = fn(*out, i, j, k, l)
-            if not value.is_zero:
-                outs.append((out, value))
-    result = tuple(outs)
-    if element is None:
-        _K_LOCAL_CACHE[(i, j, k, l)] = result
-    return result
+# The element functions are looked up at call time, so that a function
+# patched into this module's namespace is the one that runs.
+R_OPERATOR = LocalOperator(
+    R_SIGNATURE,
+    lambda i, j, k: (i + j, j + k),
+    r_block_states,
+    lambda *key: r_element(*key),
+    memo.table("R_local"),
+)
+K_OPERATOR = LocalOperator(
+    K_SIGNATURE,
+    lambda i, j, k, l: (i + j + k, j + 2 * k + l),
+    k_block_states,
+    lambda *key: k_element(*key),
+    memo.table("K_local"),
+)
 
 
-def _check_positions(
-    vec: SparseVector, positions: Sequence[int], wanted: tuple[SpaceType, ...]
-) -> None:
-    got = tuple(vec.signature[p] for p in positions)
-    if got != wanted:
+def apply_local(
+    op: LocalOperator,
+    vec: SparseVector,
+    positions: Sequence[int],
+    element: ElementFn | None = None,
+) -> SparseVector:
+    """Apply op at the given positions; exactly finite by weight conservation.
+
+    An element function given here replaces op.element (a negative control
+    passes a corrupted one); its columns are memoized for this call only.
+    """
+    gather = itemgetter(*positions)
+    got = gather(vec.signature)
+    if got != op.signature:
         raise DomainError(
             f"signature at positions {tuple(positions)} is "
-            f"{tuple(s.name for s in got)}, need {tuple(s.name for s in wanted)}"
+            f"{tuple(s.name for s in got)}, need {tuple(s.name for s in op.signature)}"
         )
+    # occ + local lists the whole state, then the new local occupations;
+    # scatter picks each position's entry from it.
+    size = len(vec.signature)
+    slots = list(range(size))
+    for offset, p in enumerate(positions, size):
+        slots[p] = offset
+    scatter = itemgetter(*slots)
+    table, element = (op.table, op.element) if element is None else ({}, element)
+    out = SparseVector(vec.signature)
+    terms = out.terms
+    for occ, coeff in vec.terms.items():
+        inp = gather(occ)
+        column = table.get(inp)
+        if column is None:
+            pairs = ((o, element(*o, *inp)) for o in op.states(*op.weights(*inp)))
+            column = table[inp] = tuple((o, v) for o, v in pairs if not v.is_zero)
+        for local, value in column:
+            new_occ = scatter(occ + local)
+            contrib = coeff * value
+            s = terms.get(new_occ)
+            s = contrib if s is None else s + contrib
+            if s.is_zero:
+                terms.pop(new_occ, None)
+            else:
+                terms[new_occ] = s
+    return out
 
 
 def apply_R(
-    vec: SparseVector, positions: Sequence[int], element: RLocal | None = None
+    vec: SparseVector, positions: Sequence[int], element: ElementFn | None = None
 ) -> SparseVector:
     """Apply R at three Q1 positions; finite by weight conservation."""
-    _check_positions(vec, positions, R_SIGNATURE)
-    p0, p1, p2 = positions
-    out = SparseVector(vec.signature)
-    terms = out.terms
-    for occ, coeff in vec.terms.items():
-        for local, value in _r_local(occ[p0], occ[p1], occ[p2], element):
-            new_occ = list(occ)
-            new_occ[p0], new_occ[p1], new_occ[p2] = local
-            new_occ = tuple(new_occ)
-            contrib = coeff * value
-            s = terms.get(new_occ)
-            s = contrib if s is None else s + contrib
-            if s.is_zero:
-                terms.pop(new_occ, None)
-            else:
-                terms[new_occ] = s
-    return out
+    return apply_local(R_OPERATOR, vec, positions, element)
 
 
 def apply_K(
-    vec: SparseVector, positions: Sequence[int], element: KLocal | None = None
+    vec: SparseVector, positions: Sequence[int], element: ElementFn | None = None
 ) -> SparseVector:
     """Apply K at a (Q2,Q1,Q2,Q1) quartet of positions; exactly finite."""
-    _check_positions(vec, positions, K_SIGNATURE)
-    p0, p1, p2, p3 = positions
-    out = SparseVector(vec.signature)
-    terms = out.terms
-    for occ, coeff in vec.terms.items():
-        for local, value in _k_local(occ[p0], occ[p1], occ[p2], occ[p3], element):
-            new_occ = list(occ)
-            new_occ[p0], new_occ[p1], new_occ[p2], new_occ[p3] = local
-            new_occ = tuple(new_occ)
-            contrib = coeff * value
-            s = terms.get(new_occ)
-            s = contrib if s is None else s + contrib
-            if s.is_zero:
-                terms.pop(new_occ, None)
-            else:
-                terms[new_occ] = s
-    return out
+    return apply_local(K_OPERATOR, vec, positions, element)
 
 
-def zeroed_key(fn: Callable[..., LaurentQ], key: tuple[int, ...]) -> Callable[..., LaurentQ]:
+def zeroed_key(fn: ElementFn, key: tuple[int, ...]) -> ElementFn:
     """Wrap an element function, forcing one key to zero (negative control)."""
 
     def corrupted(*args: int) -> LaurentQ:
@@ -309,8 +306,9 @@ def zeroed_key(fn: Callable[..., LaurentQ], key: tuple[int, ...]) -> Callable[..
 #
 # Each relation <ij> states (sum of scalar * generator words) K
 #                        = K (sum of scalar * generator words),
-# with words given per tensor slot 1..4; commutators are encoded by using
-# the same word list on both sides.
+# with words given per tensor slot 1..4.  The five commutators have the
+# same word list on both sides, and each remaining <ji> is <ij> with its
+# two sides exchanged.
 
 _Q1_ = LaurentQ.one()
 _MQ1 = LaurentQ.monomial(1, -1)   # -q
@@ -318,11 +316,23 @@ _MQ2 = LaurentQ.monomial(2, -1)   # -q^2
 
 KTerm = tuple[LaurentQ, tuple[str, str, str, str]]
 
-INTERTWINER_RELATIONS: dict[str, tuple[tuple[KTerm, ...], tuple[KTerm, ...]]] = {
-    "22": (
-        ((_Q1_, ("1", "a-", "1", "a-")), (_MQ1, ("1", "k", "A-", "k"))),
-        ((_Q1_, ("1", "a-", "1", "a-")), (_MQ1, ("1", "k", "A-", "k"))),
+_COMMUTATORS: dict[str, tuple[KTerm, ...]] = {
+    "22": ((_Q1_, ("1", "a-", "1", "a-")), (_MQ1, ("1", "k", "A-", "k"))),
+    "25": ((_Q1_, ("1", "k", "K", "k")),),
+    "33": (
+        (_Q1_, ("A-", "a+", "A-", "a+")),
+        (_MQ1, ("A-", "k", "1", "k")),
+        (_MQ2, ("K", "a-", "K", "a+")),
     ),
+    "44": (
+        (_Q1_, ("A+", "a-", "A+", "a-")),
+        (_MQ1, ("A+", "k", "1", "k")),
+        (_MQ2, ("K", "a+", "K", "a-")),
+    ),
+    "55": ((_Q1_, ("1", "a+", "1", "a+")), (_MQ1, ("1", "k", "A+", "k"))),
+}
+
+_EXCHANGES: dict[str, tuple[tuple[KTerm, ...], tuple[KTerm, ...]]] = {
     "23": (
         ((_Q1_, ("1", "a-", "1", "k")), (_Q1_, ("1", "k", "A-", "a+"))),
         (
@@ -337,30 +347,6 @@ INTERTWINER_RELATIONS: dict[str, tuple[tuple[KTerm, ...], tuple[KTerm, ...]]] = 
             (_Q1_, ("A+", "a-", "K", "k")),
             (_Q1_, ("K", "a+", "A-", "k")),
             (_Q1_, ("K", "k", "1", "a-")),
-        ),
-    ),
-    "25": (
-        ((_Q1_, ("1", "k", "K", "k")),),
-        ((_Q1_, ("1", "k", "K", "k")),),
-    ),
-    "32": (
-        (
-            (_Q1_, ("A-", "a+", "A-", "k")),
-            (_Q1_, ("A-", "k", "1", "a-")),
-            (_MQ2, ("K", "a-", "K", "k")),
-        ),
-        ((_Q1_, ("1", "a-", "1", "k")), (_Q1_, ("1", "k", "A-", "a+"))),
-    ),
-    "33": (
-        (
-            (_Q1_, ("A-", "a+", "A-", "a+")),
-            (_MQ1, ("A-", "k", "1", "k")),
-            (_MQ2, ("K", "a-", "K", "a+")),
-        ),
-        (
-            (_Q1_, ("A-", "a+", "A-", "a+")),
-            (_MQ1, ("A-", "k", "1", "k")),
-            (_MQ2, ("K", "a-", "K", "a+")),
         ),
     ),
     "34": (
@@ -383,38 +369,6 @@ INTERTWINER_RELATIONS: dict[str, tuple[tuple[KTerm, ...], tuple[KTerm, ...]]] = 
         ),
         ((_Q1_, ("1", "k", "K", "a+")),),
     ),
-    "42": (
-        (
-            (_Q1_, ("A+", "a-", "K", "k")),
-            (_Q1_, ("K", "a+", "A-", "k")),
-            (_Q1_, ("K", "k", "1", "a-")),
-        ),
-        ((_Q1_, ("1", "k", "K", "a-")),),
-    ),
-    "43": (
-        (
-            (_Q1_, ("A+", "a-", "K", "a+")),
-            (_Q1_, ("K", "a+", "A-", "a+")),
-            (_MQ1, ("K", "k", "1", "k")),
-        ),
-        (
-            (_Q1_, ("A-", "a+", "K", "a-")),
-            (_Q1_, ("K", "a-", "A+", "a-")),
-            (_MQ1, ("K", "k", "1", "k")),
-        ),
-    ),
-    "44": (
-        (
-            (_Q1_, ("A+", "a-", "A+", "a-")),
-            (_MQ1, ("A+", "k", "1", "k")),
-            (_MQ2, ("K", "a+", "K", "a-")),
-        ),
-        (
-            (_Q1_, ("A+", "a-", "A+", "a-")),
-            (_MQ1, ("A+", "k", "1", "k")),
-            (_MQ2, ("K", "a+", "K", "a-")),
-        ),
-    ),
     "45": (
         (
             (_Q1_, ("A+", "a-", "A+", "k")),
@@ -423,27 +377,15 @@ INTERTWINER_RELATIONS: dict[str, tuple[tuple[KTerm, ...], tuple[KTerm, ...]]] = 
         ),
         ((_Q1_, ("1", "a+", "1", "k")), (_Q1_, ("1", "k", "A+", "a-"))),
     ),
-    "53": (
-        ((_Q1_, ("1", "k", "K", "a+")),),
-        (
-            (_Q1_, ("A-", "a+", "K", "k")),
-            (_Q1_, ("K", "a-", "A+", "k")),
-            (_Q1_, ("K", "k", "1", "a+")),
-        ),
-    ),
-    "54": (
-        ((_Q1_, ("1", "a+", "1", "k")), (_Q1_, ("1", "k", "A+", "a-"))),
-        (
-            (_Q1_, ("A+", "a-", "A+", "k")),
-            (_Q1_, ("A+", "k", "1", "a+")),
-            (_MQ2, ("K", "a+", "K", "k")),
-        ),
-    ),
-    "55": (
-        ((_Q1_, ("1", "a+", "1", "a+")), (_MQ1, ("1", "k", "A+", "k"))),
-        ((_Q1_, ("1", "a+", "1", "a+")), (_MQ1, ("1", "k", "A+", "k"))),
-    ),
 }
+
+INTERTWINER_RELATIONS: dict[str, tuple[tuple[KTerm, ...], tuple[KTerm, ...]]] = dict(
+    sorted(
+        [(name, (terms, terms)) for name, terms in _COMMUTATORS.items()]
+        + list(_EXCHANGES.items())
+        + [(name[::-1], (rhs, lhs)) for name, (lhs, rhs) in _EXCHANGES.items()]
+    )
+)
 
 RELATION_ALIASES = {"52": "25"}
 
@@ -463,16 +405,7 @@ def verify_intertwiner(relation: str, occupations: Sequence[int]) -> Verificatio
     rhs = SparseVector(K_SIGNATURE)
     for scalar, gens in rhs_terms:
         rhs = rhs + apply_K(apply_word(gens, vec, positions), positions).scaled(scalar)
-    rep = VerificationReport(f"<{relation}> on {tuple(occupations)}")
-    diff = lhs.first_difference(rhs)
-    rep.record(
-        diff is None,
-        f"<{relation}> on {tuple(occupations)}"
-        + (f", first difference at |{','.join(map(str, diff[0]))}>" if diff else ""),
-        str(diff[1]) if diff else "",
-        str(diff[2]) if diff else "",
-    )
-    return rep
+    return compare_words(f"<{relation}> on {tuple(occupations)}", lhs, rhs)
 
 
 def verify_intertwiners_all(max_occ: int) -> VerificationReport:
@@ -486,8 +419,13 @@ def verify_intertwiners_all(max_occ: int) -> VerificationReport:
 # -- the two 3D equations ---------------------------------------------------------
 
 # Operator words, leftmost factor written first; application runs right to left.
-TETRAHEDRON_LHS = ((2, 4, 5), (1, 3, 5), (0, 3, 4), (0, 1, 2))
-TETRAHEDRON_RHS = ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))
+TETRAHEDRON_LHS = (
+    ("R", (2, 4, 5)),
+    ("R", (1, 3, 5)),
+    ("R", (0, 3, 4)),
+    ("R", (0, 1, 2)),
+)
+TETRAHEDRON_RHS = tuple(reversed(TETRAHEDRON_LHS))
 
 REFLECTION_LHS = (
     ("R", (3, 4, 5)),
@@ -501,42 +439,14 @@ REFLECTION_LHS = (
 REFLECTION_RHS = tuple(reversed(REFLECTION_LHS))
 
 
-def _apply_r_word(
-    word: Iterable[tuple[int, int, int]],
+def _apply_operator_word(
+    word: Sequence[tuple[str, tuple[int, ...]]],
     vec: SparseVector,
-    element: RLocal | None,
+    r_fn: ElementFn | None,
+    k_fn: ElementFn | None,
 ) -> SparseVector:
-    for positions in reversed(tuple(word)):
-        vec = apply_R(vec, positions, element)
-    return vec
-
-
-def verify_tetrahedron(
-    occupations: Sequence[int], element: RLocal | None = None
-) -> VerificationReport:
-    """Both fourfold R compositions agree on one 6-fold basis state."""
-    vec = SparseVector.unit(TETRAHEDRON_SIGNATURE, occupations)
-    lhs = _apply_r_word(TETRAHEDRON_LHS, vec, element)
-    rhs = _apply_r_word(TETRAHEDRON_RHS, vec, element)
-    rep = VerificationReport(f"tetrahedron on {tuple(occupations)}")
-    diff = lhs.first_difference(rhs)
-    rep.record(
-        diff is None,
-        f"tetrahedron on {tuple(occupations)}"
-        + (f", first difference at |{','.join(map(str, diff[0]))}>" if diff else ""),
-        str(diff[1]) if diff else "",
-        str(diff[2]) if diff else "",
-    )
-    return rep
-
-
-def _apply_mixed_word(
-    word: Iterable[tuple[str, tuple[int, ...]]],
-    vec: SparseVector,
-    r_fn: RLocal | None,
-    k_fn: KLocal | None,
-) -> SparseVector:
-    for kind, positions in reversed(tuple(word)):
+    """Apply ("R" or "K", positions) factors to vec, the rightmost first."""
+    for kind, positions in reversed(word):
         if kind == "R":
             vec = apply_R(vec, positions, r_fn)
         else:
@@ -544,25 +454,39 @@ def _apply_mixed_word(
     return vec
 
 
+def compare_words(name: str, lhs: SparseVector, rhs: SparseVector) -> VerificationReport:
+    """One check that lhs = rhs, reporting the first basis state where they differ."""
+    rep = VerificationReport(name)
+    diff = lhs.first_difference(rhs)
+    if diff is None:
+        rep.record(True, name)
+    else:
+        occ, left, right = diff
+        where = f"{name}, first difference at |{','.join(map(str, occ))}>"
+        rep.record(False, where, str(left), str(right))
+    return rep
+
+
+def verify_tetrahedron(
+    occupations: Sequence[int], element: ElementFn | None = None
+) -> VerificationReport:
+    """Both fourfold R compositions agree on one 6-fold basis state."""
+    vec = SparseVector.unit(TETRAHEDRON_SIGNATURE, occupations)
+    lhs = _apply_operator_word(TETRAHEDRON_LHS, vec, element, None)
+    rhs = _apply_operator_word(TETRAHEDRON_RHS, vec, element, None)
+    return compare_words(f"tetrahedron on {tuple(occupations)}", lhs, rhs)
+
+
 def verify_reflection(
     occupations: Sequence[int],
-    r_fn: RLocal | None = None,
-    k_fn: KLocal | None = None,
+    r_fn: ElementFn | None = None,
+    k_fn: ElementFn | None = None,
 ) -> VerificationReport:
     """Both sevenfold compositions agree on one 9-fold basis state."""
     vec = SparseVector.unit(REFLECTION_SIGNATURE, occupations)
-    lhs = _apply_mixed_word(REFLECTION_LHS, vec, r_fn, k_fn)
-    rhs = _apply_mixed_word(REFLECTION_RHS, vec, r_fn, k_fn)
-    rep = VerificationReport(f"reflection on {tuple(occupations)}")
-    diff = lhs.first_difference(rhs)
-    rep.record(
-        diff is None,
-        f"reflection on {tuple(occupations)}"
-        + (f", first difference at |{','.join(map(str, diff[0]))}>" if diff else ""),
-        str(diff[1]) if diff else "",
-        str(diff[2]) if diff else "",
-    )
-    return rep
+    lhs = _apply_operator_word(REFLECTION_LHS, vec, r_fn, k_fn)
+    rhs = _apply_operator_word(REFLECTION_RHS, vec, r_fn, k_fn)
+    return compare_words(f"reflection on {tuple(occupations)}", lhs, rhs)
 
 
 # -- input families ----------------------------------------------------------------
@@ -612,27 +536,18 @@ def oscillator_relations_report(max_m: int) -> VerificationReport:
 
 
 def weight_conservation_report(max_occ: int) -> VerificationReport:
-    """apply_R and apply_K outputs satisfy the weight deltas termwise."""
+    """R and K outputs stay in their input's weight block, termwise."""
     rep = VerificationReport(f"weight conservation, occupations <= {max_occ}")
-    for occ in states_up_to(3, max_occ):
-        i, j, k = occ
-        out = apply_R(SparseVector.unit(R_SIGNATURE, occ), (0, 1, 2))
-        for (a, b, c), _ in out.terms.items():
-            rep.record(
-                a + b == i + j and b + c == j + k,
-                f"R weight on {occ} -> {(a, b, c)}",
-            )
-    for occ in states_up_to(4, max_occ):
-        i, j, k, l = occ
-        out = apply_K(SparseVector.unit(K_SIGNATURE, occ), (0, 1, 2, 3))
-        for (a, b, c, d), _ in out.terms.items():
-            rep.record(
-                a + b + c == i + j + k and b + 2 * c + d == j + 2 * k + l,
-                f"K weight on {occ} -> {(a, b, c, d)}",
-            )
+    for name, op in (("R", R_OPERATOR), ("K", K_OPERATOR)):
+        positions = tuple(range(len(op.signature)))
+        for occ in states_up_to(len(positions), max_occ):
+            out = apply_local(op, SparseVector.unit(op.signature, occ), positions)
+            for local in out.terms:
+                rep.record(
+                    op.weights(*local) == op.weights(*occ),
+                    f"{name} weight on {occ} -> {local}",
+                )
     return rep
 
 
-def clear_caches() -> None:
-    _R_LOCAL_CACHE.clear()
-    _K_LOCAL_CACHE.clear()
+clear_caches = memo.clear

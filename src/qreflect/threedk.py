@@ -19,6 +19,7 @@ and its flip, and the element-level recursion bridging the two levels.
 
 from __future__ import annotations
 
+from . import memo
 from .exactq import DomainError, LaurentQ, qq_pochhammer
 from .multipoly import MultiPolyQ, VARS4, q_power, variables
 from .qfamily import phi_bc, phi_k, q_polynomial
@@ -27,7 +28,7 @@ from .report import VerificationError, VerificationReport
 _ZERO4 = MultiPolyQ.zero(VARS4)
 _X, _Y, _Z, _W = variables(VARS4)
 
-_K_ELEMENTS: dict[tuple[int, ...], LaurentQ] = {}
+_K_ELEMENTS: dict[tuple[int, ...], LaurentQ] = memo.table("K")
 
 K_ROUTES = ("primary", "dual")
 
@@ -382,5 +383,4 @@ def verify_bridge_recursion(
     return rep
 
 
-def clear_caches() -> None:
-    _K_ELEMENTS.clear()
+clear_caches = memo.clear

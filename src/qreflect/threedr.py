@@ -16,6 +16,7 @@ coefficient of a four-factor Euler product; all routes agree exactly.
 
 from __future__ import annotations
 
+from . import memo
 from .exactq import (
     DomainError,
     LaurentQ,
@@ -32,8 +33,8 @@ _ZERO3 = MultiPolyQ.zero(VARS3)
 _ONE3 = MultiPolyQ.one(VARS3)
 _X, _Y, _Z = variables(VARS3)
 
-_P_CACHE: dict[int, MultiPolyQ] = {0: _ONE3}
-_R_ELEMENTS: dict[tuple[int, int, int, int, int, int], LaurentQ] = {}
+_P_CACHE: dict[int, MultiPolyQ] = memo.table("P", {0: _ONE3})
+_R_ELEMENTS: dict[tuple[int, int, int, int, int, int], LaurentQ] = memo.table("R")
 
 
 def _q3(exp: int, coeff: int = 1) -> MultiPolyQ:
@@ -383,10 +384,7 @@ def verify_generating_series(i: int, j: int, k: int, order: int) -> Verification
     return rep
 
 
-def clear_caches() -> None:
-    _P_CACHE.clear()
-    _P_CACHE[0] = _ONE3
-    _R_ELEMENTS.clear()
+clear_caches = memo.clear
 
 
 def p_cache_snapshot() -> dict[int, MultiPolyQ]:

@@ -155,6 +155,29 @@ class TestCache:
     def test_missing_file(self, tmp_path):
         assert cachemod.import_cache(tmp_path / "absent.json") == 0
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"schema_version": 1, "q": {"x,0": {"vars": ["x", "y", "z", "w"], "terms": []}}}',
+            '{"schema_version": 1, "q": {"1,0": {"vars": ["x", "y", "z", "w"]}}}',
+            '{"schema_version": 1, "p": {"1": {"vars": ["x", "y", "z", "w"], "terms": []}}}',
+            '{"schema_version": 1, "q": ',
+            "[1]",
+        ],
+        ids=["bad-key", "bad-polynomial", "wrong-variables", "bad-json", "not-an-object"],
+    )
+    def test_malformed_file_is_a_warned_miss(self, tmp_path, capsys, text, clean_caches):
+        path = tmp_path / "malformed.json"
+        path.write_text(text)
+        qfamily.clear_caches()
+        code = main(["--cache", str(path), "q", "compute", "1", "0"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.strip() == "w*x*y^2*z - w - x*y + 1"
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: ")
+        assert qfamily.cache_snapshot().keys() == {(0, 0), (1, 0)}
+
     def test_failed_export_keeps_existing_file(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.json"
         qfamily.q_polynomial(1, 0)
@@ -201,7 +224,7 @@ class TestCache:
 
     def test_cli_cache_subcommand(self, tmp_path, capsys):
         path = tmp_path / "sub.json"
-        code, out = run(capsys, "q", "cache", "export", str(path))
+        code, out = run(capsys, "cache", "export", str(path))
         assert code == 0 and "exported" in out
         code, out = run(capsys, "cache", "import", str(path))
         assert code == 0 and "imported" in out

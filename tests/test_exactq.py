@@ -400,6 +400,12 @@ class TestEulerSeries:
         )
         assert product == PowerSeriesU.one(order)
 
+    def test_product_needs_canonical_denominators(self):
+        # 1/(1 - q) is not a Laurent polynomial over (q^2;q^2)_0 = 1.
+        odd = PowerSeriesU(0, [RationalQ(LaurentQ.one(), 1 - LaurentQ.monomial(1))])
+        with pytest.raises(DomainError):
+            odd * PowerSeriesU.one(0)
+
     def test_denominator_clears(self):
         series = euler_factor_series((-1, 0), False, 12)
         for k in range(13):

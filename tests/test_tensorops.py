@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from qreflect.exactq import DomainError, LaurentQ
@@ -28,6 +30,15 @@ from qreflect.tensorops import (
 )
 from qreflect.threedk import k_element
 from qreflect.threedr import r_element
+
+
+def assert_first_difference(rep):
+    """A failed word comparison names the first differing basis state and both sides."""
+    failure = rep.first_failure
+    assert re.fullmatch(
+        re.escape(rep.name) + r", first difference at \|\d+(,\d+)*>", failure.location
+    ), failure.location
+    assert failure.lhs != failure.rhs
 
 
 class TestGenerators:
@@ -124,6 +135,17 @@ class TestIntertwiners:
             rep = verify_intertwiner(relation, (2, 1, 2, 0))
             assert rep.passed, rep.summary()
 
+    def test_negative_control(self, monkeypatch):
+        # Scale the one left-hand term of <24> by q instead of 1.
+        (_, gens), = INTERTWINER_RELATIONS["24"][0]
+        rhs = INTERTWINER_RELATIONS["24"][1]
+        monkeypatch.setitem(
+            INTERTWINER_RELATIONS, "24", (((LaurentQ.monomial(1), gens),), rhs)
+        )
+        rep = verify_intertwiner("24", (1, 1, 0, 1))
+        assert not rep.passed
+        assert_first_difference(rep)
+
 
 class TestTetrahedron:
     def test_vacuum(self):
@@ -138,11 +160,12 @@ class TestTetrahedron:
     def test_negative_control(self):
         corrupted = zeroed_key(r_element, (1, 0, 1, 0, 1, 0))
         failures = [
-            occ
-            for occ in states_up_to(6, 1)
-            if not verify_tetrahedron(occ, element=corrupted).passed
+            rep
+            for rep in (verify_tetrahedron(occ, element=corrupted) for occ in states_up_to(6, 1))
+            if not rep.passed
         ]
         assert failures
+        assert_first_difference(failures[0])
 
 
 class TestReflection:
@@ -165,8 +188,29 @@ class TestReflection:
     def test_negative_control(self):
         corrupted = zeroed_key(k_element, (1, 0, 0, 1, 0, 1, 0, 0))
         failures = [
-            occ
-            for occ in unit_states(9, 1)
-            if not verify_reflection(occ, k_fn=corrupted).passed
+            rep
+            for rep in (verify_reflection(occ, k_fn=corrupted) for occ in unit_states(9, 1))
+            if not rep.passed
         ]
         assert failures
+        assert_first_difference(failures[0])
+
+
+class TestMemoRegistry:
+    def test_one_clear_empties_every_table(self):
+        from qreflect import memo, qfamily, tensorops, threedk, threedr
+        from qreflect.multipoly import VARS3, MultiPolyQ
+
+        assert qfamily.clear_caches is threedr.clear_caches is memo.clear
+        assert threedk.clear_caches is tensorops.clear_caches is memo.clear
+        qfamily.q_polynomial_dual(1, 0)
+        threedr.p_polynomial(2)
+        apply_R(SparseVector.unit(R_SIGNATURE, (0, 1, 0)), (0, 1, 2))
+        apply_K(SparseVector.unit(K_SIGNATURE, (1, 0, 1, 0)), (0, 1, 2, 3))
+        tables = memo.tables()
+        assert sorted(tables) == ["K", "K_local", "P", "Q", "Q_dual", "R", "R_local"]
+        assert all(tables.values())
+
+        tensorops.clear_caches()
+        assert threedr._P_CACHE == {0: MultiPolyQ.one(VARS3)}
+        assert all(not table for name, table in tables.items() if name != "P")
