@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Verbs: q (polynomial family), r and k (matrix elements and blocks),
-verify (identity suites, including the golden regression set), export
-(block tables), cache (persistence).  Exit codes: 0 success or
+Verbs: q (polynomial family), r and k (matrix elements, and blocks as
+text, JSON or CSV tables), verify (identity suites, including the golden
+regression set), cache (persistence).  Exit codes: 0 success or
 verification pass, 1 verification failure, 2 usage or domain errors,
 3 internal consistency error (an exact division left a remainder or a
-construction-time cross-check failed).
+construction-time cross-check failed).  A cache file that cannot be
+loaded or saved costs a warning line on stderr, never an exit code.
 """
 
 from __future__ import annotations
@@ -72,34 +73,25 @@ def _emit_value(value, fmt: str) -> int:
     return 0
 
 
-def _emit_block(states, matrix, fmt: str) -> int:
+def _emit_block(states, element, fmt: str) -> int:
+    cells = [(out, inp, element(*out, *inp)) for out in states for inp in states]
     if fmt == "csv":
         width = len(states[0])
         out_cols = ",".join(f"out{i}" for i in range(width))
         in_cols = ",".join(f"in{i}" for i in range(width))
         print(f"{out_cols},{in_cols},value")
-        for row, out_state in enumerate(states):
-            for col, in_state in enumerate(states):
-                value = matrix[row][col]
-                cells = list(out_state) + list(in_state) + [str(value)]
-                print(",".join(str(c) for c in cells))
-        return 0
-    if fmt == "json":
+        for out, inp, value in cells:
+            print(",".join(map(str, out + inp + (value,))))
+    elif fmt == "json":
         entries = [
-            {
-                "out": list(out_state),
-                "in": list(in_state),
-                "value": matrix[row][col].to_json(),
-            }
-            for row, out_state in enumerate(states)
-            for col, in_state in enumerate(states)
+            {"out": list(out), "in": list(inp), "value": value.to_json()}
+            for out, inp, value in cells
         ]
         print(json.dumps({"states": [list(s) for s in states], "entries": entries}))
-        return 0
-    for row, out_state in enumerate(states):
-        for col, in_state in enumerate(states):
-            if not matrix[row][col].is_zero:
-                print(f"{out_state} <- {in_state}: {matrix[row][col]}")
+    else:
+        for out, inp, value in cells:
+            if not value.is_zero:
+                print(f"{out} <- {inp}: {value}")
     return 0
 
 
@@ -217,14 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
     vg = vsub.add_parser("golden")
     add_format(vg)
 
-    export = verbs.add_parser("export", help="export block tables")
-    esub = export.add_subparsers(dest="what", required=True)
-    eb = esub.add_parser("block")
-    eb.add_argument("operator", choices=("r", "k"))
-    eb.add_argument("m", type=int)
-    eb.add_argument("n", type=int)
-    eb.add_argument("--format", choices=("json", "csv"), default="csv")
-
     return parser
 
 
@@ -257,13 +241,15 @@ def _dispatch(args: argparse.Namespace) -> int:
                 rep.count()
             rep.absorb(threedr.p_ring_report(args.max_b + 1))
             rep.absorb(threedr.verify_mirror_pairs())
-            rep.absorb(threedr.verify_route_agreement(3, 3))
+            rep.absorb(
+                tensorops.verify_route_agreement(tensorops.R_OPERATOR, "all", 3, 3)
+            )
             rep.absorb(threedr.verify_involution(2, 2))
             rep.absorb(threedr.verify_generating_series(1, 1, 1, min(args.max_b, 6)))
             return _emit_report(rep, args.format)
         if args.action == "block":
-            states, matrix = threedr.r_block(args.m, args.n)
-            return _emit_block(states, matrix, args.format)
+            states = threedr.r_block_states(args.m, args.n)
+            return _emit_block(states, threedr.r_element, args.format)
     if args.verb == "k":
         if args.action == "element":
             value = threedk.k_element(
@@ -273,8 +259,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             )
             return _emit_value(value, args.format)
         if args.action == "block":
-            states, matrix = threedk.k_block(args.m, args.n)
-            return _emit_block(states, matrix, args.format)
+            states = threedk.k_block_states(args.m, args.n)
+            return _emit_block(states, threedk.k_element, args.format)
         if args.action == "verify-e":
             rep = threedk.verify_e_all(args.max_bc, args.max_bc)
             return _emit_report(rep, args.format)
@@ -308,12 +294,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             return _emit_suite(reps, args.format, "intertwiner")
         if args.what == "golden":
             return _emit_report(golden_report(), args.format)
-    if args.verb == "export":
-        if args.operator == "r":
-            states, matrix = threedr.r_block(args.m, args.n)
-        else:
-            states, matrix = threedk.k_block(args.m, args.n)
-        return _emit_block(states, matrix, args.format)
     raise DomainError(f"unhandled command {args.verb!r}")
 
 
@@ -332,7 +312,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if cache_path:
-        cachemod.export_cache(cache_path)
+        try:
+            cachemod.export_cache(cache_path)
+        except OSError as exc:
+            print(
+                f"warning: cache file {cache_path} not saved:"
+                f" {type(exc).__name__}: {exc}",
+                file=sys.stderr,
+            )
     return code
 
 

@@ -485,16 +485,8 @@ def check_route_agreement(b: int, c: int) -> VerificationReport:
     rep.record(
         q_polynomial_alt_route(b, c) == qp, f"({b},{c}) opposite recursion order"
     )
-    try:
-        q_polynomial_dual(b, c)
-        rep.count()
-    except VerificationError as exc:
-        rep.record(False, str(exc))
-    try:
-        closed_form_q(b, c)
-        rep.count()
-    except VerificationError as exc:
-        rep.record(False, str(exc))
+    rep.attempt(q_polynomial_dual, b, c)
+    rep.attempt(closed_form_q, b, c)
     return rep
 
 

@@ -47,6 +47,16 @@ class VerificationReport:
             self.fail(location, lhs, rhs)
         return ok
 
+    def attempt(self, fn, *args, **kwargs) -> None:
+        """Run fn, a cross-check that raises VerificationError on a mismatch:
+        one check, whose failure records the exception text."""
+        try:
+            fn(*args, **kwargs)
+        except VerificationError as exc:
+            self.record(False, str(exc))
+        else:
+            self.count()
+
     def absorb(self, other: VerificationReport) -> None:
         self.checked += other.checked
         self.notes.extend(other.notes)

@@ -11,10 +11,14 @@ confine the output to a single finite block, so there is no truncation
 parameter anywhere and every verification below is an exact identity of
 sparse vectors with Laurent polynomial coefficients.
 
-R and K are two LocalOperators (factor types, conserved weights, weight
-block enumerator, element function, memo table) applied by one engine,
-apply_local.  Their memo tables sit in the package's one registry (memo),
-whose single clear is every module's clear_caches.  All three verifiers
+R and K are two LocalOperators (name, factor types, conserved weights,
+weight block enumerator, element function, memo table) applied by one
+engine, apply_local.  The weights and blocks are threedr's r_weights and
+r_block_states and threedk's k_weights and k_block_states, the one place
+each weight block is written.  One sweep, verify_route_agreement, checks
+either operator's element routes against each other block by block.
+Their memo tables sit in the package's one registry (memo), whose single
+clear is every module's clear_caches.  All three equation verifiers
 report through compare_words, which names the first basis state where the
 two sides differ.
 
@@ -37,8 +41,8 @@ from typing import Callable, NamedTuple, Sequence
 from . import memo
 from .exactq import DomainError, LaurentQ
 from .report import VerificationReport
-from .threedk import k_block_states, k_element
-from .threedr import r_block_states, r_element
+from .threedk import k_block_states, k_element, k_weights
+from .threedr import r_block_states, r_element, r_weights
 
 
 class SpaceType(Enum):
@@ -202,10 +206,12 @@ class LocalOperator(NamedTuple):
     """An operator on a few tensor factors, finite on each weight block.
 
     weights maps local occupations to the block they lie in, states lists
-    that block, element(*out, *inp) is one matrix element and table holds
-    the nonzero (out, element) pairs of each local input seen so far.
+    that block, element(*out, *inp, route=...) is one matrix element and
+    table holds the nonzero (out, element) pairs of each local input seen
+    so far.
     """
 
+    name: str
     signature: tuple[SpaceType, ...]
     weights: Callable[..., tuple[int, int]]
     states: Callable[[int, int], list[tuple[int, ...]]]
@@ -216,17 +222,19 @@ class LocalOperator(NamedTuple):
 # The element functions are looked up at call time, so that a function
 # patched into this module's namespace is the one that runs.
 R_OPERATOR = LocalOperator(
+    "R",
     R_SIGNATURE,
-    lambda i, j, k: (i + j, j + k),
+    r_weights,
     r_block_states,
-    lambda *key: r_element(*key),
+    lambda *key, **kw: r_element(*key, **kw),
     memo.table("R_local"),
 )
 K_OPERATOR = LocalOperator(
+    "K",
     K_SIGNATURE,
-    lambda i, j, k, l: (i + j + k, j + 2 * k + l),
+    k_weights,
     k_block_states,
-    lambda *key: k_element(*key),
+    lambda *key, **kw: k_element(*key, **kw),
     memo.table("K_local"),
 )
 
@@ -289,6 +297,21 @@ def apply_K(
 ) -> SparseVector:
     """Apply K at a (Q2,Q1,Q2,Q1) quartet of positions; exactly finite."""
     return apply_local(K_OPERATOR, vec, positions, element)
+
+
+def verify_route_agreement(
+    op: LocalOperator, route: str, max_m: int, max_n: int
+) -> VerificationReport:
+    """op.element's cross-checking route passes on every key of every block
+    with m <= max_m, n <= max_n ("all" for R, "both" for K)."""
+    rep = VerificationReport(f"{op.name} route agreement, m<={max_m}, n<={max_n}")
+    for m in range(max_m + 1):
+        for n in range(max_n + 1):
+            states = op.states(m, n)
+            for out in states:
+                for inp in states:
+                    rep.attempt(op.element, *out, *inp, route=route)
+    return rep
 
 
 def zeroed_key(fn: ElementFn, key: tuple[int, ...]) -> ElementFn:
@@ -538,14 +561,14 @@ def oscillator_relations_report(max_m: int) -> VerificationReport:
 def weight_conservation_report(max_occ: int) -> VerificationReport:
     """R and K outputs stay in their input's weight block, termwise."""
     rep = VerificationReport(f"weight conservation, occupations <= {max_occ}")
-    for name, op in (("R", R_OPERATOR), ("K", K_OPERATOR)):
+    for op in (R_OPERATOR, K_OPERATOR):
         positions = tuple(range(len(op.signature)))
         for occ in states_up_to(len(positions), max_occ):
             out = apply_local(op, SparseVector.unit(op.signature, occ), positions)
             for local in out.terms:
                 rep.record(
                     op.weights(*local) == op.weights(*occ),
-                    f"{name} weight on {occ} -> {local}",
+                    f"{op.name} weight on {occ} -> {local}",
                 )
     return rep
 

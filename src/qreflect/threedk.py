@@ -1,7 +1,9 @@
 """Matrix elements of the 3D K and the difference equations behind them.
 
 A key (a,b,c,d; i,j,k,l) is nonzero only on the weight block
-a+b+c = i+j+k and b+2c+d = j+2k+l.  Two routes produce the element:
+a+b+c = i+j+k and b+2c+d = j+2k+l, that is k_weights(a,b,c,d) =
+k_weights(i,j,k,l); k_block_states lists one such block, and tensorops'
+K operator conserves it.  Two routes produce the element:
 
   primary: q^{phi_K - phi_{b,c}} Q_{b,c}(q^{4i},q^{2j},q^{4k},q^{2l})
            / ((q^2;q^2)_b (q^4;q^4)_c)
@@ -9,7 +11,9 @@ a+b+c = i+j+k and b+2c+d = j+2k+l.  Two routes produce the element:
            Q_{j,k}(q^{4a},q^{2b},q^{4c},q^{2d})
 
 Both reduce by exact division to a polynomial in q lying in
-q^eta Z[q^2] with eta = bd + jl mod 2; mismatches of any kind raise.
+q^eta Z[q^2] with eta = bd + jl mod 2; mismatches of any kind raise
+(route="both" cross-checks one key, tensorops.verify_route_agreement
+sweeps whole blocks).
 
 The module also verifies the fourteen difference equations E22..E55 that
 characterize the Q family (each one the image of a generator
@@ -38,7 +42,7 @@ def _q4(exp: int, coeff: int = 1) -> MultiPolyQ:
 
 
 def weight_compatible(a: int, b: int, c: int, d: int, i: int, j: int, k: int, l: int) -> bool:
-    return a + b + c == i + j + k and b + 2 * c + d == j + 2 * k + l
+    return k_weights(a, b, c, d) == k_weights(i, j, k, l)
 
 
 def _check_element(value: LaurentQ, key: tuple[int, ...]) -> LaurentQ:
@@ -57,9 +61,9 @@ def k_element(
     route: str = "primary",
 ) -> LaurentQ:
     """K^{a,b,c,d}_{i,j,k,l}; zero off the weight block or at negative indices."""
-    if min(a, b, c, d, i, j, k, l) < 0 or not weight_compatible(a, b, c, d, i, j, k, l):
-        return LaurentQ.zero()
     key = (a, b, c, d, i, j, k, l)
+    if min(key) < 0 or not weight_compatible(*key):
+        return LaurentQ.zero()
     if route == "primary":
         cached = _K_ELEMENTS.get(key)
         if cached is not None:
@@ -90,40 +94,20 @@ def k_element(
     raise DomainError(f"unknown route {route!r}")
 
 
+def k_weights(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """The weight block (a+b+c, b+2c+d) of a local state; K conserves it."""
+    return a + b + c, b + 2 * c + d
+
+
 def k_block_states(m: int, n: int) -> list[tuple[int, int, int, int]]:
-    """The weight block {(a,b,c,d) >= 0 : a+b+c = m, b+2c+d = n}, sorted."""
+    """The weight block {(a,b,c,d) >= 0 : k_weights(a,b,c,d) = (m,n)}, sorted."""
+    if m < 0 or n < 0:
+        raise DomainError(f"weight block ({m},{n}) needs m, n >= 0")
     states = []
     for c in range(min(m, n // 2) + 1):
         for b in range(min(m - c, n - 2 * c) + 1):
             states.append((m - b - c, b, c, n - b - 2 * c))
     return sorted(states)
-
-
-def k_block(
-    m: int, n: int, route: str = "primary"
-) -> tuple[list[tuple[int, int, int, int]], list[list[LaurentQ]]]:
-    """Matrix of K on a weight block: rows are outputs, columns inputs."""
-    states = k_block_states(m, n)
-    matrix = [
-        [k_element(*out, *inp, route=route) for inp in states] for out in states
-    ]
-    return states, matrix
-
-
-def verify_route_agreement(max_m: int, max_n: int) -> VerificationReport:
-    """primary = dual on every key of every block with m <= max_m, n <= max_n."""
-    rep = VerificationReport(f"K route agreement, m<={max_m}, n<={max_n}")
-    for m in range(max_m + 1):
-        for n in range(max_n + 1):
-            states = k_block_states(m, n)
-            for out in states:
-                for inp in states:
-                    try:
-                        k_element(*out, *inp, route="both")
-                        rep.count()
-                    except VerificationError as exc:
-                        rep.record(False, str(exc))
-    return rep
 
 
 def check_transpose(

@@ -50,7 +50,7 @@ def test_criterion_02_golden_k_block_and_quotients():
 
 def test_criterion_03_k_route_agreement():
     t0 = time.time()
-    rep = threedk.verify_route_agreement(3, 5)
+    rep = tensorops.verify_route_agreement(tensorops.K_OPERATOR, "both", 3, 5)
     assert rep.passed, rep.summary()
     assert rep.checked >= 300
     _done(3, f"primary = dual on {rep.checked} keys (m<=3, n<=5)", t0, 120.0)
@@ -110,7 +110,7 @@ def test_criterion_08_r_suite():
     for point in GRID_POINTS:
         rep = threedr.verify_generating_series(*point, 6)
         assert rep.passed, rep.summary()
-    rep = threedr.verify_route_agreement(4, 4)
+    rep = tensorops.verify_route_agreement(tensorops.R_OPERATOR, "all", 4, 4)
     assert rep.passed, rep.summary()
     for m in range(5):
         for n in range(5):

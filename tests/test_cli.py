@@ -8,11 +8,18 @@ import stat
 
 import pytest
 
+from qreflect import _golden
 from qreflect import cache as cachemod
 from qreflect import qfamily, tensorops, threedk, threedr
 from qreflect.cli import golden_report, main
+from qreflect.exactq import LaurentQ
 from qreflect.multipoly import MultiPolyQ
 from qreflect.report import VerificationReport
+
+BLOCKS = {
+    "r": (threedr.r_block_states, threedr.r_element),
+    "k": (threedk.k_block_states, threedk.k_element),
+}
 
 
 def run(capsys, *argv):
@@ -66,22 +73,64 @@ class TestCommands:
         assert code == 0
 
     def test_export_block_csv(self, capsys):
-        code, out = run(capsys, "export", "block", "r", "1", "1", "--format", "csv")
+        code, out = run(capsys, "r", "block", "1", "1", "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "out0,out1,out2,in0,in1,in2,value"
         assert len(lines) == 5  # 2x2 block plus header
 
     def test_block_json_values_reimport(self, capsys):
-        from qreflect.exactq import LaurentQ
-        from qreflect.threedr import r_element
-
         code, out = run(capsys, "r", "block", "1", "1", "--format", "json")
         assert code == 0
         data = json.loads(out)
         for entry in data["entries"]:
             value = LaurentQ.from_json(entry["value"])
-            assert value == r_element(*entry["out"], *entry["in"])
+            assert value == threedr.r_element(*entry["out"], *entry["in"])
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("op", ["r", "k"])
+    def test_block_every_format(self, capsys, op, fmt):
+        block_states, element = BLOCKS[op]
+        states = block_states(2, 2)
+        cells = {(out, inp): element(*out, *inp) for out in states for inp in states}
+        code, out = run(capsys, op, "block", "2", "2", "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            data = json.loads(out)
+            assert data["states"] == [list(state) for state in states]
+            assert {
+                (tuple(e["out"]), tuple(e["in"])): LaurentQ.from_json(e["value"])
+                for e in data["entries"]
+            } == cells
+        elif fmt == "csv":
+            header, *rows = out.splitlines()
+            width = len(states[0])
+            assert header.split(",") == (
+                [f"out{i}" for i in range(width)]
+                + [f"in{i}" for i in range(width)]
+                + ["value"]
+            )
+            fields = [row.split(",") for row in rows]
+            assert [
+                (tuple(map(int, f[:width])), tuple(map(int, f[width:-1])), f[-1])
+                for f in fields
+            ] == [(out, inp, str(value)) for (out, inp), value in cells.items()]
+        else:
+            assert out.splitlines() == [
+                f"{out} <- {inp}: {value}"
+                for (out, inp), value in cells.items()
+                if not value.is_zero
+            ]
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("op, m, n", [("r", "-1", "2"), ("k", "0", "-3")])
+    def test_negative_block_is_a_domain_error(self, capsys, op, m, n, fmt):
+        code = main([op, "block", m, n, "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -222,6 +271,22 @@ class TestCache:
         assert payload["schema_version"] == cachemod.SCHEMA_VERSION
         assert "2,0" in payload["q"]
 
+    @pytest.mark.parametrize("target", ["afile/x.json", "adir"])
+    def test_failed_save_is_a_warning(self, tmp_path, capsys, target):
+        # The save fails in mkdir (a file where a directory must be) or in
+        # the final rename (a directory at the target path).
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "adir").mkdir()
+        code = main(["--cache", str(tmp_path / target), "q", "compute", "1", "0"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out.strip() == "w*x*y^2*z - w - x*y + 1"
+        lines = captured.err.splitlines()
+        assert lines and all(line.startswith("warning: ") for line in lines)
+        assert "not saved" in lines[-1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+        assert list((tmp_path / "adir").iterdir()) == []
+
     def test_cli_cache_subcommand(self, tmp_path, capsys):
         path = tmp_path / "sub.json"
         code, out = run(capsys, "cache", "export", str(path))
@@ -235,3 +300,13 @@ class TestGoldenReport:
         rep = golden_report()
         assert rep.passed, rep.summary()
         assert rep.checked >= 20
+
+    def test_negative_control(self, capsys, monkeypatch):
+        inp = sorted(_golden.GOLDEN_K_TEXT)[2]
+        monkeypatch.setitem(_golden.GOLDEN_K_TEXT, inp, "q^99")
+        rep = golden_report()
+        assert not rep.passed
+        assert rep.first_failure.location == f"K^{_golden.GOLDEN_K_OUT}_{inp}"
+        assert rep.first_failure.rhs == "q^99"
+        code, _ = run(capsys, "verify", "golden")
+        assert code == 1

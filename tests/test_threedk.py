@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import qreflect.threedk as threedk
 from qreflect.exactq import LaurentQ
+from qreflect.tensorops import K_OPERATOR, verify_route_agreement
 from qreflect.threedk import (
     check_transpose,
     e_residual,
@@ -13,7 +15,6 @@ from qreflect.threedk import (
     verify_bridge_recursion,
     verify_e,
     verify_e_all,
-    verify_route_agreement,
     verify_transpose_block,
     weight_compatible,
 )
@@ -44,8 +45,16 @@ class TestKElement:
             assert k_element(3, 1, 0, 2, *inp, route="both") == want
 
     def test_route_agreement_sweep(self):
-        rep = verify_route_agreement(2, 4)
+        rep = verify_route_agreement(K_OPERATOR, "both", 2, 4)
         assert rep.passed, rep.summary()
+
+    def test_route_sweep_negative_control(self, monkeypatch):
+        # A corrupted memoized primary value must disagree with the dual route.
+        key = (0, 1, 0, 1, 1, 0, 0, 2)
+        monkeypatch.setitem(threedk._K_ELEMENTS, key, k_element(*key) + 1)
+        rep = verify_route_agreement(K_OPERATOR, "both", 1, 2)
+        assert not rep.passed
+        assert rep.first_failure.location == f"primary/dual routes disagree at {key}"
 
     def test_parity_and_polynomiality(self):
         for m in range(4):
@@ -96,6 +105,19 @@ class TestEEquations:
         # q^{2b}-1 = 0, so the zero convention keeps E35 valid.
         rep = verify_e("E35", 0, 1)
         assert rep.passed, rep.summary()
+
+    def test_perturbed_relation_fails(self, monkeypatch):
+        # Negative control: one changed coefficient of E22.
+        original = threedk.e_relation_terms
+
+        def perturbed(name, b, c):
+            (coeff, offset, shifts), *rest = original(name, b, c)
+            return [(coeff + 1, offset, shifts), *rest]
+
+        monkeypatch.setattr(threedk, "e_relation_terms", perturbed)
+        rep = verify_e("E22", 1, 1)
+        assert not rep.passed
+        assert rep.first_failure.location.startswith("E22 at (1,1): surviving monomial")
 
     @pytest.mark.parametrize("name", ["E22", "E33", "E44", "E54"])
     def test_spot_checks_at_2_2(self, name):

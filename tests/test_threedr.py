@@ -11,15 +11,16 @@ from qreflect.threedr import (
     hypergeometric_p,
     p_polynomial,
     p_ring_report,
-    r_block,
+    r_block_states,
     r_element,
+    r_weights,
     swap_xz,
     verify_generating_series,
     verify_involution,
     verify_mirror_pairs,
     verify_p_relations,
-    verify_route_agreement,
 )
+from qreflect.tensorops import R_OPERATOR, verify_route_agreement
 
 X, Y, Z = variables(VARS3)
 
@@ -66,6 +67,22 @@ class TestPPolynomial:
         finally:
             threedr._P_CACHE[3] = original
 
+    def test_perturbed_relation_fails(self, monkeypatch):
+        # Negative control: one changed coefficient of relation 42.
+        original = threedr.p_relation_terms
+
+        def perturbed(name, b):
+            terms = original(name, b)
+            if name == "42":
+                (coeff, db, shifts), *rest = terms
+                terms = [(coeff + 1, db, shifts), *rest]
+            return terms
+
+        monkeypatch.setattr(threedr, "p_relation_terms", perturbed)
+        rep = verify_p_relations(2)
+        assert not rep.passed
+        assert rep.first_failure.location == "relation 42 at b=2"
+
     def test_mirror_pairs(self):
         rep = verify_mirror_pairs()
         assert rep.passed, rep.summary()
@@ -106,7 +123,7 @@ class TestRElement:
         r_element(*key, route="all")
 
     def test_route_agreement_sweep(self):
-        rep = verify_route_agreement(3, 3)
+        rep = verify_route_agreement(R_OPERATOR, "all", 3, 3)
         assert rep.passed, rep.summary()
 
     def test_involution(self):
@@ -115,9 +132,9 @@ class TestRElement:
             assert rep.passed, rep.summary()
 
     def test_block_shape(self):
-        states, matrix = r_block(2, 3)
+        states = r_block_states(2, 3)
         assert states == [(0, 2, 1), (1, 1, 2), (2, 0, 3)]
-        assert len(matrix) == len(states)
+        assert {r_weights(*state) for state in states} == {(2, 3)}
 
 
 class TestGeneratingSeries:
