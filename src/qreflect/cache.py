@@ -1,11 +1,12 @@
 """Schema-versioned JSON persistence for the Q and P polynomial caches.
 
-The file layout is {"schema_version": N, "q": {"b,c": <poly>}, "p":
+A library round trip: the CLI never reads or writes these files.  The
+file layout is {"schema_version": N, "q": {"b,c": <poly>}, "p":
 {"b": <poly>}} with polynomials in the MultiPolyQ JSON schema.  A version
 mismatch triggers a rebuild (the file is ignored) and is never silently
 reused; a file that cannot be read or parsed is ignored the same way, with
-a warning on stderr.  The QREFLECT_CACHE environment variable names the
-default cache file used by the CLI when --cache is not given.
+a warning on stderr.  A file that parses is trusted: its polynomials are
+installed as they are.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from . import qfamily, threedr
 from .multipoly import VARS3, VARS4, MultiPolyQ
 
 SCHEMA_VERSION = 1
-
-ENV_CACHE = "QREFLECT_CACHE"
 
 
 def export_cache(path: str | Path) -> int:
@@ -65,10 +64,12 @@ def _file_mode(path: Path) -> int:
 def import_cache(path: str | Path) -> int:
     """Load a cache file into memory; returns entries accepted.
 
-    Returns 0 (and loads nothing) when the file is missing or carries a
-    different schema version.  A file that cannot be read or parsed (bad
-    JSON, a bad key or polynomial) is a miss as well: it loads nothing and
-    prints one warning line on stderr.
+    The entries are installed without checking them: a wrong polynomial in
+    a well-formed file becomes the memoized value.  Returns 0 (and loads
+    nothing) when the file is missing or carries a different schema
+    version.  A file that cannot be read or parsed (bad JSON, a bad key or
+    polynomial) is a miss as well: it loads nothing and prints one warning
+    line on stderr.
     """
     path = Path(path)
     if not path.exists():

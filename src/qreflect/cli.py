@@ -2,22 +2,20 @@
 
 Verbs: q (polynomial family), r and k (matrix elements, and blocks as
 text, JSON or CSV tables), verify (identity suites, including the golden
-regression set), cache (persistence).  Exit codes: 0 success or
-verification pass, 1 verification failure, 2 usage or domain errors,
-3 internal consistency error (an exact division left a remainder or a
-construction-time cross-check failed).  A cache file that cannot be
-loaded or saved costs a warning line on stderr, never an exit code.
+regression set).  Every answer is recomputed from the formulas; the CLI
+reads and writes no cache file.  Exit codes: 0 success or verification
+pass, 1 verification failure, 2 usage or domain errors, 3 internal
+consistency error (an exact division left a remainder or a
+construction-time cross-check failed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
-from . import cache as cachemod
 from . import qfamily, tensorops, threedk, threedr
 from ._golden import (
     GOLDEN_K_BLOCK,
@@ -30,6 +28,14 @@ from .exactq import DomainError, ExactDivisionError, LaurentQ
 from .report import VerificationError, VerificationReport
 
 DEFAULT_SEED = 20260809
+
+
+def nonnegative_int(text: str) -> int:
+    """argparse type of every bound and sample size: an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _emit_report(rep: VerificationReport, fmt: str) -> int:
@@ -134,12 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qreflect",
         description="Exact construction and verification of 3D R and K operators.",
     )
-    parser.add_argument(
-        "--cache",
-        metavar="PATH",
-        help="polynomial cache file to load before and save after the command"
-        f" (default: ${cachemod.ENV_CACHE} when set)",
-    )
     verbs = parser.add_subparsers(dest="verb", required=True)
 
     def add_format(p, choices=("text", "json")):
@@ -153,12 +153,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format(qc)
     qv = qsub.add_parser("verify", help="verify family properties")
     qv.add_argument("what", choices=("props",))
-    qv.add_argument("--max-bc", type=int, default=3)
+    qv.add_argument("--max-bc", type=nonnegative_int, default=3)
     add_format(qv)
-
-    cache_verb = verbs.add_parser("cache", help="persist or load the polynomial cache")
-    cache_verb.add_argument("direction", choices=("export", "import"))
-    cache_verb.add_argument("path")
 
     r = verbs.add_parser("r", help="3D R elements and blocks")
     rsub = r.add_subparsers(dest="action", required=True)
@@ -170,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_format(re_)
     rv = rsub.add_parser("verify", help="difference equations and route checks")
-    rv.add_argument("--max-b", type=int, default=3)
+    rv.add_argument("--max-b", type=nonnegative_int, default=3)
     add_format(rv)
     rb = rsub.add_parser("block", help="full matrix on a weight block")
     rb.add_argument("m", type=int)
@@ -189,22 +185,22 @@ def _build_parser() -> argparse.ArgumentParser:
     kb.add_argument("n", type=int)
     add_format(kb, choices=("text", "json", "csv"))
     kv = ksub.add_parser("verify-e", help="difference equations E22..E55")
-    kv.add_argument("--max-bc", type=int, default=3)
+    kv.add_argument("--max-bc", type=nonnegative_int, default=3)
     add_format(kv)
 
     verify = verbs.add_parser("verify", help="equation suites")
     vsub = verify.add_subparsers(dest="what", required=True)
     vt = vsub.add_parser("tetrahedron")
-    vt.add_argument("--max-occ", type=int, default=1)
+    vt.add_argument("--max-occ", type=nonnegative_int, default=1)
     add_format(vt)
     vr = vsub.add_parser("reflection")
-    vr.add_argument("--max-occ", type=int, default=1)
-    vr.add_argument("--sample", type=int, default=64)
+    vr.add_argument("--max-occ", type=nonnegative_int, default=1)
+    vr.add_argument("--sample", type=nonnegative_int, default=64)
     vr.add_argument("--seed", type=int, default=DEFAULT_SEED)
     add_format(vr)
     vi = vsub.add_parser("intertwiner")
     vi.add_argument("--relation", default="all")
-    vi.add_argument("--max-occ", type=int, default=2)
+    vi.add_argument("--max-occ", type=nonnegative_int, default=2)
     add_format(vi)
     vg = vsub.add_parser("golden")
     add_format(vg)
@@ -219,14 +215,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.action == "verify":
             rep = qfamily.verify_properties(args.max_bc)
             return _emit_report(rep, args.format)
-    if args.verb == "cache":
-        if args.direction == "export":
-            count = cachemod.export_cache(args.path)
-            print(f"exported {count} entries to {args.path}")
-        else:
-            count = cachemod.import_cache(args.path)
-            print(f"imported {count} entries from {args.path}")
-        return 0
     if args.verb == "r":
         if args.action == "element":
             value = threedr.r_element(
@@ -300,27 +288,14 @@ def _dispatch(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cache_path = args.cache or os.environ.get(cachemod.ENV_CACHE)
-    if cache_path:
-        cachemod.import_cache(cache_path)
     try:
-        code = _dispatch(args)
+        return _dispatch(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ExactDivisionError, VerificationError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if cache_path:
-        try:
-            cachemod.export_cache(cache_path)
-        except OSError as exc:
-            print(
-                f"warning: cache file {cache_path} not saved:"
-                f" {type(exc).__name__}: {exc}",
-                file=sys.stderr,
-            )
-    return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
-"""CLI surface: formats, exit codes, cache round-trips, golden checks."""
+"""CLI surface, formats, exit codes and golden checks; library cache round trips."""
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import stat
@@ -11,7 +12,7 @@ import pytest
 from qreflect import _golden
 from qreflect import cache as cachemod
 from qreflect import qfamily, tensorops, threedk, threedr
-from qreflect.cli import golden_report, main
+from qreflect.cli import _build_parser, golden_report, main
 from qreflect.exactq import LaurentQ
 from qreflect.multipoly import MultiPolyQ
 from qreflect.report import VerificationReport
@@ -143,6 +144,32 @@ class TestCommands:
 
         assert _emit_report(bad, "text") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "verify tetrahedron --max-occ -1",
+            "verify intertwiner --max-occ -1",
+            "verify reflection --max-occ -1",
+            "verify reflection --sample -3",
+            "q verify props --max-bc -1",
+            "k verify-e --max-bc -1",
+            "r verify --max-b -1",
+        ],
+    )
+    def test_negative_bound_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "must be >= 0" in captured.err
+
+    def test_verbs_and_global_options(self):
+        parser = _build_parser()
+        (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(verbs.choices) == ["k", "q", "r", "verify"]
+        assert [s for a in parser._actions for s in a.option_strings] == ["-h", "--help"]
+
 
 @pytest.fixture
 def clean_caches():
@@ -152,21 +179,18 @@ def clean_caches():
         module.clear_caches()
 
 
-class TestInternalErrors:
-    def test_corrupted_cache_exits_3(self, tmp_path, capsys, clean_caches):
-        path = tmp_path / "flipped.json"
-        qfamily.q_polynomial(1, 0)
-        cachemod.export_cache(path)
-        payload = json.loads(path.read_text())
-        # The constant term of Q_(1,0) is 1; make it -5.
-        constant = payload["q"]["1,0"]["terms"][0]
-        assert constant["exp"] == [0, 0, 0, 0]
-        constant["coeff"]["q"] = [[0, "-5"]]
-        path.write_text(json.dumps(payload))
-        qfamily.clear_caches()
-        threedk.clear_caches()
+@pytest.fixture
+def flipped_q10(clean_caches):
+    """Cleared memo tables, then Q_(1,0) installed with its constant 1 made -5."""
+    tensorops.clear_caches()
+    flipped = qfamily.q_polynomial(1, 0) - 6
+    assert str(flipped) == "w*x*y^2*z - w - x*y - 5"
+    qfamily.cache_install({(1, 0): flipped})
 
-        code = main(["--cache", str(path), "verify", "golden"])
+
+class TestInternalErrors:
+    def test_corrupted_cache_exits_3(self, capsys, flipped_q10):
+        code = main(["verify", "golden"])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
@@ -219,13 +243,10 @@ class TestCache:
         path = tmp_path / "malformed.json"
         path.write_text(text)
         qfamily.clear_caches()
-        code = main(["--cache", str(path), "q", "compute", "1", "0"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert captured.out.strip() == "w*x*y^2*z - w - x*y + 1"
-        lines = captured.err.splitlines()
+        assert cachemod.import_cache(path) == 0
+        lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("warning: ")
-        assert qfamily.cache_snapshot().keys() == {(0, 0), (1, 0)}
+        assert qfamily.cache_snapshot() == {}
 
     def test_failed_export_keeps_existing_file(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.json"
@@ -262,37 +283,25 @@ class TestCache:
         assert stat.S_IMODE(existing.stat().st_mode) == 0o664
         assert cachemod.import_cache(existing) > 0
 
-    def test_cli_cache_flag(self, tmp_path, capsys):
-        path = tmp_path / "cli_cache.json"
-        code, _ = run(capsys, "--cache", str(path), "q", "compute", "2", "0")
-        assert code == 0
-        assert path.exists()
-        payload = json.loads(path.read_text())
-        assert payload["schema_version"] == cachemod.SCHEMA_VERSION
-        assert "2,0" in payload["q"]
 
-    @pytest.mark.parametrize("target", ["afile/x.json", "adir"])
-    def test_failed_save_is_a_warning(self, tmp_path, capsys, target):
-        # The save fails in mkdir (a file where a directory must be) or in
-        # the final rename (a directory at the target path).
-        (tmp_path / "afile").write_text("")
-        (tmp_path / "adir").mkdir()
-        code = main(["--cache", str(tmp_path / target), "q", "compute", "1", "0"])
-        captured = capsys.readouterr()
+class TestCliIgnoresCaches:
+    def test_cache_environment_is_not_read(self, tmp_path, capsys, monkeypatch, flipped_q10):
+        path = tmp_path / "flipped.json"
+        cachemod.export_cache(path)
+        before = path.read_bytes()
+        qfamily.clear_caches()
+        monkeypatch.setenv("QREFLECT_CACHE", str(path))
+        code, out = run(capsys, "q", "compute", "1", "0")
         assert code == 0
-        assert captured.out.strip() == "w*x*y^2*z - w - x*y + 1"
-        lines = captured.err.splitlines()
-        assert lines and all(line.startswith("warning: ") for line in lines)
-        assert "not saved" in lines[-1]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
-        assert list((tmp_path / "adir").iterdir()) == []
+        assert out.strip() == "w*x*y^2*z - w - x*y + 1"
+        assert path.read_bytes() == before
 
-    def test_cli_cache_subcommand(self, tmp_path, capsys):
-        path = tmp_path / "sub.json"
-        code, out = run(capsys, "cache", "export", str(path))
-        assert code == 0 and "exported" in out
-        code, out = run(capsys, "cache", "import", str(path))
-        assert code == 0 and "imported" in out
+    @pytest.mark.parametrize("argv", ["--cache {} q compute 1 0", "cache export {}"])
+    def test_cache_flag_and_verb_are_usage_errors(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.format(tmp_path / "cache.json").split())
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGoldenReport:
