@@ -36,7 +36,11 @@ On top of LaurentQ the module provides
   * PowerSeriesU      -- power series in an auxiliary variable u truncated
                          at a fixed order, with RationalQ coefficients,
   * euler_factor_series -- the u-expansion of (a*u; q^2)_inf or its
-                         reciprocal, solved from f(u) = (1 - a*u) f(q^2 u).
+                         reciprocal, solved from f(u) = (1 - a*u) f(q^2 u),
+  * accumulate        -- the sparse sum of (key, LaurentQ) pairs.  Every
+                         sparse sum in the package (polynomial terms,
+                         vector components) goes through it, so it is the
+                         one place where cancelled terms are dropped.
 
 Values are immutable after construction, except that decoding a value for
 a re-pack lowers its bound _b in place to the true coefficient size.  Any
@@ -47,7 +51,8 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from typing import Iterable, Iterator
+from operator import index
+from typing import Hashable, Iterable, Iterator
 
 
 class ExactDivisionError(ArithmeticError):
@@ -164,7 +169,9 @@ class LaurentQ:
     __slots__ = ("_lo", "_p", "_w", "_b")
 
     def __init__(self, terms: dict[int, int] | None = None):
-        terms = {int(e): int(c) for e, c in (terms or {}).items() if c != 0}
+        # index() rejects a float or other non-integer instead of truncating it.
+        pairs = [(index(e), index(c)) for e, c in (terms or {}).items()]
+        terms = {e: c for e, c in pairs if c}
         if not terms:
             self._lo, self._p, self._w, self._b = 0, 0, 64, 0
             return
@@ -314,6 +321,8 @@ class LaurentQ:
         return self + (-other)
 
     def __rsub__(self, other: int) -> LaurentQ:
+        if not isinstance(other, int):
+            return NotImplemented
         return LaurentQ.integer(other) - self
 
     def __mul__(self, other: LaurentQ | int) -> LaurentQ:
@@ -419,11 +428,30 @@ class LaurentQ:
 
     @staticmethod
     def from_json(data: dict) -> LaurentQ:
-        return LaurentQ({int(e): int(c) for e, c in data["q"]})
+        """Inverse of to_json: integer exponents and decimal-string coefficients."""
+        if not all(isinstance(c, str) for _, c in data["q"]):
+            raise TypeError("LaurentQ coefficients must be decimal strings")
+        return LaurentQ({e: int(c) for e, c in data["q"]})
 
 
 _ZERO = LaurentQ()
 _ONE = LaurentQ.monomial(0)
+
+
+def accumulate(pairs: Iterable[tuple[Hashable, LaurentQ]]) -> dict:
+    """The sparse sum of (key, value) pairs: the values of equal keys added.
+
+    The one place where the package drops cancelled terms: once, at the
+    end, and in place, so that no surviving (tuple) key is hashed again.
+    """
+    out: dict = {}
+    get = out.get
+    for key, value in pairs:
+        s = get(key)
+        out[key] = value if s is None else s + value
+    for key in [key for key, value in out.items() if not value._p]:
+        del out[key]
+    return out
 
 
 class RationalQ:

@@ -8,14 +8,19 @@ nonzero LaurentQ coefficient.  The zero polynomial stores no terms.
 The two substitutions the difference equations need are q-shifts
 (variable v -> q^k * v, which only rescales coefficients) and evaluation
 of variables at powers of q (which collapses terms into a LaurentQ).
+Every recursion step and difference-equation residual is one shift_sum,
+sum of coeff * poly.shift_multi(shifts).  Sums, products, shift_sum and
+partial evaluation all combine terms through exactq.accumulate, which
+drops the cancelled ones.
 """
 
 from __future__ import annotations
 
-from operator import mul
-from typing import Iterator, Sequence
+from itertools import chain
+from operator import add, index, mul
+from typing import Iterable, Iterator, Sequence
 
-from .exactq import DomainError, LaurentQ
+from .exactq import DomainError, LaurentQ, accumulate
 
 VARS3 = ("x", "y", "z")
 VARS4 = ("x", "y", "z", "w")
@@ -42,7 +47,7 @@ class MultiPolyQ:
             arity = len(self.names)
             clean: dict[tuple[int, ...], LaurentQ] = {}
             for exps, coeff in terms.items():
-                exps = tuple(int(e) for e in exps)
+                exps = tuple(map(index, exps))
                 if len(exps) != arity or any(e < 0 for e in exps):
                     raise DomainError(f"bad exponent vector {exps} for arity {arity}")
                 if not coeff.is_zero:
@@ -131,18 +136,7 @@ class MultiPolyQ:
         if o is None:
             return NotImplemented
         self._check_names(o)
-        if not self._terms:
-            return o
-        if not o._terms:
-            return self
-        out = dict(self._terms)
-        for exps, coeff in o._terms.items():
-            s = out.get(exps)
-            s = coeff if s is None else s + coeff
-            if s.is_zero:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
+        out = accumulate(chain(self._terms.items(), o._terms.items()))
         return MultiPolyQ(self.names, out, _trusted=True)
 
     __radd__ = __add__
@@ -158,16 +152,8 @@ class MultiPolyQ:
         return o + (-self)
 
     def __mul__(self, other: MultiPolyQ | LaurentQ | int) -> MultiPolyQ:
-        if isinstance(other, int):
-            if other == 0:
-                return MultiPolyQ.zero(self.names)
-            return MultiPolyQ(
-                self.names,
-                {e: c * other for e, c in self._terms.items()},
-                _trusted=True,
-            )
-        if isinstance(other, LaurentQ):
-            if other.is_zero:
+        if isinstance(other, (int, LaurentQ)):
+            if not other:
                 return MultiPolyQ.zero(self.names)
             return MultiPolyQ(
                 self.names,
@@ -182,17 +168,11 @@ class MultiPolyQ:
             return MultiPolyQ.zero(self.names)
         if len(a) > len(b):
             a, b = b, a
-        out: dict[tuple[int, ...], LaurentQ] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                prod = ca * cb
-                s = out.get(e)
-                s = prod if s is None else s + prod
-                if s.is_zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+        out = accumulate(
+            (tuple(map(add, ea, eb)), ca * cb)
+            for ea, ca in a.items()
+            for eb, cb in b.items()
+        )
         return MultiPolyQ(self.names, out, _trusted=True)
 
     __rmul__ = __mul__
@@ -240,18 +220,10 @@ class MultiPolyQ:
 
     def partial_eval_q_power(self, var: int, k: int) -> MultiPolyQ:
         """Substitute variable var by q^k, keeping the other variables."""
-        out: dict[tuple[int, ...], LaurentQ] = {}
-        for e, coeff in self._terms.items():
-            shifted = coeff.shifted(k * e[var])
-            ne = list(e)
-            ne[var] = 0
-            ne = tuple(ne)
-            s = out.get(ne)
-            s = shifted if s is None else s + shifted
-            if s.is_zero:
-                out.pop(ne, None)
-            else:
-                out[ne] = s
+        out = accumulate(
+            (e[:var] + (0,) + e[var + 1 :], coeff.shifted(k * e[var]))
+            for e, coeff in self._terms.items()
+        )
         return MultiPolyQ(self.names, out, _trusted=True)
 
     # -- inspection ------------------------------------------------------------------
@@ -347,6 +319,22 @@ def _coeff_body(coeff: LaurentQ, mono: str) -> tuple[str, bool]:
             return (mono, all_neg)
         return (f"{coeff}*{mono}", all_neg)
     return (f"({coeff})*{mono}", all_neg)
+
+
+def shift_sum(names: Sequence[str], terms: Iterable[tuple]) -> MultiPolyQ:
+    """The sum of coeff * poly.shift_multi(shifts) over (coeff, poly, shifts).
+
+    All products go into one accumulate, so no partial sum is copied.
+    """
+    zero = MultiPolyQ.zero(names)
+
+    def pairs():
+        for coeff, poly, shifts in terms:
+            product = coeff * poly.shift_multi(shifts)
+            zero._check_names(product)
+            yield from product._terms.items()
+
+    return MultiPolyQ(zero.names, accumulate(pairs()), _trusted=True)
 
 
 def variables(names: Sequence[str]) -> list[MultiPolyQ]:

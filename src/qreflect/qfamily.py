@@ -25,7 +25,7 @@ from .exactq import (
     qq_pochhammer,
     qq_pochhammer_tail,
 )
-from .multipoly import MultiPolyQ, VARS4, q_power, variables
+from .multipoly import MultiPolyQ, VARS4, q_power, shift_sum, variables
 from .report import VerificationError, VerificationReport
 
 _ZERO4 = MultiPolyQ.zero(VARS4)
@@ -113,10 +113,7 @@ def _rec_b_step(prev: MultiPolyQ, b: int, c: int) -> MultiPolyQ:
         (w * (x - 1) * y * (z - 1) * _q4(4 * b + 8 * c - 4), (-4, 2, -4, 0)),
         ((w - 1) * (x - 1) * y * _q4(6 * b + 8 * c - 6), (-4, 0, 0, -2)),
     )
-    out = _ZERO4
-    for coeff, shifts in terms:
-        out = out + coeff * prev.shift_multi(shifts)
-    return out
+    return shift_sum(VARS4, ((coeff, prev, shifts) for coeff, shifts in terms))
 
 
 def _rec_c_step(prev: MultiPolyQ, b: int, c: int) -> MultiPolyQ:
@@ -130,10 +127,7 @@ def _rec_c_step(prev: MultiPolyQ, b: int, c: int) -> MultiPolyQ:
         (w * (x - 1) * (z - 1) * _q4(4 * b + 8 * c - 10) * g, (-4, 2, -4, 0)),
         ((w - 1) * (x - 1) * _q4(6 * b + 8 * c - 10) * g, (-4, 0, 0, -2)),
     )
-    out = _ZERO4
-    for coeff, shifts in terms:
-        out = out + coeff * prev.shift_multi(shifts)
-    return out
+    return shift_sum(VARS4, ((coeff, prev, shifts) for coeff, shifts in terms))
 
 
 def _assert_even_nonneg(p: MultiPolyQ, b: int, c: int) -> None:
@@ -198,10 +192,7 @@ def _rec_b_step_dual(prev: MultiPolyQ, b: int, c: int) -> MultiPolyQ:
         (w * (x - 1) * y * (z - 1) * _q4(2 * b - 2), (4, -2, 4, 0)),
         ((w - 1) * (x - 1) * y, (4, 0, 0, 2)),
     )
-    out = _ZERO4
-    for coeff, shifts in terms:
-        out = out + coeff * prev.shift_multi(shifts)
-    return out
+    return shift_sum(VARS4, ((coeff, prev, shifts) for coeff, shifts in terms))
 
 
 def _rec_c_step_dual(prev: MultiPolyQ, b: int, c: int) -> MultiPolyQ:
@@ -217,10 +208,7 @@ def _rec_c_step_dual(prev: MultiPolyQ, b: int, c: int) -> MultiPolyQ:
             (4, 0, 0, 2),
         ),
     )
-    out = _ZERO4
-    for coeff, shifts in terms:
-        out = out + coeff * prev.shift_multi(shifts)
-    return out
+    return shift_sum(VARS4, ((coeff, prev, shifts) for coeff, shifts in terms))
 
 
 def q_polynomial_dual(b: int, c: int) -> MultiPolyQ:

@@ -18,9 +18,11 @@ r_block_states and threedk's k_weights and k_block_states, the one place
 each weight block is written.  One sweep, verify_route_agreement, checks
 either operator's element routes against each other block by block.
 Their memo tables sit in the package's one registry (memo), whose single
-clear is every module's clear_caches.  All three equation verifiers
-report through compare_words, which names the first basis state where the
-two sides differ.
+clear is every module's clear_caches.  Vector sums, generator actions,
+operator applications and the intertwiner combinations collect their
+terms through exactq.accumulate, which drops the cancelled ones.  All
+three equation verifiers report through compare_words, which names the
+first basis state where the two sides differ.
 
 The nine-space signature used by the reflection-equation verifier,
 (Q2,Q1,Q2,Q1,Q1,Q1,Q2,Q1,Q1), is the unique assignment making all three
@@ -34,12 +36,12 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from operator import itemgetter
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import memo
-from .exactq import DomainError, LaurentQ
+from .exactq import DomainError, LaurentQ, accumulate
 from .report import VerificationReport
 from .threedk import k_block_states, k_element, k_weights
 from .threedr import r_block_states, r_element, r_weights
@@ -67,25 +69,25 @@ _GENERATOR_TYPES = {
 
 
 class SparseVector:
-    """Finite linear combination of basis states over one signature."""
+    """Finite linear combination of basis states over one signature.
+
+    Built from (basis state, coefficient) pairs by exactq.accumulate: the
+    coefficients of equal states are added and cancelled states dropped.
+    """
 
     __slots__ = ("signature", "terms")
 
     def __init__(
         self,
         signature: tuple[SpaceType, ...],
-        terms: dict[tuple[int, ...], LaurentQ] | None = None,
+        pairs: Iterable[tuple[tuple[int, ...], LaurentQ]] = (),
     ):
         self.signature = signature
-        self.terms: dict[tuple[int, ...], LaurentQ] = {}
-        if terms:
-            for occ, coeff in terms.items():
-                if not coeff.is_zero:
-                    self.terms[tuple(occ)] = coeff
+        self.terms: dict[tuple[int, ...], LaurentQ] = accumulate(pairs)
 
     @staticmethod
     def unit(signature: tuple[SpaceType, ...], occ: Sequence[int]) -> SparseVector:
-        return SparseVector(signature, {tuple(occ): LaurentQ.one()})
+        return SparseVector(signature, [(tuple(occ), LaurentQ.one())])
 
     @property
     def is_zero(self) -> bool:
@@ -101,26 +103,14 @@ class SparseVector:
     def __add__(self, other: SparseVector) -> SparseVector:
         if self.signature != other.signature:
             raise DomainError("adding vectors over different signatures")
-        out = dict(self.terms)
-        for occ, coeff in other.terms.items():
-            s = out.get(occ)
-            s = coeff if s is None else s + coeff
-            if s.is_zero:
-                out.pop(occ, None)
-            else:
-                out[occ] = s
-        result = SparseVector(self.signature)
-        result.terms = out
-        return result
+        return SparseVector(self.signature, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: SparseVector) -> SparseVector:
         return self + other.scaled(LaurentQ.integer(-1))
 
     def scaled(self, scalar: LaurentQ) -> SparseVector:
-        result = SparseVector(self.signature)
-        if not scalar.is_zero:
-            result.terms = {occ: coeff * scalar for occ, coeff in self.terms.items()}
-        return result
+        terms = self.terms.items() if scalar else ()
+        return SparseVector(self.signature, ((occ, c * scalar) for occ, c in terms))
 
     def first_difference(
         self, other: SparseVector
@@ -146,20 +136,20 @@ class SparseVector:
 # -- generator actions -----------------------------------------------------------
 
 
-def _generator_action(gen: str, m: int, space: SpaceType) -> tuple[int, LaurentQ] | None:
-    """(new occupation, coefficient) of gen acting on |m>, or None if it kills it."""
+def _generator_action(gen: str, m: int, space: SpaceType) -> tuple[tuple[int, LaurentQ], ...]:
+    """The (new occupation, coefficient) of gen acting on |m>; none if it kills it."""
     step = 1 if space is Q1 else 2
     if gen == "1":
-        return (m, LaurentQ.one())
+        return ((m, LaurentQ.one()),)
     if gen in ("k", "K"):
-        return (m, LaurentQ.monomial(step * m))
+        return ((m, LaurentQ.monomial(step * m)),)
     if gen in ("a+", "A+"):
-        return (m + 1, LaurentQ.one())
+        return ((m + 1, LaurentQ.one()),)
     # a-|0> = 0 via the vanishing coefficient (1 - q^0).
     coeff = 1 - LaurentQ.monomial(2 * step * m)
     if coeff.is_zero:
-        return None
-    return (m - 1, coeff)
+        return ()
+    return ((m - 1, coeff),)
 
 
 def apply_generator(gen: str, vec: SparseVector, pos: int) -> SparseVector:
@@ -170,22 +160,12 @@ def apply_generator(gen: str, vec: SparseVector, pos: int) -> SparseVector:
     space = vec.signature[pos]
     if required is not None and space is not required:
         raise DomainError(f"generator {gen!r} cannot act on a {space.name} factor")
-    out = SparseVector(vec.signature)
-    terms = out.terms
-    for occ, coeff in vec.terms.items():
-        action = _generator_action(gen, occ[pos], space)
-        if action is None:
-            continue
-        new_m, factor = action
-        new_occ = occ[:pos] + (new_m,) + occ[pos + 1 :]
-        contrib = coeff * factor
-        s = terms.get(new_occ)
-        s = contrib if s is None else s + contrib
-        if s.is_zero:
-            terms.pop(new_occ, None)
-        else:
-            terms[new_occ] = s
-    return out
+    pairs = (
+        (occ[:pos] + (new_m,) + occ[pos + 1 :], coeff * factor)
+        for occ, coeff in vec.terms.items()
+        for new_m, factor in _generator_action(gen, occ[pos], space)
+    )
+    return SparseVector(vec.signature, pairs)
 
 
 def apply_word(gens: Sequence[str], vec: SparseVector, positions: Sequence[int]) -> SparseVector:
@@ -265,24 +245,18 @@ def apply_local(
         slots[p] = offset
     scatter = itemgetter(*slots)
     table, element = (op.table, op.element) if element is None else ({}, element)
-    out = SparseVector(vec.signature)
-    terms = out.terms
-    for occ, coeff in vec.terms.items():
-        inp = gather(occ)
-        column = table.get(inp)
-        if column is None:
-            pairs = ((o, element(*o, *inp)) for o in op.states(*op.weights(*inp)))
-            column = table[inp] = tuple((o, v) for o, v in pairs if not v.is_zero)
-        for local, value in column:
-            new_occ = scatter(occ + local)
-            contrib = coeff * value
-            s = terms.get(new_occ)
-            s = contrib if s is None else s + contrib
-            if s.is_zero:
-                terms.pop(new_occ, None)
-            else:
-                terms[new_occ] = s
-    return out
+
+    def contributions():
+        for occ, coeff in vec.terms.items():
+            inp = gather(occ)
+            column = table.get(inp)
+            if column is None:
+                pairs = ((o, element(*o, *inp)) for o in op.states(*op.weights(*inp)))
+                column = table[inp] = tuple((o, v) for o, v in pairs if not v.is_zero)
+            for local, value in column:
+                yield scatter(occ + local), coeff * value
+
+    return SparseVector(vec.signature, contributions())
 
 
 def apply_R(
@@ -422,13 +396,22 @@ def verify_intertwiner(relation: str, occupations: Sequence[int]) -> Verificatio
     vec = SparseVector.unit(K_SIGNATURE, occupations)
     positions = (0, 1, 2, 3)
     kvec = apply_K(vec, positions)
-    lhs = SparseVector(K_SIGNATURE)
-    for scalar, gens in lhs_terms:
-        lhs = lhs + apply_word(gens, kvec, positions).scaled(scalar)
-    rhs = SparseVector(K_SIGNATURE)
-    for scalar, gens in rhs_terms:
-        rhs = rhs + apply_K(apply_word(gens, vec, positions), positions).scaled(scalar)
-    return compare_words(f"<{relation}> on {tuple(occupations)}", lhs, rhs)
+    lhs = [(scalar, apply_word(gens, kvec, positions)) for scalar, gens in lhs_terms]
+    rhs = [
+        (scalar, apply_K(apply_word(gens, vec, positions), positions))
+        for scalar, gens in rhs_terms
+    ]
+    return compare_words(
+        f"<{relation}> on {tuple(occupations)}", _combination(lhs), _combination(rhs)
+    )
+
+
+def _combination(terms: list[tuple[LaurentQ, SparseVector]]) -> SparseVector:
+    """The sum of scalar * vector over (scalar, vector) pairs on K's quartet."""
+    return SparseVector(
+        K_SIGNATURE,
+        ((occ, c * scalar) for scalar, vec in terms for occ, c in vec.terms.items()),
+    )
 
 
 def verify_intertwiners_all(max_occ: int) -> VerificationReport:

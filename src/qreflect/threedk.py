@@ -25,11 +25,10 @@ from __future__ import annotations
 
 from . import memo
 from .exactq import DomainError, LaurentQ, qq_pochhammer
-from .multipoly import MultiPolyQ, VARS4, q_power, variables
+from .multipoly import MultiPolyQ, VARS4, q_power, shift_sum, variables
 from .qfamily import phi_bc, phi_k, q_polynomial
 from .report import VerificationError, VerificationReport
 
-_ZERO4 = MultiPolyQ.zero(VARS4)
 _X, _Y, _Z, _W = variables(VARS4)
 
 _K_ELEMENTS: dict[tuple[int, ...], LaurentQ] = memo.table("K")
@@ -78,13 +77,7 @@ def k_element(
         value = q_polynomial(j, k).evaluate_at_q_powers((4 * a, 2 * b, 4 * c, 2 * d))
         num = value.shifted(phi_k(*key) - phi_bc(j, k))
         num = num * qq_pochhammer(2, l) * qq_pochhammer(4, i)
-        den = (
-            qq_pochhammer(2, b)
-            * qq_pochhammer(2, d)
-            * qq_pochhammer(4, a)
-            * qq_pochhammer(4, c)
-        )
-        return _check_element(num.exact_div(den), key)
+        return _check_element(num.exact_div(_k_norm(a, b, c, d)), key)
     if route == "both":
         primary = k_element(*key, route="primary")
         dual = k_element(*key, route="dual")
@@ -92,6 +85,12 @@ def k_element(
             raise VerificationError(f"primary/dual routes disagree at {key}")
         return primary
     raise DomainError(f"unknown route {route!r}")
+
+
+def _k_norm(a: int, b: int, c: int, d: int) -> LaurentQ:
+    """K's normalisation of |a,b,c,d>: (q^2;q^2)_b (q^2;q^2)_d (q^4;q^4)_a (q^4;q^4)_c."""
+    p = qq_pochhammer
+    return p(2, b) * p(2, d) * p(4, a) * p(4, c)
 
 
 def k_weights(a: int, b: int, c: int, d: int) -> tuple[int, int]:
@@ -119,20 +118,8 @@ def check_transpose(
       = (q^2)_j (q^2)_l (q^4)_i (q^4)_k K^{ijkl}_{abcd}.
     """
     rep = VerificationReport(f"transpose symmetry at {(a, b, c, d, i, j, k, l)}")
-    lhs = (
-        k_element(a, b, c, d, i, j, k, l)
-        * qq_pochhammer(2, b)
-        * qq_pochhammer(2, d)
-        * qq_pochhammer(4, a)
-        * qq_pochhammer(4, c)
-    )
-    rhs = (
-        k_element(i, j, k, l, a, b, c, d)
-        * qq_pochhammer(2, j)
-        * qq_pochhammer(2, l)
-        * qq_pochhammer(4, i)
-        * qq_pochhammer(4, k)
-    )
+    lhs = k_element(a, b, c, d, i, j, k, l) * _k_norm(a, b, c, d)
+    rhs = k_element(i, j, k, l, a, b, c, d) * _k_norm(i, j, k, l)
     rep.record(lhs == rhs, f"transpose at {(a, b, c, d, i, j, k, l)}", str(lhs), str(rhs))
     return rep
 
@@ -303,13 +290,8 @@ def e_relation_terms(name: str, b: int, c: int) -> list[ETerm]:
 
 
 def e_residual(name: str, b: int, c: int) -> MultiPolyQ:
-    out = _ZERO4
-    for coeff, (db, dc), shifts in e_relation_terms(name, b, c):
-        qpoly = q_polynomial(b + db, c + dc)
-        if qpoly.is_zero:
-            continue
-        out = out + coeff * qpoly.shift_multi(shifts)
-    return out
+    terms = e_relation_terms(name, b, c)
+    return shift_sum(VARS4, ((k, q_polynomial(b + db, c + dc), s) for k, (db, dc), s in terms))
 
 
 def verify_e(name: str, b: int, c: int) -> VerificationReport:

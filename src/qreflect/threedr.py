@@ -30,7 +30,7 @@ from .exactq import (
     gaussian_binomial,
     qq_pochhammer,
 )
-from .multipoly import MultiPolyQ, VARS3, q_power, variables
+from .multipoly import MultiPolyQ, VARS3, q_power, shift_sum, variables
 from .report import VerificationError, VerificationReport
 
 _ZERO3 = MultiPolyQ.zero(VARS3)
@@ -179,10 +179,8 @@ def p_relation_terms(name: str, b: int) -> list[PTerm]:
 
 
 def p_relation_residual(name: str, b: int) -> MultiPolyQ:
-    out = _ZERO3
-    for coeff, db, shifts in p_relation_terms(name, b):
-        out = out + coeff * p_polynomial(b + db).shift_multi(shifts)
-    return out
+    terms = p_relation_terms(name, b)
+    return shift_sum(VARS3, ((k, p_polynomial(b + db), s) for k, db, s in terms))
 
 
 def verify_p_relations(b: int) -> VerificationReport:

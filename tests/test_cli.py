@@ -236,8 +236,20 @@ class TestCache:
             '{"schema_version": 1, "p": {"1": {"vars": ["x", "y", "z", "w"], "terms": []}}}',
             '{"schema_version": 1, "q": ',
             "[1]",
+            '{"schema_version": 1, "q": {"1,0": {"vars": ["x", "y", "z", "w"], "terms": '
+            '[{"exp": [0, 0, 0, 0], "coeff": {"q": [[0, 2.7]]}}]}}}',
+            '{"schema_version": 1, "q": {"1,0": {"vars": ["x", "y", "z", "w"], "terms": '
+            '[{"exp": [1.5, 0, 0, 0], "coeff": {"q": [[0, "1"]]}}]}}}',
         ],
-        ids=["bad-key", "bad-polynomial", "wrong-variables", "bad-json", "not-an-object"],
+        ids=[
+            "bad-key",
+            "bad-polynomial",
+            "wrong-variables",
+            "bad-json",
+            "not-an-object",
+            "float-coefficient",
+            "float-exponent",
+        ],
     )
     def test_malformed_file_is_a_warned_miss(self, tmp_path, capsys, text, clean_caches):
         path = tmp_path / "malformed.json"

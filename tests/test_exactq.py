@@ -11,6 +11,7 @@ from qreflect.exactq import (
     LaurentQ,
     PowerSeriesU,
     RationalQ,
+    accumulate,
     euler_factor_series,
     gaussian_binomial,
     q_pochhammer,
@@ -77,6 +78,26 @@ class TestLaurentQ:
     def test_json_roundtrip(self):
         p = L({-3: 12345678901234567890, 4: -7})
         assert LaurentQ.from_json(p.to_json()) == p
+
+    @pytest.mark.parametrize("terms", [{0: 2.7}, {0: 0.5}, {0: 0.0}, {1.5: 1}, {2.0: 1}])
+    def test_constructor_rejects_non_integers(self, terms):
+        # A float is a TypeError, never truncated to an integer.
+        with pytest.raises(TypeError):
+            LaurentQ(terms)
+
+    @pytest.mark.parametrize(
+        "pairs", [[[0, 2.7]], [[0, 3]], [[0, 2.0]], [[0.5, "1"]], [[1.0, "1"]]]
+    )
+    def test_from_json_takes_only_what_to_json_writes(self, pairs):
+        # Integer exponents and decimal-string coefficients; anything else is
+        # a TypeError, which cache.import_cache reports as a warned miss.
+        with pytest.raises(TypeError):
+            LaurentQ.from_json({"q": pairs})
+
+    def test_subtraction_from_a_float_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            1.5 - LaurentQ.one()
+        assert 2 - LaurentQ.one() == 1
 
 
 
@@ -277,6 +298,47 @@ class TestPackedAgainstReference:
         check_matches(a * a, {0: 2**124, 3: -(2**125), 6: 2**124})
         check_matches(a + a + a, {0: 3 * 2**62, 3: -3 * 2**62})
         assert (a * a)._w == 192
+
+
+# -- accumulate against a dict reference --------------------------------------------
+#
+# Keys come from a small range so that they collide; negated copies of some
+# pairs cancel keys mid-sum, and the pairs after them can bring those keys back.
+
+keyed_polys = st.lists(st.tuples(st.integers(0, 3), ref_polys), max_size=8)
+
+
+def ref_accumulate(pairs):
+    out = {}
+    for key, value in pairs:
+        out[key] = ref_add(out.get(key, {}), value)
+    return {key: value for key, value in out.items() if value}
+
+
+class TestAccumulate:
+    @given(keyed_polys, st.lists(st.booleans(), max_size=8), keyed_polys)
+    @settings(max_examples=150)
+    def test_against_reference(self, pairs, negate, later):
+        cancels = [(k, {e: -c for e, c in v.items()}) for (k, v), n in zip(pairs, negate) if n]
+        seq = pairs + cancels + later
+        got = accumulate((key, LaurentQ(value)) for key, value in seq)
+        want = ref_accumulate(seq)
+        assert set(got) == set(want)
+        for key, value in got.items():
+            check_matches(value, want[key])
+
+    def test_cancel_then_reappear(self):
+        a, b = L({0: 1, 2: -3}), L({5: 7})
+        got = accumulate([("k", a), ("j", b), ("k", -a), ("k", b), ("j", b)])
+        assert got == {"k": b, "j": b * 2}
+
+    def test_all_cancelling_and_zero_inputs(self):
+        a = L({-1: 2**70, 1: 5})
+        zero = LaurentQ.zero()
+        assert accumulate([(0, a), (1, zero), (0, -a)]) == {}
+        assert accumulate([(0, zero), (0, zero)]) == {}
+        assert accumulate([]) == {}
+        assert accumulate([(0, zero), (0, a), (1, zero)]) == {0: a}
 
 
 class TestRationalQ:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qreflect.exactq import DomainError, LaurentQ
-from qreflect.multipoly import MultiPolyQ, VARS3, VARS4, variables
+from qreflect.multipoly import MultiPolyQ, VARS3, VARS4, shift_sum, variables
 from qreflect.qfamily import q_polynomial
 
 from conftest import qc, reference_q10
@@ -14,6 +14,7 @@ from conftest import qc, reference_q10
 X, Y, Z, W = variables(VARS4)
 
 exponent_vectors = st.tuples(*(st.integers(min_value=0, max_value=3),) * 4)
+exponent_vectors3 = st.tuples(*(st.integers(min_value=0, max_value=2),) * 3)
 small_laurents = st.dictionaries(
     st.integers(min_value=-4, max_value=4),
     st.integers(min_value=-5, max_value=5),
@@ -21,6 +22,9 @@ small_laurents = st.dictionaries(
 ).map(LaurentQ)
 polys4 = st.dictionaries(exponent_vectors, small_laurents, max_size=4).map(
     lambda terms: MultiPolyQ(VARS4, terms)
+)
+polys3 = st.dictionaries(exponent_vectors3, small_laurents, max_size=4).map(
+    lambda terms: MultiPolyQ(VARS3, terms)
 )
 
 
@@ -102,3 +106,75 @@ class TestPartialEval:
     def test_q_power_substitution(self):
         got = (X * Y).partial_eval_q_power(0, 4)
         assert got == qc(4) * Y
+
+
+# -- shift_sum against a plain-dict reference ------------------------------------------
+
+
+def ref_poly(p):
+    """p as {(exponents, q-exponent): integer coefficient}."""
+    return {(e, qe): c for e, coeff in p.items() for qe, c in coeff.items()}
+
+
+def ref_shift_sum(terms):
+    out = {}
+    for coeff, poly, shifts in terms:
+        for (ea, qa), ca in ref_poly(coeff).items():
+            for (eb, qb), cb in ref_poly(poly).items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                key = (e, qa + qb + sum(k * x for k, x in zip(shifts, eb)))
+                out[key] = out.get(key, 0) + ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+def shift_sum_terms(polys, arity):
+    shifts = st.tuples(*(st.integers(-4, 4),) * arity)
+    return st.lists(st.tuples(polys, polys, shifts), max_size=5)
+
+
+class TestShiftSum:
+    @pytest.mark.parametrize(
+        "names, terms_strategy",
+        [(VARS3, shift_sum_terms(polys3, 3)), (VARS4, shift_sum_terms(polys4, 4))],
+        ids=["3-variable", "4-variable"],
+    )
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_against_reference(self, names, terms_strategy, data):
+        terms = data.draw(terms_strategy)
+        # Each term followed by its negation cancels to zero mid-sum; the
+        # terms drawn after it can bring the same monomials back.
+        cancel = data.draw(st.lists(st.booleans(), max_size=len(terms)))
+        negated = [(-coeff, poly, shifts) for (coeff, poly, shifts), n in zip(terms, cancel) if n]
+        seq = terms + negated + terms[: len(terms) // 2]
+        got = shift_sum(names, seq)
+        assert got.names == names
+        assert ref_poly(got) == ref_shift_sum(seq)
+        assert all(not c.is_zero for _, c in got.items())
+
+    def test_all_cancelling_is_zero(self):
+        p = reference_q10()
+        terms = [(X - 1, p, (0, 2, 0, 0)), (1 - X, p, (0, 2, 0, 0))]
+        assert shift_sum(VARS4, terms) == MultiPolyQ.zero(VARS4)
+        assert shift_sum(VARS4, []) == MultiPolyQ.zero(VARS4)
+        zero = MultiPolyQ.zero(VARS4)
+        assert shift_sum(VARS4, [(X, zero, (1, 0, 0, 0)), (zero, p, (0, 0, 0, 0))]).is_zero
+
+    def test_matches_a_sum_of_shifted_products(self):
+        p, r = reference_q10(), q_polynomial(1, 1)
+        terms = [(X * qc(2), p, (0, -2, 0, 0)), (W - 1, r, (4, 0, 0, -2)), (Y, p, (0, 0, 0, 0))]
+        want = sum((c * poly.shift_multi(s) for c, poly, s in terms), MultiPolyQ.zero(VARS4))
+        assert shift_sum(VARS4, terms) == want
+
+    def test_variable_mismatch_rejected(self):
+        x3 = variables(VARS3)[0]
+        with pytest.raises(DomainError):
+            shift_sum(VARS4, [(x3, x3, (0, 0, 0))])
+
+
+class TestIntegerExponents:
+    @pytest.mark.parametrize("exps", [(1.5,), (1.0,), (0.5,)])
+    def test_float_exponent_rejected(self, exps):
+        # A float exponent is a TypeError, never truncated to an integer.
+        with pytest.raises(TypeError):
+            MultiPolyQ(("x",), {exps: LaurentQ.one()})

@@ -73,6 +73,12 @@ class TestGenerators:
         rep = oscillator_relations_report(10)
         assert rep.passed, rep.summary()
 
+    def test_vector_minus_itself_is_zero(self):
+        v = apply_K(SparseVector.unit(K_SIGNATURE, (1, 1, 1, 1)), (0, 1, 2, 3))
+        assert len(v.terms) == 8
+        assert (v - v).is_zero and (v - v).terms == {}
+        assert v + v == v.scaled(LaurentQ.integer(2))
+
 
 class TestOperatorApplication:
     def test_vacuum_fixed_by_K(self):
