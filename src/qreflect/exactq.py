@@ -1,15 +1,16 @@
 """Exact arithmetic over Z[q, q^-1] and friends.
 
-A Laurent polynomial c_0 q^lo + c_1 q^(lo+1) + ... + c_t q^(lo+t) is held
-in Kronecker-packed form: the minimum exponent lo and one Python int
+A Laurent polynomial c_0 q^lo + c_1 q^(lo+s) + ... + c_t q^(lo+ts) is held
+in Kronecker-packed form: the minimum exponent lo, a stride s in {1, 2}
+and one Python int
 
     p = c_0 + c_1 2^w + c_2 2^(2w) + ... + c_t 2^(tw),
 
-the polynomial evaluated at q = 2^w with signed digits c_i.  The slot width
-w is a multiple of 64, and every value carries a proven bound b on the bit
-length of its coefficients.  Decoding p back into digits is unique as long
-as every |c_i| < 2^(w-1), which the invariant b <= w - 1 guarantees.  The
-bounds follow the arithmetic:
+the polynomial in q^s evaluated at q^s = 2^w with signed digits c_i.  The
+slot width w is a multiple of 32, and every value carries a proven bound b
+on the bit length of its coefficients.  Decoding p back into digits is
+unique as long as every |c_i| < 2^(w-1), which the invariant b <= w - 1
+guarantees.  The bounds follow the arithmetic:
 
   * a product's coefficients are sums of at most m = min(slot counts)
     products of two digits, so its bound is b_a + b_b + ceil(log2 m);
@@ -19,11 +20,29 @@ When a bound would reach w, both operands are decoded, their bounds
 tightened to the true coefficient sizes, and re-encoded at the narrowest
 width that holds the result.  With the bound in place a product is one
 bigint multiply and a sum one shift and add, and no carry ever crosses a
-slot boundary.  The form is canonical for its width: the lowest digit c_0
-is nonzero, and the zero polynomial is p == 0.  All arithmetic is exact:
-coefficients are arbitrary precision integers and nothing in this package
-ever rounds (D. Harvey, "Faster polynomial multiplication via multipoint
-Kronecker substitution", J. Symbolic Comput. 2009).
+slot boundary.  The form is canonical for its width and stride: the lowest
+digit c_0 is nonzero, and the zero polynomial is p == 0.
+
+The stride is there because the R and K matrix elements lie in q^eta Z[q^2],
+and so does every coefficient the operator words build from them: at
+stride 2 no slot holds a zero forced by parity, so products and divisions
+touch half the digits.  A value is encoded at stride 2 whenever its
+odd-offset coefficients vanish.  A one-slot value (a monomial or an
+integer) is the same packed int at either stride, so it combines with
+both as it is.  A product of two stride-2 values is stride 2 with the two
+lo summed; a sum stays stride 2 when the two lo share one parity; any
+other mix is re-packed at stride 1.
+
+Exact division of two stride-2 values divides their stride-2 digits, and
+loses nothing by it.  If N = n(q^2) q^a and D = d(q^2) q^b, a quotient
+Q = N / D in Z[q, q^-1] is q^(a-b) times n(q^2) / d(q^2), which is even in
+q; so Q = q^(a-b) g(q^2) with n = g d, and the stride-2 division finds g
+exactly when Q exists.
+
+All arithmetic is exact: coefficients are arbitrary precision integers and
+nothing in this package ever rounds (D. Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
+2009).
 
 On top of LaurentQ the module provides
 
@@ -67,8 +86,8 @@ class DomainError(ValueError):
 
 
 def _width_for(bits: int) -> int:
-    """The narrowest slot width (a multiple of 64) holding bits-bit digits."""
-    return 64 * (bits // 64 + 1)
+    """The narrowest slot width (a multiple of 32) holding bits-bit digits."""
+    return 32 * (bits // 32 + 1)
 
 
 @lru_cache(maxsize=1024)
@@ -77,13 +96,17 @@ def _offset(n: int, w: int) -> int:
     return int.from_bytes((bytes(w // 8 - 1) + b"\x80") * n, "little")
 
 
+# struct packs and unpacks 32- and 64-bit slots, the common widths, several
+# times faster than the byte loop, which covers every width.
+_STRUCT_CODES = {32: "i", 64: "q"}
+
+
 def _pack(digits: list[int], w: int) -> int:
     """The packed int of signed digits, each of absolute value below 2^(w-1)."""
     n = len(digits)
-    # struct packs and unpacks 64-bit slots, the common width, up to six
-    # times faster than the byte loop, which covers every width.
-    if w == 64:
-        raw = struct.pack(f"<{n}q", *digits)
+    code = _STRUCT_CODES.get(w)
+    if code:
+        raw = struct.pack(f"<{n}{code}", *digits)
     else:
         raw = b"".join(c.to_bytes(w // 8, "little", signed=True) for c in digits)
     h = _offset(n, w)
@@ -100,8 +123,9 @@ def _unpack(p: int, w: int) -> list[int]:
     h = _offset(n, w)
     k = w // 8
     raw = ((p + h) ^ h).to_bytes(n * k, "little")
-    if k == 8:
-        return list(struct.unpack(f"<{n}q", raw))
+    code = _STRUCT_CODES.get(w)
+    if code:
+        return list(struct.unpack(f"<{n}{code}", raw))
     return [
         int.from_bytes(raw[i : i + k], "little", signed=True) for i in range(0, n * k, k)
     ]
@@ -111,40 +135,82 @@ def _max_bits(digits: list[int]) -> int:
     return max(max(digits), -min(digits)).bit_length()
 
 
-def _repack(values: list[LaurentQ], extra: int, combine=max) -> tuple[list, int, int]:
-    """Nonzero values re-packed at one width that holds a result bound.
+def _one_slot(v: LaurentQ) -> bool:
+    """A nonzero value with one slot: the same packed int at either stride."""
+    return v._p.bit_length() < v._w
+
+
+def _fits(v: LaurentQ, w: int, s: int) -> bool:
+    """v's packed int serves as it is at width w and stride s."""
+    return v._w == w and (v._s == s or _one_slot(v))
+
+
+def _joint_stride(values: Iterable[LaurentQ], los: Iterable[int] = ()) -> int:
+    """The stride that nonzero values can share.
+
+    2 when every multi-slot value has stride 2 and the exponents los,
+    where a sum places the values, share one parity; otherwise 1.
+    """
+    if len({lo & 1 for lo in los}) > 1:
+        return 1
+    return 2 if all(v._s == 2 or _one_slot(v) for v in values) else 1
+
+
+def _restride(digits: list[int], s: int, t: int) -> list[int]:
+    """Digits read at stride s laid out at stride t, where t == s or t == 1.
+
+    Stride-2 digits spread to stride 1 with a zero between neighbours.
+    """
+    if s == t or len(digits) < 2:
+        return digits
+    spread = [0] * (2 * len(digits) - 1)
+    spread[::2] = digits
+    return spread
+
+
+def _repack(
+    values: list[LaurentQ], s: int, extra: int, combine=max
+) -> tuple[list, int, int]:
+    """Nonzero values re-packed at stride s and one width that holds a result bound.
 
     Each value is decoded and its bound tightened; the result's bound is
-    combine(tight bounds) + extra (max for sums, sum for products).
-    Returns (packed ints, width, result bound).
+    combine(tight bounds) + extra (max for sums, sum for products).  A
+    multi-slot value of stride 1 needs s == 1.  Returns (packed ints,
+    width, result bound).
     """
     tight = [v._tight() for v in values]
     b = combine(bits for _, bits in tight) + extra
     w = _width_for(b)
-    return [_pack(digits, w) for digits, _ in tight], w, b
+    return [_pack(_restride(d, v._s, s), w) for v, (d, _) in zip(values, tight)], w, b
 
 
 _new = object.__new__
 
 
-def _make(lo: int, p: int, w: int, b: int) -> LaurentQ:
+def _make(lo: int, p: int, w: int, b: int, s: int) -> LaurentQ:
     """A LaurentQ from packed fields that already satisfy the invariants."""
     x = _new(LaurentQ)
     x._lo = lo
     x._p = p
     x._w = w
     x._b = b
+    x._s = s
     return x
 
 
-def _encode(digits: list[int]) -> tuple[int, int, int]:
-    """(p, w, b) at the narrowest width for digits with nonzero end digits."""
+def _encode(digits: list[int], s: int = 1) -> tuple[int, int, int, int]:
+    """(p, w, b, s) at the narrowest width for stride-s digits with nonzero ends.
+
+    Stride-1 digits whose odd-offset digits all vanish are packed at stride 2.
+    """
+    if s == 1 and not any(digits[1::2]):
+        digits, s = digits[::2], 2
     b = _max_bits(digits)
     w = _width_for(b)
-    return _pack(digits, w), w, b
+    return _pack(digits, w), w, b, s
 
 
-def _strip_low(lo: int, p: int, w: int, b: int) -> LaurentQ:
+def _strip_low(lo: int, p: int, w: int, b: int, s: int) -> LaurentQ:
     """Canonical form of a packed sum whose lowest slots may have cancelled."""
     if not p:
         return _ZERO
@@ -152,35 +218,43 @@ def _strip_low(lo: int, p: int, w: int, b: int) -> LaurentQ:
     if tz >= w:
         k = tz // w
         p >>= w * k
-        lo += k
-    return _make(lo, p, w, b)
+        lo += k * s
+    return _make(lo, p, w, b, s)
 
 
 class LaurentQ:
     """Laurent polynomial in q with integer coefficients, Kronecker-packed.
 
-    Fields: _lo the minimum exponent, _p the packed digits, _w the slot
-    width and _b a bound with every |coefficient| < 2^_b and _b < _w (see
-    the module docstring).  Every operation returns a new value; only _b
-    is ever lowered in place, by _tight.  Equal values may be held at
-    different widths; equality and hashing look through the width.
+    The value is sum_i c_i q^(_lo + _s*i) for the signed digits c_i of _p.
+    Fields: _lo the minimum exponent, _s the stride (1 or 2), _p the packed
+    digits, _w the slot width (a multiple of 32) and _b a bound with every
+    |coefficient| < 2^_b and _b < _w.  Values whose odd-offset coefficients
+    vanish are built at stride 2; a one-slot value (a monomial or an
+    integer) combines with either stride as it is.  Stride-2 exact division
+    divides the stride-2 digits, which is exact because a quotient of two
+    values in q^a Z[q^2] and q^b Z[q^2] lies in q^(a-b) Z[q^2] (see the
+    module docstring).
+
+    Every operation returns a new value; only _b is ever lowered in place,
+    by _tight.  Equal values may be held at different widths and strides;
+    equality and hashing look through both.
     """
 
-    __slots__ = ("_lo", "_p", "_w", "_b")
+    __slots__ = ("_lo", "_p", "_w", "_b", "_s")
 
     def __init__(self, terms: dict[int, int] | None = None):
         # index() rejects a float or other non-integer instead of truncating it.
         pairs = [(index(e), index(c)) for e, c in (terms or {}).items()]
         terms = {e: c for e, c in pairs if c}
         if not terms:
-            self._lo, self._p, self._w, self._b = 0, 0, 64, 0
+            self._lo, self._p, self._w, self._b, self._s = 0, 0, 32, 0, 2
             return
         lo = min(terms)
         digits = [0] * (max(terms) - lo + 1)
         for e, c in terms.items():
             digits[e - lo] = c
         self._lo = lo
-        self._p, self._w, self._b = _encode(digits)
+        self._p, self._w, self._b, self._s = _encode(digits)
 
     # -- constructors ------------------------------------------------------
 
@@ -194,10 +268,12 @@ class LaurentQ:
 
     @staticmethod
     def monomial(exp: int, coeff: int = 1) -> LaurentQ:
+        # index() rejects a float or other non-integer instead of truncating it.
+        exp, coeff = index(exp), index(coeff)
         if coeff == 0:
             return _ZERO
         b = coeff.bit_length()
-        return _make(exp, coeff, _width_for(b), b)
+        return _make(exp, coeff, _width_for(b), b, 2)
 
     @staticmethod
     def integer(n: int) -> LaurentQ:
@@ -209,22 +285,29 @@ class LaurentQ:
         parts = [(c._lo + k, c) for c, k in terms if c._p]
         if not parts:
             return _ZERO
+        los = [lo for lo, _ in parts]
+        values = [c for _, c in parts]
         extra = (len(parts) - 1).bit_length()
-        w = parts[0][1]._w
-        b = max(c._b for _, c in parts) + extra
-        if b < w and all(c._w == w for _, c in parts):
-            packed = [(lo, c._p) for lo, c in parts]
+        s = _joint_stride(values, los)
+        w = values[0]._w
+        b = max(c._b for c in values) + extra
+        if b < w and all(_fits(c, w, s) for c in values):
+            ps = [c._p for c in values]
         else:
-            ps, w, b = _repack([c for _, c in parts], extra)
-            packed = [(lo, p) for (lo, _), p in zip(parts, ps)]
-        base = min(lo for lo, _ in packed)
-        return _strip_low(base, sum(p << (w * (lo - base)) for lo, p in packed), w, b)
+            ps, w, b = _repack(values, s, extra)
+        base = min(los)
+        packed = sum(p << (w * ((lo - base) // s)) for lo, p in zip(los, ps))
+        return _strip_low(base, packed, w, b, s)
 
     # -- predicates and access ---------------------------------------------
 
     def _digits(self) -> list[int]:
-        """Coefficients of q^lo .. q^max_exp, zeros included; empty for zero."""
+        """Coefficients of q^lo, q^(lo+s) .. q^max_exp, zeros included; empty for zero."""
         return _unpack(self._p, self._w) if self._p else []
+
+    def _digits1(self) -> list[int]:
+        """Coefficients of q^lo, q^(lo+1), .. q^max_exp: the digits at stride 1."""
+        return _restride(self._digits(), self._s, 1)
 
     def _tight(self) -> tuple[list[int], int]:
         """(digits, true bit bound), decoded once for re-encoding.
@@ -248,9 +331,9 @@ class LaurentQ:
         return len(digits) - digits.count(0)
 
     def coeff(self, exp: int) -> int:
-        i = exp - self._lo
+        i, odd = divmod(exp - self._lo, self._s)
         p = self._p
-        if i < 0 or not p:
+        if i < 0 or odd or not p:
             return 0
         w = self._w
         if i:
@@ -261,7 +344,8 @@ class LaurentQ:
 
     def items(self) -> Iterator[tuple[int, int]]:
         """(exponent, coefficient) pairs of the nonzero terms, ascending."""
-        return iter([(e, c) for e, c in enumerate(self._digits(), self._lo) if c])
+        lo, s = self._lo, self._s
+        return iter([(lo + s * i, c) for i, c in enumerate(self._digits()) if c])
 
     def min_exp(self) -> int:
         if not self._p:
@@ -271,24 +355,24 @@ class LaurentQ:
     def max_exp(self) -> int:
         if not self._p:
             raise DomainError("zero polynomial has no maximal exponent")
-        return self._lo + self._p.bit_length() // self._w
+        return self._lo + self._s * (self._p.bit_length() // self._w)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = LaurentQ.integer(other)
         if not isinstance(other, LaurentQ):
             return NotImplemented
-        if self._w == other._w:
+        if self._w == other._w and self._s == other._s:
             return self._p == other._p and self._lo == other._lo
-        return self._lo == other._lo and self._digits() == other._digits()
+        return self._lo == other._lo and self._digits1() == other._digits1()
 
     def __hash__(self) -> int:
-        return hash((self._lo, *self._digits()))
+        return hash((self._lo, *self._digits1()))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __neg__(self) -> LaurentQ:
-        return _make(self._lo, -self._p, self._w, self._b)
+        return _make(self._lo, -self._p, self._w, self._b, self._s)
 
     def __add__(self, other: LaurentQ | int) -> LaurentQ:
         if isinstance(other, int):
@@ -300,16 +384,18 @@ class LaurentQ:
             return other
         if not pb:
             return self
-        w = self._w
-        b = max(self._b, other._b) + 1
-        if b >= w or other._w != w:
-            (pa, pb), w, b = _repack([self, other], 1)
+        w, s = self._w, self._s
         d = self._lo - other._lo
+        b = max(self._b, other._b) + 1
+        if b >= w or other._w != w or other._s != s or d % s:
+            s = _joint_stride((self, other), (self._lo, other._lo))
+            if b >= w or not (_fits(self, w, s) and _fits(other, w, s)):
+                (pa, pb), w, b = _repack([self, other], s, 1)
         if d > 0:
-            return _make(other._lo, (pa << (w * d)) + pb, w, b)
+            return _make(other._lo, (pa << (w * (d // s))) + pb, w, b, s)
         if d < 0:
-            return _make(self._lo, pa + (pb << (-w * d)), w, b)
-        return _strip_low(self._lo, pa + pb, w, b)
+            return _make(self._lo, pa + (pb << (w * (-d // s))), w, b, s)
+        return _strip_low(self._lo, pa + pb, w, b, s)
 
     __radd__ = __add__
 
@@ -335,22 +421,25 @@ class LaurentQ:
             p = self._p
             b = self._b + other.bit_length()
             if b >= w:
-                (p,), w, b = _repack([self], other.bit_length())
-            return _make(self._lo, p * other, w, b)
+                (p,), w, b = _repack([self], self._s, other.bit_length())
+            return _make(self._lo, p * other, w, b, self._s)
         if not isinstance(other, LaurentQ):
             return NotImplemented
         pa, pb = self._p, other._p
         if not pa or not pb:
             return _ZERO
-        w = self._w
+        w, s = self._w, self._s
         # min(slot counts) - 1, so that its bit length is ceil(log2 min).
         short = min(pa.bit_length(), pb.bit_length()) // w
         b = self._b + other._b + short.bit_length()
-        if b >= w or other._w != w:
+        if b >= w or other._w != w or other._s != s:
+            s = _joint_stride((self, other))
             short = min(pa.bit_length() // w, pb.bit_length() // other._w)
-            (pa, pb), w, b = _repack([self, other], short.bit_length(), sum)
+            b = self._b + other._b + short.bit_length()
+            if b >= w or not (_fits(self, w, s) and _fits(other, w, s)):
+                (pa, pb), w, b = _repack([self, other], s, short.bit_length(), sum)
         # The lowest digit is a product of two nonzero digits: canonical.
-        return _make(self._lo + other._lo, pa * pb, w, b)
+        return _make(self._lo + other._lo, pa * pb, w, b, s)
 
     __rmul__ = __mul__
 
@@ -370,16 +459,20 @@ class LaurentQ:
         """Multiply by q^k."""
         if k == 0 or not self._p:
             return self
-        return _make(self._lo + k, self._p, self._w, self._b)
+        return _make(self._lo + k, self._p, self._w, self._b, self._s)
 
     def exact_div(self, den: LaurentQ) -> LaurentQ:
-        """Exact division self / den in Z[q, q^-1]; raises if not exact."""
+        """Exact division self / den in Z[q, q^-1]; raises if not exact.
+
+        Two stride-2 values divide at stride 2 (see the module docstring).
+        """
         if den.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return _ZERO
-        ncoeffs = self._digits()
-        dcoeffs = den._digits()
+        s = _joint_stride((self, den))
+        ncoeffs = _restride(self._digits(), self._s, s)
+        dcoeffs = _restride(den._digits(), den._s, s)
         nspan = len(ncoeffs) - 1
         dspan = len(dcoeffs) - 1
         if nspan < dspan:
@@ -400,7 +493,7 @@ class LaurentQ:
         if any(ncoeffs):
             raise ExactDivisionError("nonzero remainder in exact division")
         # With no remainder, both end digits of the quotient are nonzero.
-        return _make(self._lo - den._lo, *_encode(quot))
+        return _make(self._lo - den._lo, *_encode(quot, s))
 
     # -- rendering -----------------------------------------------------------
 

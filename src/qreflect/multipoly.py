@@ -50,6 +50,8 @@ class MultiPolyQ:
                 exps = tuple(map(index, exps))
                 if len(exps) != arity or any(e < 0 for e in exps):
                     raise DomainError(f"bad exponent vector {exps} for arity {arity}")
+                if not isinstance(coeff, LaurentQ):
+                    raise TypeError(f"coefficient {coeff!r} is not a LaurentQ")
                 if not coeff.is_zero:
                     clean[exps] = coeff
             self._terms = clean
@@ -149,6 +151,8 @@ class MultiPolyQ:
 
     def __rsub__(self, other: LaurentQ | int) -> MultiPolyQ:
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return o + (-self)
 
     def __mul__(self, other: MultiPolyQ | LaurentQ | int) -> MultiPolyQ:
@@ -187,18 +191,8 @@ class MultiPolyQ:
 
     # -- substitutions -------------------------------------------------------------
 
-    def shift_substitute(self, var: int, k: int) -> MultiPolyQ:
-        """Replace variable var by q^k * var (each term gains q^{k*exp})."""
-        if k == 0:
-            return self
-        return MultiPolyQ(
-            self.names,
-            {e: c.shifted(k * e[var]) for e, c in self._terms.items()},
-            _trusted=True,
-        )
-
     def shift_multi(self, ks: Sequence[int]) -> MultiPolyQ:
-        """Apply shift_substitute with exponent ks[v] to every variable at once."""
+        """Replace every variable v by q^ks[v] * v (each term gains q^(ks . exps))."""
         if all(k == 0 for k in ks):
             return self
         return MultiPolyQ(

@@ -99,6 +99,20 @@ class TestLaurentQ:
             1.5 - LaurentQ.one()
         assert 2 - LaurentQ.one() == 1
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: LaurentQ.integer(2.5),
+            lambda: LaurentQ.monomial(0, 1.5),
+            lambda: LaurentQ.monomial(0.5),
+            lambda: LaurentQ.monomial(2, "3"),
+        ],
+        ids=["integer-float", "monomial-float-coeff", "monomial-float-exp", "monomial-str"],
+    )
+    def test_constructors_reject_non_integers(self, build):
+        with pytest.raises(TypeError):
+            build()
+
 
 
 # -- differential test: packed LaurentQ against a dict reference -----------------
@@ -161,7 +175,7 @@ def ref_str(a):
     return " ".join(pieces)
 
 
-_EDGES = [v + d for v in (2**62, 2**63, 2**127) for d in (-1, 0, 1)]
+_EDGES = [v + d for v in (2**15, 2**31, 2**62, 2**63, 2**127) for d in (-1, 0, 1)]
 wide_coeffs = st.one_of(
     st.integers(min_value=-9, max_value=9),
     st.sampled_from(_EDGES + [-v for v in _EDGES]),
@@ -190,9 +204,28 @@ def check_matches(value, ref):
 
 
 def widened(value):
-    """The same value held at a slot width of at least 256 bits."""
-    big = LaurentQ({e: 2**200 for e in range(-3, 4)})
+    """The same value at stride 1, in slots wider than any 300-bit coefficient needs."""
+    big = LaurentQ({e: 2**400 for e in range(-3, 4)})
     return (value + big) - big
+
+
+# Even polynomials; shifted by k, every exponent has the parity of k.
+even_polys = ref_polys.map(lambda d: {2 * (e // 2): c for e, c in d.items()})
+
+
+def shift_ref(a, k):
+    """The reference polynomial a times q^k."""
+    return {e + k: c for e, c in a.items()}
+
+
+def held_at_stride_1(value):
+    """The same value held at stride 1.
+
+    Adding a monomial of the other parity forces stride 1; subtracting it
+    leaves the value there.
+    """
+    odd = LaurentQ.monomial(value.min_exp() + 1 if value else 1)
+    return (value + odd) - odd
 
 
 class TestPackedAgainstReference:
@@ -266,7 +299,7 @@ class TestPackedAgainstReference:
     @settings(max_examples=100)
     def test_equality_across_widths(self, a):
         narrow, wide = LaurentQ(a), widened(LaurentQ(a))
-        assert wide._w >= 256 or not a
+        assert wide._w > narrow._w or not a
         check_matches(wide, a)
         assert wide == narrow and narrow == wide
         assert hash(wide) == hash(narrow)
@@ -285,9 +318,11 @@ class TestPackedAgainstReference:
         check_matches(LaurentQ.sum_shifted((LaurentQ(a), k) for a, k in parts), want)
 
     def test_bounds_cover_carries(self):
-        # Each product or sum fits the slot before the carries pile up.
-        a = {i: 2**31 - 1 for i in range(16)}
-        check_matches(LaurentQ(a) * LaurentQ(a), ref_mul(a, a))
+        # Each product or sum fits the slot before the carries pile up; 15-bit
+        # digits share a 32-bit slot, whose product only the log term spills.
+        for a in ({i: 2**31 - 1 for i in range(16)}, {i: 2**15 - 1 for i in range(16)},
+                  {2 * i: 2**15 - 1 for i in range(16)}):
+            check_matches(LaurentQ(a) * LaurentQ(a), ref_mul(a, a))
         top = {0: 2**62 - 1, 1: -(2**62 - 1)}
         want = {e: 4 * c for e, c in top.items()}
         check_matches(LaurentQ.sum_shifted([(LaurentQ(top), 0)] * 4), want)
@@ -297,7 +332,120 @@ class TestPackedAgainstReference:
         a = LaurentQ({0: 2**62, 3: -(2**62)})
         check_matches(a * a, {0: 2**124, 3: -(2**125), 6: 2**124})
         check_matches(a + a + a, {0: 3 * 2**62, 3: -3 * 2**62})
-        assert (a * a)._w == 192
+        # The product's bound is 63 + 63 + ceil(log2 4 slots) = 128 bits, and
+        # slot widths are multiples of 32: the narrowest above it is 160.
+        assert (a * a)._w == 160
+
+    # -- the stride: values in q^eta Z[q^2] are packed at stride 2 ----------------
+
+    @given(even_polys, even_polys, st.integers(-3, 3), st.integers(-3, 3))
+    @settings(max_examples=150)
+    def test_parity_homogeneous(self, a, b, ka, kb):
+        a, b = shift_ref(a, ka), shift_ref(b, kb)
+        pa, pb = LaurentQ(a), LaurentQ(b)
+        assert pa._s == 2 and pb._s == 2
+        check_matches(pa, a)
+        check_matches(pa * pb, ref_mul(a, b))
+        assert (pa * pb)._s == 2
+        total = pa + pb
+        check_matches(total, ref_add(a, b))
+        check_matches(pa - pb, ref_add(a, {e: -c for e, c in b.items()}))
+        if (ka - kb) % 2 == 0:
+            assert total._s == 2
+        check_matches(pa.shifted(ka) * pb, ref_mul(shift_ref(a, ka), b))
+
+    @given(even_polys, even_polys, st.integers(-3, 3), st.integers(-3, 3))
+    @settings(max_examples=150)
+    def test_mixed_parity_sums(self, a, b, ka, kb):
+        # Both operands stride 2, their lo of opposite parity: the sum is
+        # re-packed at stride 1, and taking b back out leaves a at stride 1.
+        a, b = shift_ref(a, 2 * ka), shift_ref(b, 2 * kb + 1)
+        pa, pb = LaurentQ(a), LaurentQ(b)
+        total = pa + pb
+        check_matches(total, ref_add(a, b))
+        check_matches(pb + pa, ref_add(a, b))
+        back = total - pb
+        check_matches(back, a)
+        assert back == pa and hash(back) == hash(pa)
+        check_matches(back + pa, ref_add(a, a))
+        check_matches(back * pb, ref_mul(a, b))
+        check_matches(pa * total, ref_mul(a, ref_add(a, b)))
+        want = ref_add(shift_ref(a, 3), shift_ref(b, -2))
+        check_matches(LaurentQ.sum_shifted([(pa, 3), (pb, -2)]), want)
+        want = ref_add(shift_ref(a, 3), ref_add(ref_add(a, b), shift_ref(b, -3)))
+        check_matches(LaurentQ.sum_shifted([(pa, 3), (total, 0), (pb, -3)]), want)
+
+    @given(
+        ref_polys,
+        even_polys,
+        st.integers(-40, 40),
+        wide_coeffs.filter(bool),
+        st.integers(-1, 1),
+    )
+    @settings(max_examples=150)
+    def test_one_slot_operands(self, a, b, e, c, kb):
+        # A monomial (stride 2) and a one-slot value left at stride 1 by a
+        # cancelled sum, against values of stride 1 and stride 2.
+        b = shift_ref(b, kb)
+        mono = LaurentQ.monomial(e, c)
+        left = LaurentQ({e: c, e + 1: 1}) - LaurentQ.monomial(e + 1)
+        assert mono._s == 2 and left._s == 1
+        check_matches(left, {e: c})
+        assert left == mono and hash(left) == hash(mono)
+        m = {e: c}
+        for one in (mono, left):
+            for poly, ref in ((LaurentQ(a), a), (LaurentQ(b), b)):
+                check_matches(one * poly, ref_mul(m, ref))
+                check_matches(poly * one, ref_mul(m, ref))
+                check_matches(one + poly, ref_add(m, ref))
+                check_matches(poly - one, ref_add(ref, {e: -c}))
+                check_matches((poly * one).exact_div(one), ref)
+                if ref:
+                    check_matches((poly * one).exact_div(poly), m)
+                product = one * poly * one
+                check_matches(product, ref_mul(ref_mul(m, ref), m))
+                total = LaurentQ.sum_shifted([(one, 1), (poly, 0), (one, -1)])
+                check_matches(total, ref_add(ref_add({e + 1: c}, ref), {e - 1: c}))
+
+    @given(even_polys, even_polys, even_polys, st.integers(-3, 3), st.integers(-3, 3))
+    @settings(max_examples=150)
+    def test_exact_div_at_stride_2(self, a, b, r, ka, kb):
+        # Quotient, divisor and remainder parity-homogeneous, so numerator
+        # and divisor are both stride 2: exact and inexact divisions.
+        if not b:
+            return
+        a, b = shift_ref(a, ka), shift_ref(b, kb)
+        r = shift_ref(r, ka + kb)
+        for num in (ref_mul(a, b), ref_add(ref_mul(a, b), r)):
+            want = ref_exact_div(num, b) if num else {}
+            pn, pb = LaurentQ(num), LaurentQ(b)
+            assert pn._s == 2 and pb._s == 2
+            if want is None:
+                with pytest.raises(ExactDivisionError):
+                    pn.exact_div(pb)
+            else:
+                got = pn.exact_div(pb)
+                check_matches(got, want)
+                assert got._s == 2
+
+    @given(even_polys, st.integers(0, 1))
+    @settings(max_examples=100)
+    def test_equality_across_width_and_stride(self, a, parity):
+        a = shift_ref(a, parity)
+        narrow = LaurentQ(a)
+        big = LaurentQ({2 * e + parity: 2**400 for e in range(-3, 4)})
+        held = [narrow, held_at_stride_1(narrow), (narrow + big) - big, widened(narrow)]
+        if a:
+            assert [v._s for v in held] == [2, 1, 2, 1]
+            assert held[2]._w > narrow._w and held[3]._w > narrow._w
+        for v in held:
+            check_matches(v, a)
+            assert hash(v) == hash(narrow)
+            for u in held:
+                assert u == v
+            if a:
+                assert v != narrow.shifted(1) and v != narrow.shifted(2)
+                assert v != narrow + 1 and v != narrow + LaurentQ.monomial(narrow.max_exp() + 1)
 
 
 # -- accumulate against a dict reference --------------------------------------------

@@ -28,24 +28,31 @@ polys3 = st.dictionaries(exponent_vectors3, small_laurents, max_size=4).map(
 )
 
 
+def one_shift(var, k):
+    """The shift vector of shift_multi that moves one variable: var -> q^k var."""
+    ks = [0, 0, 0, 0]
+    ks[var] = k
+    return ks
+
+
 class TestShiftSubstitute:
     def test_single_term(self):
         p = X * Y
-        assert p.shift_substitute(0, -4) == qc(-4) * X * Y
+        assert p.shift_multi(one_shift(0, -4)) == qc(-4) * X * Y
 
     def test_constant_unchanged(self):
         one = MultiPolyQ.one(VARS4)
-        assert one.shift_substitute(2, 10) == one
+        assert one.shift_multi(one_shift(2, 10)) == one
 
     def test_printed_polynomial(self):
-        shifted = reference_q10().shift_substitute(1, 2)
+        shifted = reference_q10().shift_multi(one_shift(1, 2))
         want = qc(4) * W * X * Y**2 * Z - W - qc(2) * X * Y + 1
         assert shifted == want
 
     @given(polys4, st.integers(min_value=0, max_value=3), st.integers(-5, 5))
     @settings(max_examples=50)
     def test_roundtrip(self, p, var, k):
-        assert p.shift_substitute(var, k).shift_substitute(var, -k) == p
+        assert p.shift_multi(one_shift(var, k)).shift_multi(one_shift(var, -k)) == p
 
 
 class TestEvaluate:
@@ -178,3 +185,14 @@ class TestIntegerExponents:
         # A float exponent is a TypeError, never truncated to an integer.
         with pytest.raises(TypeError):
             MultiPolyQ(("x",), {exps: LaurentQ.one()})
+
+    @pytest.mark.parametrize("coeff", [3, 1.5, "1", None])
+    def test_coefficient_must_be_laurent(self, coeff):
+        with pytest.raises(TypeError, match="not a LaurentQ"):
+            MultiPolyQ(VARS4, {(1, 0, 0, 0): coeff})
+
+    def test_subtraction_from_a_float_is_a_type_error(self):
+        # The reflected operation declines, so Python names both operand types.
+        with pytest.raises(TypeError, match="for -: 'float' and 'MultiPolyQ'"):
+            1.5 - X
+        assert 2 - X == -X + 2
