@@ -161,9 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
     re_ = rsub.add_parser("element", help="one matrix element R^{a,b,c}_{i,j,k}")
     for name in ("a", "b", "c", "i", "j", "k"):
         re_.add_argument(name, type=int)
-    re_.add_argument(
-        "--route", choices=("poly", "doublesum", "series", "all"), default="poly"
-    )
+    re_.add_argument("--route", choices=(*threedr.R_ROUTES, "all"), default="poly")
     add_format(re_)
     rv = rsub.add_parser("verify", help="difference equations and route checks")
     rv.add_argument("--max-b", type=nonnegative_int, default=3)
@@ -178,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ke = ksub.add_parser("element", help="one matrix element K^{a,b,c,d}_{i,j,k,l}")
     for name in ("a", "b", "c", "d", "i", "j", "k", "l"):
         ke.add_argument(name, type=int)
-    ke.add_argument("--route", choices=("primary", "dual", "both"), default="primary")
+    ke.add_argument("--route", choices=(*threedk.K_ROUTES, "both"), default="primary")
     add_format(ke)
     kb = ksub.add_parser("block", help="full matrix on a weight block")
     kb.add_argument("m", type=int)
@@ -267,6 +265,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 )
             if args.max_occ > 1:
                 states = sorted(set(states) | set(tensorops.states_up_to(9, args.max_occ)))
+            states = [s for s in states if max(s) <= args.max_occ]
             reps = [tensorops.verify_reflection(occ) for occ in states]
             return _emit_suite(reps, args.format, "reflection")
         if args.what == "intertwiner":

@@ -357,6 +357,19 @@ class LaurentQ:
             raise DomainError("zero polynomial has no maximal exponent")
         return self._lo + self._s * (self._p.bit_length() // self._w)
 
+    def in_parity_class(self, eta: int, floor: int = 0) -> bool:
+        """Whether the value lies in q^eta Z[q^2] with every exponent >= floor.
+
+        True for zero.  The lowest exponent is _lo, and every exponent of a
+        stride-2 or one-slot value has its parity, so only a multi-slot
+        stride-1 value is decoded, to see that its odd-offset digits vanish.
+        """
+        if not self._p:
+            return True
+        if self._lo < floor or (self._lo - eta) % 2:
+            return False
+        return self._s == 2 or _one_slot(self) or not any(self._digits()[1::2])
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = LaurentQ.integer(other)

@@ -1,8 +1,10 @@
 """The registry of every memo table in the package.
 
 Each table is a plain dict, filled by the module that registered it, so a
-lookup costs what any dict lookup costs.  `clear` empties every table and
-puts back the entries it was registered with (P_0 = 1 is the only one).
+lookup costs what any dict lookup costs.  The polynomials Q, dual Q and P
+have a table each; R and K matrix elements are cached only as the columns
+of tensorops.apply_local (R_local, K_local).  `clear` empties every table
+and puts back the entries it was registered with (P_0 = 1 is the only one).
 The lru_caches on the pure q-Pochhammer and Gaussian-binomial functions in
 exactq read no table, so they are not registered here.
 """

@@ -86,3 +86,17 @@ class VerificationReport:
 
 class VerificationError(AssertionError):
     """Raised when a construction-time cross-check fails."""
+
+
+def cross_check(element, key: tuple[int, ...], routes: tuple[str, ...]):
+    """element(*key, route=r) for every r in routes, which must all agree.
+
+    Returns the first route's value; raises VerificationError naming the
+    first route that disagrees with it.
+    """
+    first, *rest = routes
+    value = element(*key, route=first)
+    for route in rest:
+        if element(*key, route=route) != value:
+            raise VerificationError(f"route {route} disagrees with {first} at {key}")
+    return value

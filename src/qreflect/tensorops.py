@@ -15,10 +15,12 @@ R and K are two LocalOperators (name, factor types, conserved weights,
 weight block enumerator, element function, memo table) applied by one
 engine, apply_local.  The weights and blocks are threedr's r_weights and
 r_block_states and threedk's k_weights and k_block_states, the one place
-each weight block is written.  One sweep, verify_route_agreement, checks
-either operator's element routes against each other block by block.
-Their memo tables sit in the package's one registry (memo), whose single
-clear is every module's clear_caches.  Vector sums, generator actions,
+each weight block is written.  The memo table holds the nonzero column of
+each local input seen, and is the only cache of R and K elements; it sits
+in the package's one registry (memo), whose single clear is every
+module's clear_caches.  One sweep, verify_route_agreement, checks either
+operator's element routes against each other block by block, through the
+one cross-check, report.cross_check.  Vector sums, generator actions,
 operator applications and the intertwiner combinations collect their
 terms through exactq.accumulate, which drops the cancelled ones.  All
 three equation verifiers report through compare_words, which names the

@@ -12,8 +12,9 @@ K operator conserves it.  Two routes produce the element:
 
 Both reduce by exact division to a polynomial in q lying in
 q^eta Z[q^2] with eta = bd + jl mod 2; mismatches of any kind raise
-(route="both" cross-checks one key, tensorops.verify_route_agreement
-sweeps whole blocks).
+(route="both" cross-checks one key by report.cross_check,
+tensorops.verify_route_agreement sweeps whole blocks).  The only cache of
+K elements is the column table of tensorops.apply_local.
 
 The module also verifies the fourteen difference equations E22..E55 that
 characterize the Q family (each one the image of a generator
@@ -27,11 +28,9 @@ from . import memo
 from .exactq import DomainError, LaurentQ, qq_pochhammer
 from .multipoly import MultiPolyQ, VARS4, q_power, shift_sum, variables
 from .qfamily import phi_bc, phi_k, q_polynomial
-from .report import VerificationError, VerificationReport
+from .report import VerificationError, VerificationReport, cross_check
 
 _X, _Y, _Z, _W = variables(VARS4)
-
-_K_ELEMENTS: dict[tuple[int, ...], LaurentQ] = memo.table("K")
 
 K_ROUTES = ("primary", "dual")
 
@@ -46,12 +45,10 @@ def weight_compatible(a: int, b: int, c: int, d: int, i: int, j: int, k: int, l:
 
 def _check_element(value: LaurentQ, key: tuple[int, ...]) -> LaurentQ:
     a, b, c, d, i, j, k, l = key
-    eta = (b * d + j * l) % 2
-    for e, _ in value.items():
-        if e < 0 or e % 2 != eta:
-            raise VerificationError(
-                f"element {key} violates the q^eta Z[q^2] property (exponent {e})"
-            )
+    if not value.in_parity_class(b * d + j * l):
+        raise VerificationError(
+            f"element {key} violates the q^eta Z[q^2] property (value {value})"
+        )
     return value
 
 
@@ -64,26 +61,17 @@ def k_element(
     if min(key) < 0 or not weight_compatible(*key):
         return LaurentQ.zero()
     if route == "primary":
-        cached = _K_ELEMENTS.get(key)
-        if cached is not None:
-            return cached
         value = q_polynomial(b, c).evaluate_at_q_powers((4 * i, 2 * j, 4 * k, 2 * l))
         num = value.shifted(phi_k(*key) - phi_bc(b, c))
         den = qq_pochhammer(2, b) * qq_pochhammer(4, c)
-        result = _check_element(num.exact_div(den), key)
-        _K_ELEMENTS[key] = result
-        return result
+        return _check_element(num.exact_div(den), key)
     if route == "dual":
         value = q_polynomial(j, k).evaluate_at_q_powers((4 * a, 2 * b, 4 * c, 2 * d))
         num = value.shifted(phi_k(*key) - phi_bc(j, k))
         num = num * qq_pochhammer(2, l) * qq_pochhammer(4, i)
         return _check_element(num.exact_div(_k_norm(a, b, c, d)), key)
     if route == "both":
-        primary = k_element(*key, route="primary")
-        dual = k_element(*key, route="dual")
-        if primary != dual:
-            raise VerificationError(f"primary/dual routes disagree at {key}")
-        return primary
+        return cross_check(k_element, key, K_ROUTES)
     raise DomainError(f"unknown route {route!r}")
 
 

@@ -12,10 +12,11 @@ polynomial identities.  Matrix elements
 can also be produced from a terminating q-hypergeometric sum, from a
 double sum over lambda + mu = b of Gaussian binomials, and from the u^b
 coefficient of a four-factor Euler product; all routes agree exactly
-(route="all" cross-checks one key, tensorops.verify_route_agreement
-sweeps whole blocks).  The two deltas are r_weights(a,b,c) =
-r_weights(i,j,k); r_block_states lists one such block, and tensorops'
-R operator conserves it.
+(route="all" cross-checks one key by report.cross_check,
+tensorops.verify_route_agreement sweeps whole blocks).  The only cache of
+R elements is the column table of tensorops.apply_local.  The two deltas
+are r_weights(a,b,c) = r_weights(i,j,k); r_block_states lists one such
+block, and tensorops' R operator conserves it.
 """
 
 from __future__ import annotations
@@ -28,17 +29,17 @@ from .exactq import (
     RationalQ,
     euler_factor_series,
     gaussian_binomial,
+    q_pochhammer,
     qq_pochhammer,
 )
 from .multipoly import MultiPolyQ, VARS3, q_power, shift_sum, variables
-from .report import VerificationError, VerificationReport
+from .report import VerificationError, VerificationReport, cross_check
 
 _ZERO3 = MultiPolyQ.zero(VARS3)
 _ONE3 = MultiPolyQ.one(VARS3)
 _X, _Y, _Z = variables(VARS3)
 
 _P_CACHE: dict[int, MultiPolyQ] = memo.table("P", {0: _ONE3})
-_R_ELEMENTS: dict[tuple[int, int, int, int, int, int], LaurentQ] = memo.table("R")
 
 
 def _q3(exp: int, coeff: int = 1) -> MultiPolyQ:
@@ -221,9 +222,9 @@ def verify_mirror_pairs() -> VerificationReport:
 def p_ring_report(b: int) -> VerificationReport:
     """q^{2b(b-1)} P_b has coefficients in Z[q^2]."""
     rep = VerificationReport(f"P_{b} ring membership")
-    shift = 2 * b * (b - 1)
+    floor = -2 * b * (b - 1)
     for exps, coeff in p_polynomial(b).items():
-        ok = all((e + shift) >= 0 and (e + shift) % 2 == 0 for e, _ in coeff.items())
+        ok = coeff.in_parity_class(0, floor)
         rep.record(ok, f"P_{b} coefficient of {exps} in q^(-2b(b-1)) Z[q^2]")
     return rep
 
@@ -239,10 +240,7 @@ def hypergeometric_p(b: int) -> MultiPolyQ:
     x, y, z = _X, _Y, _Z
     total = _ZERO3
     for n in range(b + 1):
-        scalar = LaurentQ.one()
-        for m in range(n):
-            scalar = scalar * (1 - LaurentQ.monomial(-2 * b + 2 * m))
-        scalar = scalar.exact_div(qq_pochhammer(2, n))
+        scalar = q_pochhammer((1, -2 * b), 2, n).exact_div(qq_pochhammer(2, n))
         term = MultiPolyQ.monomial(VARS3, (n, 0, 0), scalar.shifted(2 * n))
         for m in range(n):
             term = term * (1 - y * z * _q3(2 - 2 * b + 2 * m))
@@ -266,13 +264,8 @@ def r_element(
     if min(a, b, c, i, j, k) < 0 or r_weights(a, b, c) != r_weights(i, j, k):
         return LaurentQ.zero()
     if route == "poly":
-        key = (a, b, c, i, j, k)
-        cached = _R_ELEMENTS.get(key)
-        if cached is None:
-            value = p_polynomial(b).evaluate_at_q_powers((2 * i, 2 * j, 2 * k))
-            cached = value.shifted((a - j) * (c - j)).exact_div(qq_pochhammer(2, b))
-            _R_ELEMENTS[key] = cached
-        return cached
+        value = p_polynomial(b).evaluate_at_q_powers((2 * i, 2 * j, 2 * k))
+        return value.shifted((a - j) * (c - j)).exact_div(qq_pochhammer(2, b))
     if route == "doublesum":
         total = LaurentQ.zero()
         for lam in range(b + 1):
@@ -295,14 +288,7 @@ def r_element(
         coeff = product.coeffs[b]
         return coeff.num.shifted(i * k + b).exact_div(coeff.den)
     if route == "all":
-        values = {r: r_element(a, b, c, i, j, k, r) for r in R_ROUTES}
-        first = values["poly"]
-        for r, v in values.items():
-            if v != first:
-                raise VerificationError(
-                    f"route {r} disagrees with poly at {(a, b, c, i, j, k)}"
-                )
-        return first
+        return cross_check(r_element, (a, b, c, i, j, k), R_ROUTES)
     raise DomainError(f"unknown route {route!r}")
 
 

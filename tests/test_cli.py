@@ -5,7 +5,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import stat
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +74,13 @@ class TestCommands:
         code, out = run(capsys, "verify", "reflection", "--max-occ", "1",
                         "--sample", "4", "--seed", "11")
         assert code == 0
+
+    def test_verify_reflection_max_occ_zero(self, capsys):
+        # Only the zero state has every occupation <= 0.
+        code, out = run(capsys, "verify", "reflection", "--max-occ", "0",
+                        "--sample", "4")
+        assert code == 0
+        assert out == "reflection: 1/1 pass\n"
 
     def test_export_block_csv(self, capsys):
         code, out = run(capsys, "r", "block", "1", "1", "--format", "csv")
@@ -169,6 +178,45 @@ class TestCommands:
         (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         assert sorted(verbs.choices) == ["k", "q", "r", "verify"]
         assert [s for a in parser._actions for s in a.option_strings] == ["-h", "--help"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# The README lines whose comment is the exact output.
+README_OUTPUTS = {
+    "q compute 1 0": "w*x*y^2*z - w - x*y + 1",
+    "r element 0 1 0 1 0 1 --route all": "1 - q^2",
+    "verify tetrahedron --max-occ 1": "tetrahedron: 64/64 pass",
+}
+
+
+def readme_commands() -> dict[str, str]:
+    """The comment of each qreflect line in README's command-line block, by command."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = {}
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        program, *argv = shlex.split(command)
+        assert program == "qreflect", line
+        commands[shlex.join(argv)] = comment.strip()
+    return commands
+
+
+class TestReadme:
+    def test_every_command_parses(self):
+        commands = readme_commands()
+        assert set(README_OUTPUTS) <= set(commands)
+        for command in commands:
+            _build_parser().parse_args(shlex.split(command))
+
+    @pytest.mark.parametrize("command", sorted(README_OUTPUTS))
+    def test_commented_output_is_printed(self, capsys, command):
+        want = README_OUTPUTS[command]
+        assert want in readme_commands()[command]
+        code, out = run(capsys, *shlex.split(command))
+        assert code == 0
+        assert out == want + "\n"
 
 
 @pytest.fixture

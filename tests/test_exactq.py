@@ -428,6 +428,31 @@ class TestPackedAgainstReference:
                 check_matches(got, want)
                 assert got._s == 2
 
+    @given(ref_polys, even_polys, st.integers(-3, 3), st.integers(0, 3), st.integers(-45, 45))
+    @settings(max_examples=150)
+    def test_in_parity_class(self, a, b, k, eta, floor):
+        # Against a scan of the reference exponents: a mostly at stride 1, b
+        # at stride 2, both also held at stride 1 (b then with zero
+        # odd-offset digits), and zero.
+        def scan(ref, lowest):
+            return all(e >= lowest and (e - eta) % 2 == 0 for e in ref)
+
+        b = shift_ref(b, k)
+        for ref in (a, b, {}):
+            value = LaurentQ(ref)
+            for held in (value, held_at_stride_1(value)):
+                assert held.in_parity_class(eta, floor) == scan(ref, floor)
+                assert held.in_parity_class(eta) == scan(ref, 0)
+
+    def test_in_parity_class_after_odd_digits_cancel(self):
+        # (q + q^2) - q leaves one slot at stride 1, the others several.
+        for terms, odd in (({1: 1, 2: 1}, 1), ({0: 1, 1: 1, 4: 1}, 1), ({-2: 1, -1: 2, 0: 1}, -1)):
+            value = LaurentQ(terms) - LaurentQ.monomial(odd, terms[odd])
+            assert value._s == 1
+            assert value.in_parity_class(0, floor=value.min_exp())
+            assert not value.in_parity_class(1, floor=value.min_exp())
+            assert not value.in_parity_class(0, floor=value.min_exp() + 1)
+
     @given(even_polys, st.integers(0, 1))
     @settings(max_examples=100)
     def test_equality_across_width_and_stride(self, a, parity):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import qreflect.qfamily as qfamily
 from qreflect.exactq import LaurentQ, RationalQ, q_symbol, qq_pochhammer
 from qreflect.multipoly import MultiPolyQ, VARS4
 from qreflect.qfamily import (
@@ -25,6 +26,7 @@ from qreflect.qfamily import (
     support_set,
     xi_term,
 )
+from qreflect.report import VerificationError
 
 from conftest import reference_q
 
@@ -243,6 +245,34 @@ class TestProperties:
     def test_support_and_ring(self, bc):
         rep = check_support_and_ring(*bc)
         assert rep.passed, rep.summary()
+
+    @pytest.mark.parametrize(
+        "extra, check",
+        [(1, "in Z[q^2]"), (-2, "in Z[q^2]"), (12, "below q^10")],
+        ids=["odd", "negative", "above-degree"],
+    )
+    def test_support_and_ring_negative_control(self, monkeypatch, extra, check):
+        # The constant coefficient of Q_(1,1) is q^10; phi_(1,1) = 10.
+        corrupted = q_polynomial(1, 1) + LaurentQ.monomial(extra)
+        monkeypatch.setitem(qfamily._Q_CACHE, (1, 1), corrupted)
+        rep = check_support_and_ring(1, 1)
+        assert not rep.passed
+        assert rep.first_failure.location == f"(1,1) coefficient of (0, 0, 0, 0) {check}"
+
+    def test_cold_recursion_negative_control(self, monkeypatch):
+        # A c-step whose result has an odd coefficient must raise as it is
+        # built, and the bad entry must not be stored.
+        step = qfamily._rec_c_step
+        monkeypatch.setattr(
+            qfamily, "_rec_c_step", lambda *args: step(*args) + LaurentQ.monomial(1)
+        )
+        qfamily.clear_caches()
+        try:
+            with pytest.raises(VerificationError, match=r"Q_\(0,1\)"):
+                q_polynomial(0, 1)
+            assert (0, 1) not in qfamily._Q_CACHE
+        finally:
+            qfamily.clear_caches()
 
     @pytest.mark.parametrize("bc", [(1, 1), (2, 1), (1, 2)])
     def test_route_agreement(self, bc):

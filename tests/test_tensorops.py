@@ -214,7 +214,7 @@ class TestMemoRegistry:
         apply_R(SparseVector.unit(R_SIGNATURE, (0, 1, 0)), (0, 1, 2))
         apply_K(SparseVector.unit(K_SIGNATURE, (1, 0, 1, 0)), (0, 1, 2, 3))
         tables = memo.tables()
-        assert sorted(tables) == ["K", "K_local", "P", "Q", "Q_dual", "R", "R_local"]
+        assert sorted(tables) == ["K_local", "P", "Q", "Q_dual", "R_local"]
         assert all(tables.values())
 
         tensorops.clear_caches()

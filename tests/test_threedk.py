@@ -6,6 +6,8 @@ import pytest
 
 import qreflect.threedk as threedk
 from qreflect.exactq import LaurentQ
+from qreflect.multipoly import VARS4, q_power
+from qreflect.report import VerificationError
 from qreflect.tensorops import K_OPERATOR, verify_route_agreement
 from qreflect.threedk import (
     check_transpose,
@@ -49,12 +51,26 @@ class TestKElement:
         assert rep.passed, rep.summary()
 
     def test_route_sweep_negative_control(self, monkeypatch):
-        # A corrupted memoized primary value must disagree with the dual route.
-        key = (0, 1, 0, 1, 1, 0, 0, 2)
-        monkeypatch.setitem(threedk._K_ELEMENTS, key, k_element(*key) + 1)
+        # Q_(1,0) times q^2 corrupts the primary route wherever the output
+        # has (b,c) = (1,0); the dual route reads Q at the input's (j,k).
+        q_polynomial = threedk.q_polynomial
+
+        def corrupted(b, c):
+            poly = q_polynomial(b, c)
+            return poly * q_power(VARS4, 2) if (b, c) == (1, 0) else poly
+
+        monkeypatch.setattr(threedk, "q_polynomial", corrupted)
         rep = verify_route_agreement(K_OPERATOR, "both", 1, 2)
         assert not rep.passed
-        assert rep.first_failure.location == f"primary/dual routes disagree at {key}"
+        key = (0, 1, 0, 0, 1, 0, 0, 1)
+        assert rep.first_failure.location == f"route dual disagrees with primary at {key}"
+
+    def test_parity_check_negative_control(self):
+        key = (0, 1, 0, 1, 1, 0, 0, 2)
+        value = k_element(*key)
+        assert threedk._check_element(value, key) is value
+        with pytest.raises(VerificationError, match=r"\(0, 1, 0, 1, 1, 0, 0, 2\)"):
+            threedk._check_element(value.shifted(1), key)
 
     def test_parity_and_polynomiality(self):
         for m in range(4):

@@ -49,6 +49,17 @@ class TestPPolynomial:
         rep = p_ring_report(b)
         assert rep.passed, rep.summary()
 
+    @pytest.mark.parametrize("extra", [1, -6], ids=["odd", "below-floor"])
+    def test_ring_negative_control(self, monkeypatch, extra):
+        # P_2 lies in q^(-4) Z[q^2]: an odd exponent or one below -4 in its
+        # constant coefficient must fail.
+        corrupted = p_polynomial(2) + LaurentQ.monomial(extra)
+        monkeypatch.setitem(threedr._P_CACHE, 2, corrupted)
+        rep = p_ring_report(2)
+        assert not rep.passed
+        want = "P_2 coefficient of (0, 0, 0) in q^(-2b(b-1)) Z[q^2]"
+        assert rep.first_failure.location == want
+
     def test_corrupted_p_fails_with_equation_id(self):
         # Alter one coefficient of P_3 in the cache; some relation at b=2
         # or b=3 must then fail, and the report names the equation.
@@ -125,6 +136,19 @@ class TestRElement:
     def test_route_agreement_sweep(self):
         rep = verify_route_agreement(R_OPERATOR, "all", 3, 3)
         assert rep.passed, rep.summary()
+
+    def test_route_sweep_negative_control(self, monkeypatch):
+        # [1 over 1]_{q^2} made 2 corrupts the double-sum route only.
+        gaussian_binomial = threedr.gaussian_binomial
+
+        def corrupted(n, k, base_exp):
+            return gaussian_binomial(n, k, base_exp) + ((n, k) == (1, 1))
+
+        monkeypatch.setattr(threedr, "gaussian_binomial", corrupted)
+        rep = verify_route_agreement(R_OPERATOR, "all", 2, 2)
+        assert not rep.passed
+        key = (0, 1, 0, 0, 1, 0)
+        assert rep.first_failure.location == f"route doublesum disagrees with poly at {key}"
 
     def test_involution(self):
         for m, n in ((0, 0), (1, 2), (3, 3), (2, 4)):
