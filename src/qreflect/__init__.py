@@ -9,9 +9,8 @@ from .exactq import (
     DomainError,
     ExactDivisionError,
     LaurentQ,
-    PowerSeriesU,
     RationalQ,
-    euler_factor_series,
+    euler_product,
     gaussian_binomial,
     q_pochhammer,
     q_symbol,
@@ -28,13 +27,12 @@ __all__ = [
     "Failure",
     "LaurentQ",
     "MultiPolyQ",
-    "PowerSeriesU",
     "RationalQ",
     "VARS3",
     "VARS4",
     "VerificationError",
     "VerificationReport",
-    "euler_factor_series",
+    "euler_product",
     "gaussian_binomial",
     "q_pochhammer",
     "q_symbol",

@@ -258,14 +258,12 @@ def _dispatch(args: argparse.Namespace) -> int:
             ]
             return _emit_suite(reps, args.format, "tetrahedron")
         if args.what == "reflection":
-            states = tensorops.unit_states(9, 2)
+            states = set(tensorops.unit_states(9, 2))
             if args.sample:
-                states = states + tensorops.sample_unit_states(
-                    9, args.sample, args.seed
-                )
+                states |= set(tensorops.sample_unit_states(9, args.sample, args.seed))
             if args.max_occ > 1:
-                states = sorted(set(states) | set(tensorops.states_up_to(9, args.max_occ)))
-            states = [s for s in states if max(s) <= args.max_occ]
+                states |= set(tensorops.states_up_to(9, args.max_occ))
+            states = sorted(s for s in states if max(s) <= args.max_occ)
             reps = [tensorops.verify_reflection(occ) for occ in states]
             return _emit_suite(reps, args.format, "reflection")
         if args.what == "intertwiner":

@@ -52,10 +52,9 @@ On top of LaurentQ the module provides
                          fails loudly if a remainder survives,
   * q-Pochhammer products (z; q^B)_n and the multi-index q-factorial
     symbol with its zero-extension rule for negative lower indices,
-  * PowerSeriesU      -- power series in an auxiliary variable u truncated
-                         at a fixed order, with RationalQ coefficients,
-  * euler_factor_series -- the u-expansion of (a*u; q^2)_inf or its
-                         reciprocal, solved from f(u) = (1 - a*u) f(q^2 u),
+  * euler_product     -- a product of Euler factors (a*u; q^2)_inf^{+-1}
+                         to a fixed order in u, as the numerators of its
+                         u^k coefficients over (q^2;q^2)_k,
   * accumulate        -- the sparse sum of (key, LaurentQ) pairs.  Every
                          sparse sum in the package (polynomial terms,
                          vector components) goes through it, so it is the
@@ -726,94 +725,40 @@ def gaussian_binomial(n: int, k: int, base_exp: int) -> LaurentQ:
     return num.exact_div(den)
 
 
-# -- truncated power series in u ----------------------------------------------
+# -- Euler products in u ------------------------------------------------------
 
 
-class PowerSeriesU:
-    """Power series in u truncated at a fixed order, RationalQ coefficients.
+def euler_product(
+    factors: Iterable[tuple[tuple[int, int], bool]], order: int
+) -> list[LaurentQ]:
+    """Numerators n_0..n_order of prod (a*u; q^2)_inf^{+-1} = sum n_k u^k / (q^2;q^2)_k.
 
-    Products take series whose u^k coefficient is a Laurent polynomial over
-    (q^2;q^2)_k, as every series built in this package is; multiplying a
-    series of any other form raises DomainError.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs: list[RationalQ]):
-        if order < 0:
-            raise DomainError("series order must be >= 0")
-        if len(coeffs) != order + 1:
-            raise DomainError("coefficient list must have length order + 1")
-        self.order = order
-        self.coeffs = list(coeffs)
-
-    @staticmethod
-    def one(order: int) -> PowerSeriesU:
-        coeffs = [RationalQ.one()] + [RationalQ.zero()] * order
-        return PowerSeriesU(order, coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PowerSeriesU):
-            return NotImplemented
-        if self.order != other.order:
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def _canonical_numerators(self) -> list[LaurentQ]:
-        """Coefficient k as a Laurent numerator over (q^2; q^2)_k."""
-        nums = []
-        for k, c in enumerate(self.coeffs):
-            try:
-                nums.append((c.num * qq_pochhammer(2, k)).exact_div(c.den))
-            except ExactDivisionError:
-                raise DomainError(
-                    f"u^{k} coefficient {c} is not a Laurent polynomial over (q^2;q^2)_{k}"
-                ) from None
-        return nums
-
-    def __mul__(self, other: PowerSeriesU) -> PowerSeriesU:
-        if not isinstance(other, PowerSeriesU):
-            return NotImplemented
-        order = min(self.order, other.order)
-        a = self._canonical_numerators()
-        b = other._canonical_numerators()
-        # n_i/(q^2)_i * m_j/(q^2)_j = n_i m_j C(i+j,i)_{q^2} / (q^2)_{i+j},
-        # so each product coefficient again sits over (q^2;q^2)_k.
-        coeffs = []
-        for k in range(order + 1):
-            num = _ZERO
-            for i in range(k + 1):
-                if a[i].is_zero or b[k - i].is_zero:
-                    continue
-                num = num + a[i] * b[k - i] * gaussian_binomial(k, i, 2)
-            coeffs.append(RationalQ(num, qq_pochhammer(2, k)))
-        return PowerSeriesU(order, coeffs)
-
-    def __str__(self) -> str:
-        return " + ".join(f"({c})*u^{k}" for k, c in enumerate(self.coeffs))
-
-
-def euler_factor_series(a: tuple[int, int], invert: bool, order: int) -> PowerSeriesU:
-    """u-expansion of (a*u; q^2)_inf, or its reciprocal when invert is set.
-
-    Solved coefficient-by-coefficient from f(u) = (1 - a*u) f(q^2 u):
-    c_k = -a q^{2k-2} c_{k-1} / (1 - q^{2k}), and for the reciprocal
-    c_k = a c_{k-1} / (1 - q^{2k}); either way the denominator of the
-    u^k coefficient divides (q^2; q^2)_k.
+    Each factor is ((sign, q-exponent), invert) for a = sign*q^exp, and
+    invert takes the reciprocal.  One factor solves f(u) = (1 - a*u) f(q^2 u)
+    coefficient by coefficient: n_k = -a q^{2k-2} n_{k-1}, or n_k = a n_{k-1}
+    for the reciprocal.  As n_i/(q^2)_i * m_j/(q^2)_j =
+    n_i m_j [i+j over i]_{q^2} / (q^2)_{i+j}, a product convolves the
+    numerators with q^2-binomial weights and never divides.
     """
     if order < 0:
         raise DomainError("series order must be >= 0")
-    sign, a_exp = a
-    if sign not in (1, -1):
-        raise DomainError("monomial sign must be +1 or -1")
-    coeffs = [RationalQ.one()]
-    num = _ONE
-    for k in range(1, order + 1):
-        if invert:
-            num = num * LaurentQ.monomial(a_exp, sign)
-        else:
-            num = num * LaurentQ.monomial(a_exp + 2 * (k - 1), -sign)
-        coeffs.append(RationalQ(num, qq_pochhammer(2, k)))
-    return PowerSeriesU(order, coeffs)
+    out = [_ONE] + [_ZERO] * order
+    for (sign, a_exp), invert in factors:
+        if sign not in (1, -1):
+            raise DomainError("monomial sign must be +1 or -1")
+        nums = [_ONE]
+        for k in range(1, order + 1):
+            if invert:
+                nums.append(nums[-1] * LaurentQ.monomial(a_exp, sign))
+            else:
+                nums.append(nums[-1] * LaurentQ.monomial(a_exp + 2 * (k - 1), -sign))
+        prod = []
+        for k in range(order + 1):
+            num = _ZERO
+            for i in range(k + 1):
+                if out[i].is_zero:
+                    continue
+                num = num + out[i] * nums[k - i] * gaussian_binomial(k, i, 2)
+            prod.append(num)
+        out = prod
+    return out

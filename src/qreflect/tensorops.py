@@ -486,14 +486,12 @@ def verify_tetrahedron(
 
 
 def verify_reflection(
-    occupations: Sequence[int],
-    r_fn: ElementFn | None = None,
-    k_fn: ElementFn | None = None,
+    occupations: Sequence[int], k_fn: ElementFn | None = None
 ) -> VerificationReport:
     """Both sevenfold compositions agree on one 9-fold basis state."""
     vec = SparseVector.unit(REFLECTION_SIGNATURE, occupations)
-    lhs = _apply_operator_word(REFLECTION_LHS, vec, r_fn, k_fn)
-    rhs = _apply_operator_word(REFLECTION_RHS, vec, r_fn, k_fn)
+    lhs = _apply_operator_word(REFLECTION_LHS, vec, None, k_fn)
+    rhs = _apply_operator_word(REFLECTION_RHS, vec, None, k_fn)
     return compare_words(f"reflection on {tuple(occupations)}", lhs, rhs)
 
 

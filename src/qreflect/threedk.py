@@ -57,6 +57,8 @@ def k_element(
     route: str = "primary",
 ) -> LaurentQ:
     """K^{a,b,c,d}_{i,j,k,l}; zero off the weight block or at negative indices."""
+    if route not in (*K_ROUTES, "both"):
+        raise DomainError(f"unknown route {route!r}")
     key = (a, b, c, d, i, j, k, l)
     if min(key) < 0 or not weight_compatible(*key):
         return LaurentQ.zero()
@@ -70,9 +72,7 @@ def k_element(
         num = value.shifted(phi_k(*key) - phi_bc(j, k))
         num = num * qq_pochhammer(2, l) * qq_pochhammer(4, i)
         return _check_element(num.exact_div(_k_norm(a, b, c, d)), key)
-    if route == "both":
-        return cross_check(k_element, key, K_ROUTES)
-    raise DomainError(f"unknown route {route!r}")
+    return cross_check(k_element, key, K_ROUTES)
 
 
 def _k_norm(a: int, b: int, c: int, d: int) -> LaurentQ:

@@ -82,6 +82,13 @@ class TestCommands:
         assert code == 0
         assert out == "reflection: 1/1 pass\n"
 
+    def test_verify_reflection_counts_each_state_once(self, capsys):
+        # The default seeded sample repeats some states of unit_states(9, 2):
+        # 110 states listed, 102 distinct.
+        code, out = run(capsys, "verify", "reflection")
+        assert code == 0
+        assert out == "reflection: 102/102 pass\n"
+
     def test_export_block_csv(self, capsys):
         code, out = run(capsys, "r", "block", "1", "1", "--format", "csv")
         assert code == 0

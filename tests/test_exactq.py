@@ -5,14 +5,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qreflect
 from qreflect.exactq import (
     DomainError,
     ExactDivisionError,
     LaurentQ,
-    PowerSeriesU,
     RationalQ,
     accumulate,
-    euler_factor_series,
+    euler_product,
     gaussian_binomial,
     q_pochhammer,
     q_symbol,
@@ -600,53 +600,84 @@ class TestGaussianBinomial:
         assert gaussian_binomial(3, -1, 2).is_zero
 
 
+def reference_euler_product(factors, order):
+    """u^0..u^order of a product of Euler factors as RationalQ values: each
+    factor solved from its functional equation, then multiplied by the plain
+    Cauchy convolution."""
+    out = [RationalQ.one()] + [RationalQ.zero()] * order
+    for (sign, a_exp), invert in factors:
+        # (a u; q^2)_oo = (1 - a u) (a q^2 u; q^2)_oo, and its reciprocal
+        # satisfies (1 - a u) g(u) = g(q^2 u); read off u^k on both sides.
+        series = [RationalQ.one()]
+        for k in range(1, order + 1):
+            if invert:
+                step = LaurentQ.monomial(a_exp, sign)
+            else:
+                step = LaurentQ.monomial(a_exp + 2 * k - 2, -sign)
+            series.append(series[-1] * RationalQ(step, 1 - LaurentQ.monomial(2 * k)))
+        out = [
+            sum((out[i] * series[k - i] for i in range(k + 1)), RationalQ.zero())
+            for k in range(order + 1)
+        ]
+    return out
+
+
+euler_factors = st.tuples(
+    st.tuples(st.sampled_from([1, -1]), st.integers(min_value=-4, max_value=4)),
+    st.booleans(),
+)
+
+
 class TestEulerSeries:
     def test_order_zero(self):
-        series = euler_factor_series((1, 3), False, 0)
-        assert series.coeffs == [RationalQ.one()]
+        assert euler_product([((1, 3), False)], 0) == [LaurentQ.one()]
 
     def test_first_coefficient(self):
-        # (-u; q^2)_oo has u-coefficient 1/(1-q^2).
-        series = euler_factor_series((-1, 0), False, 1)
-        assert series.coeffs[1] == RationalQ(
-            LaurentQ.one(), 1 - LaurentQ.monomial(2)
-        )
+        # (-u; q^2)_oo has u-coefficient 1/(1-q^2): numerator 1 over (q^2;q^2)_1.
+        assert euler_product([((-1, 0), False)], 1)[1] == LaurentQ.one()
 
     def test_closed_form(self):
-        # Solving the recurrence by hand: c_k = (-a)^k q^{k(k-1)} / (q^2;q^2)_k.
+        # Solving the recurrence by hand: n_k = (-a)^k q^{k(k-1)}.
         sign, a_exp = -1, 4
-        series = euler_factor_series((sign, a_exp), False, 6)
+        nums = euler_product([((sign, a_exp), False)], 6)
         for k in range(7):
-            num = LaurentQ.monomial(k * a_exp + k * (k - 1), (-sign) ** k)
-            assert series.coeffs[k] == RationalQ(num, qq_pochhammer(2, k))
+            assert nums[k] == LaurentQ.monomial(k * a_exp + k * (k - 1), (-sign) ** k)
 
     def test_inverse_closed_form(self):
         sign, a_exp = 1, -2
-        series = euler_factor_series((sign, a_exp), True, 5)
+        nums = euler_product([((sign, a_exp), True)], 5)
         for k in range(6):
-            num = LaurentQ.monomial(k * a_exp, sign**k)
-            assert series.coeffs[k] == RationalQ(num, qq_pochhammer(2, k))
+            assert nums[k] == LaurentQ.monomial(k * a_exp, sign**k)
 
     @pytest.mark.parametrize("a", [(-1, 0), (1, 2), (-1, 3), (1, -2)])
     def test_product_with_inverse_is_one(self, a):
         order = 7
-        product = euler_factor_series(a, False, order) * euler_factor_series(
-            a, True, order
-        )
-        assert product == PowerSeriesU.one(order)
-
-    def test_product_needs_canonical_denominators(self):
-        # 1/(1 - q) is not a Laurent polynomial over (q^2;q^2)_0 = 1.
-        odd = PowerSeriesU(0, [RationalQ(LaurentQ.one(), 1 - LaurentQ.monomial(1))])
-        with pytest.raises(DomainError):
-            odd * PowerSeriesU.one(0)
+        nums = euler_product([(a, False), (a, True)], order)
+        assert nums == [LaurentQ.one()] + [LaurentQ.zero()] * order
 
     def test_denominator_clears(self):
-        series = euler_factor_series((-1, 0), False, 12)
-        for k in range(13):
-            cleared = (series.coeffs[k] * qq_pochhammer(2, k)).reduce_to_laurent()
-            assert cleared == LaurentQ.monomial(k * (k - 1))
+        # Euler: (-u; q^2)_oo = sum q^{k(k-1)} u^k / (q^2;q^2)_k, so
+        # (q^2;q^2)_k clears each u^k coefficient to a single monomial.
+        nums = euler_product([((-1, 0), False)], 12)
+        assert nums == [LaurentQ.monomial(k * (k - 1)) for k in range(13)]
+
+    @given(st.lists(euler_factors, min_size=2, max_size=3), st.integers(0, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_against_reference(self, factors, order):
+        nums = euler_product(factors, order)
+        want = reference_euler_product(factors, order)
+        for k in range(order + 1):
+            assert RationalQ(nums[k], qq_pochhammer(2, k)) == want[k], k
+
+    def test_bad_sign_rejected(self):
+        with pytest.raises(DomainError):
+            euler_product([((2, 0), False)], 3)
 
     def test_negative_order_rejected(self):
         with pytest.raises(DomainError):
-            euler_factor_series((1, 0), False, -1)
+            euler_product([((1, 0), False)], -1)
+
+
+def test_package_exports_resolve():
+    for name in qreflect.__all__:
+        assert hasattr(qreflect, name), name

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import qreflect.threedk as threedk
-from qreflect.exactq import LaurentQ
+from qreflect.exactq import DomainError, LaurentQ
 from qreflect.multipoly import VARS4, q_power
 from qreflect.report import VerificationError
 from qreflect.tensorops import K_OPERATOR, verify_route_agreement
@@ -40,6 +40,10 @@ class TestKElement:
         assert k_block_states(4, 3) == sorted(printed_k)
         for inp in ((4, 0, 0, 0), (1, 3, 0, 1), (0, 0, 0, 3), (2, 1, 1, 1)):
             assert k_element(3, 1, 0, 2, *inp).is_zero
+
+    def test_unknown_route_off_block(self):
+        with pytest.raises(DomainError, match="unknown route 'bogus'"):
+            k_element(1, 0, 0, 0, 0, 0, 0, 0, route="bogus")
 
     def test_dual_route_matches(self, printed_k):
         for inp, want in printed_k.items():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from qreflect.exactq import LaurentQ
+from qreflect.exactq import DomainError, LaurentQ
 from qreflect.multipoly import MultiPolyQ, VARS3, variables
 import qreflect.threedr as threedr
 from qreflect.threedr import (
@@ -23,6 +23,22 @@ from qreflect.threedr import (
 from qreflect.tensorops import R_OPERATOR, verify_route_agreement
 
 X, Y, Z = variables(VARS3)
+
+
+@pytest.fixture
+def perturbed_u1(monkeypatch):
+    """threedr.euler_product with 1 - q^2 added to its u^1 numerator: a
+    wrong but exactly divisible numerator, so the series route still
+    returns a Laurent polynomial."""
+    euler_product = threedr.euler_product
+
+    def corrupted(factors, order):
+        nums = euler_product(factors, order)
+        if order >= 1:
+            nums[1] = nums[1] + (1 - LaurentQ.monomial(2))
+        return nums
+
+    monkeypatch.setattr(threedr, "euler_product", corrupted)
 
 
 class TestPPolynomial:
@@ -150,10 +166,31 @@ class TestRElement:
         key = (0, 1, 0, 0, 1, 0)
         assert rep.first_failure.location == f"route doublesum disagrees with poly at {key}"
 
+    def test_series_route_negative_control(self, perturbed_u1):
+        rep = verify_route_agreement(R_OPERATOR, "all", 2, 2)
+        assert not rep.passed
+        key = (0, 1, 0, 0, 1, 0)
+        assert rep.first_failure.location == f"route series disagrees with poly at {key}"
+
+    def test_unknown_route_off_block(self):
+        with pytest.raises(DomainError, match="unknown route 'bogus'"):
+            r_element(2, 0, 1, 0, 1, 0, route="bogus")
+
     def test_involution(self):
         for m, n in ((0, 0), (1, 2), (3, 3), (2, 4)):
             rep = verify_involution(m, n)
             assert rep.passed, rep.summary()
+
+    def test_involution_negative_control(self, monkeypatch):
+        r_element = threedr.r_element
+
+        def corrupted(*key):
+            return LaurentQ.zero() if key == (1, 0, 1, 0, 1, 0) else r_element(*key)
+
+        monkeypatch.setattr(threedr, "r_element", corrupted)
+        rep = verify_involution(1, 1)
+        assert not rep.passed
+        assert rep.first_failure.location == "(R^2)[(0, 1, 0),(0, 1, 0)]"
 
     def test_block_shape(self):
         states = r_block_states(2, 3)
@@ -170,3 +207,8 @@ class TestGeneratingSeries:
     def test_small_orders(self, point):
         rep = verify_generating_series(*point, 4)
         assert rep.passed, rep.summary()
+
+    def test_negative_control(self, perturbed_u1):
+        rep = verify_generating_series(1, 1, 1, 3)
+        assert not rep.passed
+        assert rep.first_failure.location == "u^1 coefficient at (1,1,1)"
