@@ -57,12 +57,20 @@ On top of LaurentQ the module provides
                          u^k coefficients over (q^2;q^2)_k,
   * accumulate        -- the sparse sum of (key, LaurentQ) pairs.  Every
                          sparse sum in the package (polynomial terms,
-                         vector components) goes through it, so it is the
-                         one place where cancelled terms are dropped.
+                         vector components) goes through it, except the
+                         sums of R and K application,
+  * apply_columns     -- the sparse sum of coefficient times packed
+                         operator column (PackedColumn): one int multiply
+                         and one shift-add per matrix element at one slot
+                         width for the whole call, and one LaurentQ per
+                         output.  With accumulate, it is one of the two
+                         places where cancelled terms are dropped.
 
 Values are immutable after construction, except that decoding a value for
 a re-pack lowers its bound _b in place to the true coefficient size.  Any
 bound written there is valid, so values stay safe to share between threads.
+A PackedColumn is widened in place (its ps, then its w), so a table of
+columns is not for concurrent use.
 """
 
 from __future__ import annotations
@@ -70,7 +78,7 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 from operator import index
-from typing import Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 
 class ExactDivisionError(ArithmeticError):
@@ -546,8 +554,9 @@ _ONE = LaurentQ.monomial(0)
 def accumulate(pairs: Iterable[tuple[Hashable, LaurentQ]]) -> dict:
     """The sparse sum of (key, value) pairs: the values of equal keys added.
 
-    The one place where the package drops cancelled terms: once, at the
-    end, and in place, so that no surviving (tuple) key is hashed again.
+    With apply_columns, one of the two places where the package drops
+    cancelled terms: once, at the end, and in place, so that no surviving
+    (tuple) key is hashed again.
     """
     out: dict = {}
     get = out.get
@@ -556,6 +565,143 @@ def accumulate(pairs: Iterable[tuple[Hashable, LaurentQ]]) -> dict:
         out[key] = value if s is None else s + value
     for key in [key for key, value in out.items() if not value._p]:
         del out[key]
+    return out
+
+
+# -- packed operator columns ----------------------------------------------------
+
+
+class PackedColumn:
+    """The nonzero entries of one operator column, packed at one width and stride.
+
+    Entry j is q^los[j] times the packed int ps[j], at local output outs[j].
+    Every entry has slot width w and stride s; b bounds the bit length of
+    every entry's coefficients, slots is the largest slot count, and
+    log_block is ceil(log2 |block|) for the weight block of the column's
+    input.  apply_columns widens a column in place (ps and w) when a call
+    needs wider slots, so each width is packed once.
+    """
+
+    __slots__ = ("outs", "los", "ps", "w", "s", "b", "slots", "log_block")
+
+    def __init__(self, pairs: Iterable[tuple[Hashable, LaurentQ]], block_size: int):
+        pairs = [(out, v) for out, v in pairs if v._p]
+        values = [v for _, v in pairs]
+        self.outs = tuple(out for out, _ in pairs)
+        self.los = tuple(v._lo for v in values)
+        self.log_block = (block_size - 1).bit_length()
+        s = _joint_stride(values)
+        w = values[0]._w if values else 32
+        if all(_fits(v, w, s) for v in values):
+            ps, b = [v._p for v in values], max((v._b for v in values), default=0)
+        else:
+            ps, w, b = _repack(values, s, 0)
+        self.ps = tuple(ps)
+        self.w, self.s, self.b = w, s, b
+        self.slots = max((p.bit_length() // w + 1 for p in ps), default=1)
+
+    def _at(self, w: int, s: int) -> tuple[int, ...]:
+        """The entries' packed ints at width w >= self.w and stride s.
+
+        A narrower column is widened in place, once; a stride-2 column is
+        spread to stride 1 for one call only.
+        """
+        if self.w != w:
+            self.ps = tuple(_pack(_unpack(p, self.w), w) for p in self.ps)
+            self.w = w
+        if self.s == s:
+            return self.ps
+        return tuple(_pack(_restride(_unpack(p, w), self.s, s), w) for p in self.ps)
+
+
+def apply_columns(
+    terms: list[tuple[LaurentQ, PackedColumn, tuple]], key: Callable[[tuple], Hashable]
+) -> dict:
+    """The sparse sum of coeff * column over (coeff, column, prefix) terms.
+
+    Entry j of a term lands at key(prefix + column.outs[j]).  Every product
+    is one int multiply and every sum one shift-add, at one slot width w
+    and stride s for the whole call; each output becomes one LaurentQ at the
+    end, and cancelled outputs are dropped, as accumulate drops them.
+
+    The width: the pair bound of a term is b_coeff + b_column +
+    ceil(log2 min(slot counts)), as for one product.  An output sums at most
+    |block| products, one from each input of its weight block with the same
+    untouched sites, so its bound is its largest pair bound plus
+    ceil(log2 count) <= pair bound + log_block.  A term for which that sum
+    would reach w first has its coefficient's bound tightened (one decode);
+    w widens only if it still does not fit.
+
+    The stride is 2 unless a column or a multi-slot coefficient has stride
+    1.  Two stride-2 contributions to one output whose lo differ by an odd
+    amount do not share slots; the call is then redone at stride 1.
+    """
+    s = 2
+    for c, col, _ in terms:
+        if col.s == 1 or (c._s == 1 and c._p.bit_length() >= c._w):
+            s = 1
+            break
+    out = _column_sum(terms, key, s)
+    if out is None:
+        out = _column_sum(terms, key, 1)
+    return out
+
+
+def _column_sum(terms, key, s: int) -> dict | None:
+    """apply_columns at stride s; None on a parity clash at s == 2."""
+    w = max((col.w for _, col, _ in terms), default=32)
+    bounds = []
+    top = 0
+    for c, col, _ in terms:
+        # min(slot counts) - 1, so that its bit length is ceil(log2 min).
+        short = min(c._p.bit_length() // c._w, col.slots - 1).bit_length()
+        b = c._b + col.b + short
+        if b + col.log_block >= w:
+            c._tight()
+            b = c._b + col.b + short
+        bounds.append(b)
+        if b + col.log_block > top:
+            top = b + col.log_block
+    if top >= w:
+        w = _width_for(top)
+    # Each output's record: [lo, packed sum, largest pair bound, terms summed].
+    acc: dict = {}
+    get = acc.get
+    # s - 1 masks an odd exponent gap at stride 2 and shifts a gap to slots.
+    odd = s - 1
+    for (c, col, prefix), pb in zip(terms, bounds):
+        lc = c._lo
+        if c._w == w and (c._s == s or c._p.bit_length() < w):
+            pc = c._p
+        else:
+            pc = _pack(_restride(c._digits(), c._s, s), w)
+        ps = col.ps if col.w == w and col.s == s else col._at(w, s)
+        for k, lv, pv in zip(map(key, map(prefix.__add__, col.outs)), col.los, ps):
+            rec = get(k)
+            if rec is None:
+                acc[k] = [lc + lv, pc * pv, pb, 1]
+                continue
+            d = lc + lv - rec[0]
+            if d & odd:
+                return None
+            if d >= 0:
+                rec[1] += pc * pv << w * (d >> odd)
+            else:
+                rec[1] = pc * pv + (rec[1] << w * (-d >> odd))
+                rec[0] += d
+            if pb > rec[2]:
+                rec[2] = pb
+            rec[3] += 1
+    out = {}
+    low = (1 << w) - 1
+    for k, (lo, p, b, n) in acc.items():
+        b += (n - 1).bit_length()
+        if p & low:
+            # The lowest slot is nonzero: canonical as it stands (_make inlined).
+            x = out[k] = _new(LaurentQ)
+            x._lo, x._p, x._w, x._b, x._s = lo, p, w, b, s
+        elif p:
+            out[k] = _strip_low(lo, p, w, b, s)
     return out
 
 

@@ -2,8 +2,10 @@
 
 Each table is a plain dict, filled by the module that registered it, so a
 lookup costs what any dict lookup costs.  The polynomials Q, dual Q and P
-have a table each; R and K matrix elements are cached only as the columns
-of tensorops.apply_local (R_local, K_local).  `clear` empties every table
+have a table each; R and K matrix elements are cached only as the packed
+columns of tensorops.apply_local (R_local, K_local): exactq.PackedColumn
+values, each the nonzero entries of one local input at one slot width,
+widened in place when a call needs wider slots.  `clear` empties every table
 and puts back the entries it was registered with (P_0 = 1 is the only one).
 The lru_caches on the pure q-Pochhammer and Gaussian-binomial functions in
 exactq read no table, so they are not registered here.

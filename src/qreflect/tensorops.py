@@ -16,14 +16,17 @@ weight block enumerator, element function, memo table) applied by one
 engine, apply_local.  The weights and blocks are threedr's r_weights and
 r_block_states and threedk's k_weights and k_block_states, the one place
 each weight block is written.  The memo table holds the nonzero column of
-each local input seen, and is the only cache of R and K elements; it sits
-in the package's one registry (memo), whose single clear is every
-module's clear_caches.  One sweep, verify_route_agreement, checks either
-operator's element routes against each other block by block, through the
-one cross-check, report.cross_check.  Vector sums, generator actions,
-operator applications and the intertwiner combinations collect their
-terms through exactq.accumulate, which drops the cancelled ones.  All
-three equation verifiers report through compare_words, which names the
+each local input seen, packed (exactq.PackedColumn), and is the only cache
+of R and K elements; it sits in the package's one registry (memo), whose
+single clear is every module's clear_caches.  apply_local supplies the
+output keys and exactq.apply_columns does the arithmetic: one int multiply
+and one shift-add per matrix element, and one LaurentQ per output.  One
+sweep, verify_route_agreement, checks either operator's element routes
+against each other block by block, through the one cross-check,
+report.cross_check.  Vector sums, generator actions and the intertwiner
+combinations collect their terms through exactq.accumulate, and operator
+applications through exactq.apply_columns; both drop the cancelled ones.
+All three equation verifiers report through compare_words, which names the
 first basis state where the two sides differ.
 
 The nine-space signature used by the reflection-equation verifier,
@@ -43,7 +46,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import memo
-from .exactq import DomainError, LaurentQ, accumulate
+from .exactq import DomainError, LaurentQ, PackedColumn, accumulate, apply_columns
 from .report import VerificationReport
 from .threedk import k_block_states, k_element, k_weights
 from .threedr import r_block_states, r_element, r_weights
@@ -86,6 +89,16 @@ class SparseVector:
     ):
         self.signature = signature
         self.terms: dict[tuple[int, ...], LaurentQ] = accumulate(pairs)
+
+    @classmethod
+    def summed(
+        cls, signature: tuple[SpaceType, ...], terms: dict[tuple[int, ...], LaurentQ]
+    ) -> SparseVector:
+        """Wrap terms that are already summed, every coefficient nonzero."""
+        vec = object.__new__(cls)
+        vec.signature = signature
+        vec.terms = terms
+        return vec
 
     @staticmethod
     def unit(signature: tuple[SpaceType, ...], occ: Sequence[int]) -> SparseVector:
@@ -189,8 +202,9 @@ class LocalOperator(NamedTuple):
 
     weights maps local occupations to the block they lie in, states lists
     that block, element(*out, *inp, route=...) is one matrix element and
-    table holds the nonzero (out, element) pairs of each local input seen
-    so far.
+    table holds the packed column (exactq.PackedColumn: the nonzero
+    entries, their width, stride, bound, slot count and ceil(log2 |block|))
+    of each local input seen so far.
     """
 
     name: str
@@ -230,7 +244,8 @@ def apply_local(
     """Apply op at the given positions; exactly finite by weight conservation.
 
     An element function given here replaces op.element (a negative control
-    passes a corrupted one); its columns are memoized for this call only.
+    passes a corrupted one); its columns are memoized for this call only,
+    so a corrupted column never reaches op.table.
     """
     gather = itemgetter(*positions)
     got = gather(vec.signature)
@@ -247,18 +262,16 @@ def apply_local(
         slots[p] = offset
     scatter = itemgetter(*slots)
     table, element = (op.table, op.element) if element is None else ({}, element)
-
-    def contributions():
-        for occ, coeff in vec.terms.items():
-            inp = gather(occ)
-            column = table.get(inp)
-            if column is None:
-                pairs = ((o, element(*o, *inp)) for o in op.states(*op.weights(*inp)))
-                column = table[inp] = tuple((o, v) for o, v in pairs if not v.is_zero)
-            for local, value in column:
-                yield scatter(occ + local), coeff * value
-
-    return SparseVector(vec.signature, contributions())
+    terms = []
+    for occ, coeff in vec.terms.items():
+        inp = gather(occ)
+        column = table.get(inp)
+        if column is None:
+            block = op.states(*op.weights(*inp))
+            pairs = [(o, element(*o, *inp)) for o in block]
+            column = table[inp] = PackedColumn(pairs, len(block))
+        terms.append((coeff, column, occ))
+    return SparseVector.summed(vec.signature, apply_columns(terms, scatter))
 
 
 def apply_R(

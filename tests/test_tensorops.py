@@ -3,19 +3,27 @@
 from __future__ import annotations
 
 import re
+from functools import lru_cache
+from itertools import product
+from operator import itemgetter
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qreflect.exactq import DomainError, LaurentQ
+from qreflect import memo
+from qreflect.exactq import DomainError, LaurentQ, _make
 from qreflect.tensorops import (
     INTERTWINER_RELATIONS,
+    K_OPERATOR,
     K_SIGNATURE,
     Q1,
     Q2,
+    R_OPERATOR,
     R_SIGNATURE,
     REFLECTION_SIGNATURE,
     SparseVector,
     apply_generator,
+    apply_local,
     apply_K,
     apply_R,
     oscillator_relations_report,
@@ -220,3 +228,229 @@ class TestMemoRegistry:
         tensorops.clear_caches()
         assert threedr._P_CACHE == {0: MultiPolyQ.one(VARS3)}
         assert all(not table for name, table in tables.items() if name != "P")
+
+
+# -- packed columns against the term-by-term reference --------------------------------
+#
+# The reference multiplies every (input, output) pair as two LaurentQ values
+# and sums the products with accumulate, one term at a time.
+
+
+def reference_apply(op, vec, positions, element):
+    """op applied at positions term by term, with element(*out, *inp) as its entries.
+
+    Zero entries are skipped, as the columns skip them, so that the output
+    keys come in the same order.
+    """
+    gather = itemgetter(*positions)
+    size = len(vec.signature)
+    slots = list(range(size))
+    for offset, p in enumerate(positions, size):
+        slots[p] = offset
+    scatter = itemgetter(*slots)
+
+    def contributions():
+        for occ, coeff in vec.terms.items():
+            inp = gather(occ)
+            for local in op.states(*op.weights(*inp)):
+                value = element(*local, *inp)
+                if value:
+                    yield scatter(occ + local), coeff * value
+
+    # SparseVector sums the contributions with exactq.accumulate.
+    return SparseVector(vec.signature, contributions())
+
+
+def assert_packed_invariants(value):
+    """Canonical form and a valid bound: lowest digit nonzero, true bits <= _b < _w."""
+    digits = value._digits()
+    assert digits and digits[0] != 0
+    assert max(abs(c) for c in digits).bit_length() <= value._b < value._w
+
+
+def assert_matches_reference(op, vec, positions, element=None):
+    """apply_local equals the reference; returns its result."""
+    out = apply_local(op, vec, positions, element)
+    want = reference_apply(op, vec, positions, element or op.element)
+    assert out == want
+    assert list(out.terms) == list(want.terms)
+    for value in out.terms.values():
+        assert_packed_invariants(value)
+    return out
+
+
+real_r = lru_cache(maxsize=None)(lambda *key: R_OPERATOR.element(*key))
+real_k = lru_cache(maxsize=None)(lambda *key: K_OPERATOR.element(*key))
+
+
+def mixed_parity(fn):
+    """Entries shifted by q when out[0] + inp[-1] is odd: one output's terms clash in parity."""
+    return lambda *key: fn(*key).shifted((key[0] + key[-1]) % 2)
+
+
+def stride_one(fn):
+    """Entries times (1 + q): multi-slot values at stride 1."""
+    one_q = LaurentQ({0: 1, 1: 1})
+    return lambda *key: fn(*key) * one_q
+
+
+def forty_bit(fn):
+    """Entries times a key-dependent 40-bit integer of either sign."""
+    return lambda *key: fn(*key) * ((-1) ** sum(key) * (2**40 - 1 - sum(key)))
+
+
+# (operator, its memoized elements, the largest occupation drawn)
+OPERATORS = {"R": (R_OPERATOR, real_r, 2), "K": (K_OPERATOR, real_k, 1)}
+ELEMENTS = {
+    "real": lambda fn: fn,
+    "mixed_parity": mixed_parity,
+    "stride_one": stride_one,
+    "forty_bit": forty_bit,
+}
+
+_EDGE_BITS = (15, 31, 40, 63, 100, 200)
+coefficient_values = st.one_of(
+    st.integers(-9, 9),
+    st.sampled_from([s * (2**k - 1) for k in _EDGE_BITS for s in (1, -1)]),
+    st.integers(-(2**200), 2**200),
+)
+
+
+@st.composite
+def coefficients(draw, stride):
+    """A nonzero LaurentQ; at stride 2 every exponent has one parity."""
+    exps = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=5, unique=True))
+    if stride == 2:
+        shift = draw(st.integers(-1, 1))
+        exps = sorted({2 * e + shift for e in exps})
+    terms = {e: draw(coefficient_values.filter(bool)) for e in exps}
+    return LaurentQ(terms)
+
+
+@st.composite
+def placed_vectors(draw, op, max_occ):
+    """(vector, positions): op at permuted positions of a wider signature.
+
+    One input, some of its block-mates with the same untouched sites (so
+    that outputs collect several terms), and a few other states.
+    """
+    arity = len(op.signature)
+    size = arity + draw(st.integers(0, 2))
+    positions = tuple(draw(st.permutations(range(size)))[:arity])
+    signature = [Q1] * size
+    for kind, p in zip(op.signature, positions):
+        signature[p] = kind
+    states = st.tuples(*[st.integers(0, max_occ)] * size)
+    base = list(draw(states))
+    block = op.states(*op.weights(*(base[p] for p in positions)))
+    occs = [tuple(base)]
+    for local in draw(st.lists(st.sampled_from(block), max_size=4, unique=True)):
+        for p, m in zip(positions, local):
+            base[p] = m
+        occs.append(tuple(base))
+    occs += draw(st.lists(states, max_size=3))
+    stride = draw(st.sampled_from((1, 2)))
+    pairs = [(occ, draw(coefficients(stride))) for occ in occs]
+    return SparseVector(tuple(signature), pairs), positions
+
+
+@st.composite
+def cases(draw):
+    name = draw(st.sampled_from(sorted(OPERATORS)))
+    op, real, max_occ = OPERATORS[name]
+    vec, positions = draw(placed_vectors(op, max_occ))
+    return op, vec, positions, real
+
+
+@pytest.fixture
+def restore_tables():
+    """Clear every memo table afterwards, so no widened column outlives the test."""
+    yield
+    memo.clear()
+
+
+class TestPackedColumns:
+    @pytest.mark.parametrize("variant", sorted(ELEMENTS))
+    @given(case=cases())
+    @settings(max_examples=40, deadline=None)
+    def test_against_reference(self, variant, case):
+        op, vec, positions, real = case
+        assert_matches_reference(op, vec, positions, ELEMENTS[variant](real))
+
+    @given(case=cases())
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_shared_table_against_reference(self, case, restore_tables):
+        # Wide coefficients widen the shared columns; each is stored back at
+        # the width of the call.
+        op, vec, positions, _ = case
+        out = assert_matches_reference(op, vec, positions)
+        if out.terms:
+            w = next(iter(out.terms.values()))._w
+            gather = itemgetter(*positions)
+            assert {op.table[gather(occ)].w for occ in vec.terms} == {w}
+
+    def test_cancellation_strips_low_slots(self):
+        # Input i with coefficient E(o,j) (1 + q^2) and input j with -E(o,i):
+        # output o is E(o,i) E(o,j) q^2, its lowest slot cancelled.  With
+        # -E(o,j) and E(o,i) instead, o cancels and is dropped.
+        block = R_OPERATOR.states(2, 2)
+        o, i, j = block[0], block[1], block[2]
+        e_oi, e_oj = real_r(*o, *i), real_r(*o, *j)
+        assert e_oi and e_oj
+        positions = (0, 1, 2)
+        one_q2 = LaurentQ({0: 1, 2: 1})
+        vec = SparseVector(R_SIGNATURE, [(i, e_oj * one_q2), (j, -e_oi)])
+        out = assert_matches_reference(R_OPERATOR, vec, positions, real_r)
+        assert out.terms[o] == (e_oi * e_oj).shifted(2)
+        vec = SparseVector(R_SIGNATURE, [(i, -e_oj), (j, e_oi)])
+        out = assert_matches_reference(R_OPERATOR, vec, positions, real_r)
+        assert o not in out.terms
+
+    def test_bounds_cover_the_output_sums(self):
+        # Three inputs of one block, 40-bit entries and coefficients 2^31 - 1:
+        # an output sums up to three products of full size, beyond the pair bound.
+        block = K_OPERATOR.states(3, 4)
+        vec = SparseVector(K_SIGNATURE, [(inp, LaurentQ.integer(2**31 - 1)) for inp in block])
+        full = LaurentQ.integer(2**40 - 1)
+        assert_matches_reference(K_OPERATOR, vec, (0, 1, 2, 3), lambda *key: full)
+
+    def test_tightening_comes_before_widening(self):
+        # A coefficient whose bound (30 bits) is far above its true size
+        # (1 bit) is tightened, so the call stays at 32-bit slots.
+        loose = _make(0, 1 + (1 << 32), 32, 30, 2)
+        assert loose == LaurentQ({0: 1, 2: 1})
+        table_fill = SparseVector.unit(R_SIGNATURE, (1, 1, 1))
+        apply_R(table_fill, (0, 1, 2))
+        vec = SparseVector(R_SIGNATURE, [((1, 1, 1), loose)])
+        out = assert_matches_reference(R_OPERATOR, vec, (0, 1, 2))
+        assert {v._w for v in out.terms.values()} == {32}
+        assert R_OPERATOR.table[(1, 1, 1)].w == 32
+        assert loose._b == 1
+
+
+class TestTableIsolation:
+    def test_override_leaves_shared_table(self, restore_tables):
+        positions = (0, 1, 2, 3)
+        vec = SparseVector(
+            K_SIGNATURE, [(occ, LaurentQ.monomial(2 * sum(occ), 1 + sum(occ))) for occ in
+                          product(range(2), repeat=4)]
+        )
+        apply_K(SparseVector.unit(K_SIGNATURE, (1, 0, 1, 0)), positions)
+        table = K_OPERATOR.table
+
+        def snapshot():
+            return {
+                inp: tuple(getattr(col, f) for f in type(col).__slots__)
+                for inp, col in table.items()
+            }
+
+        before = snapshot()
+        corrupted = zeroed_key(real_k, (1, 0, 0, 1, 0, 1, 0, 0))
+        bad = apply_K(vec, positions, element=corrupted)
+        assert snapshot() == before
+        assert bad != reference_apply(K_OPERATOR, vec, positions, real_k)
+        assert_matches_reference(K_OPERATOR, vec, positions)
