@@ -55,22 +55,24 @@ On top of LaurentQ the module provides
   * euler_product     -- a product of Euler factors (a*u; q^2)_inf^{+-1}
                          to a fixed order in u, as the numerators of its
                          u^k coefficients over (q^2;q^2)_k,
-  * accumulate        -- the sparse sum of (key, LaurentQ) pairs.  Every
-                         sparse sum in the package (polynomial terms,
-                         vector components) goes through it, except the
-                         sums of R and K application,
-  * apply_columns     -- the sparse sum of coefficient times packed
-                         operator column (PackedColumn): one int multiply
-                         and one shift-add per matrix element at one slot
-                         width for the whole call, and one LaurentQ per
-                         output.  With accumulate, it is one of the two
-                         places where cancelled terms are dropped.
+  * accumulate        -- the sparse sum of (key, LaurentQ) pairs.  It only
+                         adds: sums without products (polynomial and
+                         vector sums, scalar multiples) go through it,
+  * apply_columns     -- the sparse sum of coefficient times packed column
+                         (PackedColumn: an operator column, or a
+                         polynomial's terms): one int multiply and one
+                         shift-add per product at one slot width for the
+                         whole call, and one LaurentQ per output.  Every
+                         sum of products goes through it: R and K
+                         application, polynomial products and shift sums.
+                         With accumulate, it is one of the two places
+                         where cancelled terms are dropped.
 
 Values are immutable after construction, except that decoding a value for
 a re-pack lowers its bound _b in place to the true coefficient size.  Any
 bound written there is valid, so values stay safe to share between threads.
-A PackedColumn is widened in place (its ps, then its w), so a table of
-columns is not for concurrent use.
+A PackedColumn is widened in place (its ps, then its w) and its bound b
+lowered in place, so a table of columns is not for concurrent use.
 """
 
 from __future__ import annotations
@@ -554,9 +556,9 @@ _ONE = LaurentQ.monomial(0)
 def accumulate(pairs: Iterable[tuple[Hashable, LaurentQ]]) -> dict:
     """The sparse sum of (key, value) pairs: the values of equal keys added.
 
-    With apply_columns, one of the two places where the package drops
-    cancelled terms: once, at the end, and in place, so that no surviving
-    (tuple) key is hashed again.
+    Sums of products go through apply_columns instead.  With it, one of
+    the two places where the package drops cancelled terms: once, at the
+    end, and in place, so that no surviving (tuple) key is hashed again.
     """
     out: dict = {}
     get = out.get
@@ -572,24 +574,27 @@ def accumulate(pairs: Iterable[tuple[Hashable, LaurentQ]]) -> dict:
 
 
 class PackedColumn:
-    """The nonzero entries of one operator column, packed at one width and stride.
+    """The nonzero entries of one column, packed at one width and stride.
 
-    Entry j is q^los[j] times the packed int ps[j], at local output outs[j].
+    Entry j is q^los[j] times the packed int ps[j], at output outs[j].
     Every entry has slot width w and stride s; b bounds the bit length of
     every entry's coefficients, slots is the largest slot count, and
-    log_block is ceil(log2 |block|) for the weight block of the column's
-    input.  apply_columns widens a column in place (ps and w) when a call
-    needs wider slots, so each width is packed once.
+    log_block is ceil(log2 |block|) for the weight block of an operator
+    column's input, or None for a column with no weight block (a
+    polynomial's terms).  apply_columns widens a column in place (ps and w)
+    when a call needs wider slots, so each width is packed once.
     """
 
     __slots__ = ("outs", "los", "ps", "w", "s", "b", "slots", "log_block")
 
-    def __init__(self, pairs: Iterable[tuple[Hashable, LaurentQ]], block_size: int):
+    def __init__(
+        self, pairs: Iterable[tuple[Hashable, LaurentQ]], block_size: int | None = None
+    ):
         pairs = [(out, v) for out, v in pairs if v._p]
         values = [v for _, v in pairs]
         self.outs = tuple(out for out, _ in pairs)
         self.los = tuple(v._lo for v in values)
-        self.log_block = (block_size - 1).bit_length()
+        self.log_block = None if block_size is None else (block_size - 1).bit_length()
         s = _joint_stride(values)
         w = values[0]._w if values else 32
         if all(_fits(v, w, s) for v in values):
@@ -599,6 +604,10 @@ class PackedColumn:
         self.ps = tuple(ps)
         self.w, self.s, self.b = w, s, b
         self.slots = max((p.bit_length() // w + 1 for p in ps), default=1)
+
+    def _tight(self) -> None:
+        """Lower b to the entries' true coefficient size (one decode of each entry)."""
+        self.b = max((_max_bits(_unpack(p, self.w)) for p in self.ps), default=0)
 
     def _at(self, w: int, s: int) -> tuple[int, ...]:
         """The entries' packed ints at width w >= self.w and stride s.
@@ -615,53 +624,71 @@ class PackedColumn:
 
 
 def apply_columns(
-    terms: list[tuple[LaurentQ, PackedColumn, tuple]], key: Callable[[tuple], Hashable]
+    terms: list[tuple[LaurentQ, PackedColumn, Hashable, tuple[int, ...]]],
+    keys: Callable[[Hashable, tuple], Iterable[Hashable]],
 ) -> dict:
-    """The sparse sum of coeff * column over (coeff, column, prefix) terms.
+    """The sparse sum of coeff * column over (coeff, column, prefix, los) terms.
 
-    Entry j of a term lands at key(prefix + column.outs[j]).  Every product
-    is one int multiply and every sum one shift-add, at one slot width w
-    and stride s for the whole call; each output becomes one LaurentQ at the
-    end, and cancelled outputs are dropped, as accumulate drops them.
+    Entry j of a term is q^los[j] times the packed int column.ps[j]: los is
+    column.los, or other exponents for the same packed ints (a polynomial
+    shifted by q-powers of its variables).  It lands at the j-th key of
+    keys(prefix, column.outs), and the keys of one term are distinct.
+    Every product is one int multiply and every sum one shift-add, at one
+    slot width w and stride s for the whole call; each output becomes one
+    LaurentQ at the end, and cancelled outputs are dropped.  This is the
+    package's one packed multiply-accumulate: R and K application,
+    polynomial products and shift sums all come here.
 
     The width: the pair bound of a term is b_coeff + b_column +
-    ceil(log2 min(slot counts)), as for one product.  An output sums at most
-    |block| products, one from each input of its weight block with the same
-    untouched sites, so its bound is its largest pair bound plus
-    ceil(log2 count) <= pair bound + log_block.  A term for which that sum
-    would reach w first has its coefficient's bound tightened (one decode);
-    w widens only if it still does not fit.
+    ceil(log2 min(slot counts)), as for one product.  An output collects at
+    most one product per term, and for an operator column at most one from
+    each input of its weight block with the same untouched sites, so its
+    bound is its largest pair bound plus ceil(log2 count) <= pair bound +
+    min(log_block, ceil(log2 len(terms))).  A term for which that sum would
+    reach w first has its coefficient's bound tightened (one decode), then
+    its column's (one decode per entry); w widens only if it still does
+    not fit.  Tightening the column keeps a chain of polynomial steps,
+    whose output bounds grow by the fan-in at every step, at the width
+    its digits need.
 
     The stride is 2 unless a column or a multi-slot coefficient has stride
     1.  Two stride-2 contributions to one output whose lo differ by an odd
     amount do not share slots; the call is then redone at stride 1.
     """
     s = 2
-    for c, col, _ in terms:
+    for c, col, _, _ in terms:
         if col.s == 1 or (c._s == 1 and c._p.bit_length() >= c._w):
             s = 1
             break
-    out = _column_sum(terms, key, s)
+    out = _column_sum(terms, keys, s)
     if out is None:
-        out = _column_sum(terms, key, 1)
+        out = _column_sum(terms, keys, 1)
     return out
 
 
-def _column_sum(terms, key, s: int) -> dict | None:
+def _column_sum(terms, keys, s: int) -> dict | None:
     """apply_columns at stride s; None on a parity clash at s == 2."""
-    w = max((col.w for _, col, _ in terms), default=32)
+    w = max((col.w for _, col, _, _ in terms), default=32)
+    # ceil(log2 len(terms)): an output collects at most one product per term.
+    fan = (len(terms) - 1).bit_length()
     bounds = []
     top = 0
-    for c, col, _ in terms:
+    for c, col, _, _ in terms:
         # min(slot counts) - 1, so that its bit length is ceil(log2 min).
         short = min(c._p.bit_length() // c._w, col.slots - 1).bit_length()
         b = c._b + col.b + short
-        if b + col.log_block >= w:
+        log_fan = col.log_block
+        if log_fan is None or log_fan > fan:
+            log_fan = fan
+        if b + log_fan >= w:
             c._tight()
             b = c._b + col.b + short
+            if b + log_fan >= w:
+                col._tight()
+                b = c._b + col.b + short
         bounds.append(b)
-        if b + col.log_block > top:
-            top = b + col.log_block
+        if b + log_fan > top:
+            top = b + log_fan
     if top >= w:
         w = _width_for(top)
     # Each output's record: [lo, packed sum, largest pair bound, terms summed].
@@ -669,14 +696,14 @@ def _column_sum(terms, key, s: int) -> dict | None:
     get = acc.get
     # s - 1 masks an odd exponent gap at stride 2 and shifts a gap to slots.
     odd = s - 1
-    for (c, col, prefix), pb in zip(terms, bounds):
+    for (c, col, prefix, los), pb in zip(terms, bounds):
         lc = c._lo
         if c._w == w and (c._s == s or c._p.bit_length() < w):
             pc = c._p
         else:
             pc = _pack(_restride(c._digits(), c._s, s), w)
         ps = col.ps if col.w == w and col.s == s else col._at(w, s)
-        for k, lv, pv in zip(map(key, map(prefix.__add__, col.outs)), col.los, ps):
+        for k, lv, pv in zip(keys(prefix, col.outs), los, ps):
             rec = get(k)
             if rec is None:
                 acc[k] = [lc + lv, pc * pv, pb, 1]

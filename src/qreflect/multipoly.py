@@ -9,9 +9,12 @@ The two substitutions the difference equations need are q-shifts
 (variable v -> q^k * v, which only rescales coefficients) and evaluation
 of variables at powers of q (which collapses terms into a LaurentQ).
 Every recursion step and difference-equation residual is one shift_sum,
-sum of coeff * poly.shift_multi(shifts).  Sums, products, shift_sum and
-partial evaluation all combine terms through exactq.accumulate, which
-drops the cancelled ones.
+sum of coeff * poly.shift_multi(shifts).  Products and shift_sum are sums
+of products and go through exactq.apply_columns, the package's one packed
+multiply-accumulate: a polynomial becomes a PackedColumn whose outputs are
+its exponent vectors, and each term of the other factor is one kernel
+term.  Sums, scalar multiples and partial evaluation only add, through
+exactq.accumulate.  Both drop the cancelled terms.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from itertools import chain
 from operator import add, index, mul
 from typing import Iterable, Iterator, Sequence
 
-from .exactq import DomainError, LaurentQ, accumulate
+from .exactq import DomainError, LaurentQ, PackedColumn, accumulate, apply_columns
 
 VARS3 = ("x", "y", "z")
 VARS4 = ("x", "y", "z", "w")
@@ -168,15 +171,13 @@ class MultiPolyQ:
             return NotImplemented
         self._check_names(other)
         a, b = self._terms, other._terms
-        if not a or not b:
-            return MultiPolyQ.zero(self.names)
         if len(a) > len(b):
             a, b = b, a
-        out = accumulate(
-            (tuple(map(add, ea, eb)), ca * cb)
-            for ea, ca in a.items()
-            for eb, cb in b.items()
-        )
+        # The larger factor is the column, each term of the smaller one a
+        # kernel term.
+        column = PackedColumn(b.items())
+        terms = [(ca, column, ea, column.los) for ea, ca in a.items()]
+        out = apply_columns(terms, _exponent_keys)
         return MultiPolyQ(self.names, out, _trusted=True)
 
     __rmul__ = __mul__
@@ -318,17 +319,36 @@ def _coeff_body(coeff: LaurentQ, mono: str) -> tuple[str, bool]:
 def shift_sum(names: Sequence[str], terms: Iterable[tuple]) -> MultiPolyQ:
     """The sum of coeff * poly.shift_multi(shifts) over (coeff, poly, shifts).
 
-    All products go into one accumulate, so no partial sum is copied.
+    All products go into one exactq.apply_columns call, so no partial sum
+    or shifted polynomial is built.  Each distinct poly is packed into one
+    column for the call; a group's shift only moves the exponents (los)
+    its kernel terms place the column's entries at, and the packed ints,
+    with their width and bound, are shared.  Each term of coeff is one
+    kernel term.
     """
-    zero = MultiPolyQ.zero(names)
+    names = tuple(names)
+    columns: dict[int, tuple[MultiPolyQ, PackedColumn]] = {}
+    kernel_terms = []
+    for coeff, poly, shifts in terms:
+        if coeff.names != names or poly.names != names:
+            raise DomainError(f"variable mismatch: {names} vs {coeff.names}, {poly.names}")
+        held = columns.get(id(poly))
+        if held is None:
+            # The poly is held with its column, so that its id is not reused.
+            held = columns[id(poly)] = (poly, PackedColumn(poly._terms.items()))
+        column = held[1]
+        los = column.los
+        if any(shifts):
+            los = tuple(lo + sum(map(mul, shifts, e)) for lo, e in zip(los, column.outs))
+        kernel_terms += [(c, column, e, los) for e, c in coeff._terms.items()]
+    return MultiPolyQ(names, apply_columns(kernel_terms, _exponent_keys), _trusted=True)
 
-    def pairs():
-        for coeff, poly, shifts in terms:
-            product = coeff * poly.shift_multi(shifts)
-            zero._check_names(product)
-            yield from product._terms.items()
 
-    return MultiPolyQ(zero.names, accumulate(pairs()), _trusted=True)
+def _exponent_keys(prefix: tuple[int, ...], outs: tuple) -> Iterable[tuple[int, ...]]:
+    """The output keys of a polynomial column times the monomial with exponents prefix."""
+    if any(prefix):
+        return [tuple(map(add, prefix, e)) for e in outs]
+    return outs
 
 
 def variables(names: Sequence[str]) -> list[MultiPolyQ]:

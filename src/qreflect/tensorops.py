@@ -270,8 +270,12 @@ def apply_local(
             block = op.states(*op.weights(*inp))
             pairs = [(o, element(*o, *inp)) for o in block]
             column = table[inp] = PackedColumn(pairs, len(block))
-        terms.append((coeff, column, occ))
-    return SparseVector.summed(vec.signature, apply_columns(terms, scatter))
+        terms.append((coeff, column, occ, column.los))
+
+    def keys(occ, outs):
+        return map(scatter, map(occ.__add__, outs))
+
+    return SparseVector.summed(vec.signature, apply_columns(terms, keys))
 
 
 def apply_R(

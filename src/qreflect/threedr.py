@@ -56,10 +56,13 @@ def p_polynomial(b: int) -> MultiPolyQ:
         start += 1
     for n in range(start, b):
         prev = _P_CACHE[n]
-        nxt = (1 - _Z) * prev.shift_multi((0, 0, -2)) - (
-            _X * _q3(-2 * n) - _X * _Y * _Z * _q3(-4 * n)
-        ) * prev
-        _P_CACHE[n + 1] = nxt
+        _P_CACHE[n + 1] = shift_sum(
+            VARS3,
+            (
+                (1 - _Z, prev, (0, 0, -2)),
+                (-(_X * _q3(-2 * n) - _X * _Y * _Z * _q3(-4 * n)), prev, (0, 0, 0)),
+            ),
+        )
     return _P_CACHE[b]
 
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from operator import add
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qreflect.exactq import DomainError, LaurentQ
+from qreflect.exactq import DomainError, LaurentQ, accumulate
 from qreflect.multipoly import MultiPolyQ, VARS3, VARS4, shift_sum, variables
-from qreflect.qfamily import q_polynomial
+from qreflect.qfamily import q_polynomial, q_polynomial_alt_route
+from qreflect.threedr import p_polynomial
 
 from conftest import qc, reference_q10
 
@@ -177,6 +180,178 @@ class TestShiftSum:
         x3 = variables(VARS3)[0]
         with pytest.raises(DomainError):
             shift_sum(VARS4, [(x3, x3, (0, 0, 0))])
+
+
+# -- the packed kernel against the term-by-term products --------------------------------
+#
+# MultiPolyQ.__mul__ and shift_sum go through exactq.apply_columns.  The
+# references multiply every pair of terms as two LaurentQ values and sum the
+# products with accumulate, one add at a time.
+
+
+def accumulated_product(a, b):
+    """a * b term by term: one LaurentQ product and one accumulate add per pair."""
+    out = accumulate(
+        (tuple(map(add, ea, eb)), ca * cb) for ea, ca in a.items() for eb, cb in b.items()
+    )
+    return MultiPolyQ(a.names, out, _trusted=True)
+
+
+def accumulated_shift_sum(names, terms):
+    """shift_sum term by term, over coeff * poly.shift_multi(shifts)."""
+    out = accumulate(
+        (tuple(map(add, ea, eb)), ca * cb)
+        for coeff, poly, shifts in terms
+        for ea, ca in coeff.items()
+        for eb, cb in poly.shift_multi(shifts).items()
+    )
+    return MultiPolyQ(names, out, _trusted=True)
+
+
+def assert_canonical(poly):
+    """Every coefficient nonzero, its lowest digit nonzero and its bound valid."""
+    for _, value in poly.items():
+        digits = value._digits()
+        assert digits and digits[0] != 0
+        assert max(abs(c) for c in digits).bit_length() <= value._b < value._w
+
+
+_EDGE_BITS = (15, 16, 31, 32, 40, 63, 100, 200)
+digit_values = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([s * (2**k - 1) for k in _EDGE_BITS for s in (1, -1)]),
+    st.integers(-(2**200), 2**200),
+)
+
+
+@st.composite
+def wide_coefficients(draw):
+    """A nonzero LaurentQ at stride 1, or at stride 2 with either parity of lo.
+
+    Stride-2 values of both parities make one output collect products
+    whose lo differ by an odd amount, which forces the stride-1 redo.
+    """
+    exps = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        parity = draw(st.integers(0, 1))
+        exps = sorted({2 * e + parity for e in exps})
+    return LaurentQ({e: draw(digit_values.filter(bool)) for e in exps})
+
+
+def wide_polys(names):
+    """Polynomials with few exponents, so that products collide and cancel."""
+    exps = st.tuples(*(st.integers(0, 2),) * len(names))
+    return st.dictionaries(exps, wide_coefficients(), max_size=5).map(
+        lambda terms: MultiPolyQ(names, terms)
+    )
+
+
+@st.composite
+def shift_groups(draw, names):
+    """(coeff, poly, shifts) groups; one poly can serve several groups."""
+    pool = draw(st.lists(wide_polys(names), min_size=1, max_size=3))
+    shifts = st.tuples(*(st.integers(-3, 3),) * len(names))
+    groups = draw(
+        st.lists(st.tuples(wide_polys(names), st.sampled_from(pool), shifts), max_size=6)
+    )
+    # A group and its negation cancel; the groups after them can bring the
+    # same monomials back.
+    cancel = draw(st.lists(st.booleans(), max_size=len(groups)))
+    negated = [(-coeff, poly, s) for (coeff, poly, s), n in zip(groups, cancel) if n]
+    return groups + negated + groups[: len(groups) // 2]
+
+
+ARITIES = pytest.mark.parametrize("names", [VARS3, VARS4], ids=["3-variable", "4-variable"])
+
+
+class TestPackedKernel:
+    @ARITIES
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_product_against_reference(self, names, data):
+        a = data.draw(wide_polys(names))
+        b = data.draw(wide_polys(names))
+        want = accumulated_product(a, b)
+        for got in (a * b, b * a):
+            assert got == want
+            assert sorted(got.monomial_exponents()) == sorted(want.monomial_exponents())
+            assert_canonical(got)
+
+    @ARITIES
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_shift_sum_against_reference(self, names, data):
+        groups = data.draw(shift_groups(names))
+        got = shift_sum(names, groups)
+        assert got == accumulated_shift_sum(names, groups)
+        assert_canonical(got)
+
+    @ARITIES
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_difference_of_squares_cancels(self, names, data):
+        # (u - v)(u + v): the cross terms u*v and v*u cancel inside one call.
+        u = data.draw(wide_polys(names))
+        v = data.draw(wide_polys(names))
+        got = (u - v) * (u + v)
+        assert got == accumulated_product(u - v, u + v)
+        assert got == accumulated_product(u, u) - accumulated_product(v, v)
+        assert_canonical(got)
+
+    def test_cancelled_low_slot_is_stripped(self):
+        # (1 + X)((1 + q^2) X - 1): the X coefficient is (1 + q^2) - 1 = q^2.
+        x = variables(VARS3)[0]
+        got = (1 + x) * (LaurentQ({0: 1, 2: 1}) * x - 1)
+        assert got.coeff((1, 0, 0)) == LaurentQ.monomial(2)
+        assert got == accumulated_product(1 + x, LaurentQ({0: 1, 2: 1}) * x - 1)
+        assert_canonical(got)
+
+    def test_parity_clash_is_redone_at_stride_1(self):
+        # X (q Y) and Y X land on X*Y with lo 1 and 0, at stride 2.
+        x, y, _ = variables(VARS3)
+        a, b = x + y, LaurentQ.monomial(1) * y + x
+        got = a * b
+        assert got.coeff((1, 1, 0)) == LaurentQ({0: 1, 1: 1})
+        assert got == accumulated_product(a, b)
+        assert_canonical(got)
+
+    def test_sums_at_the_slot_boundary(self):
+        # Four products of 16-bit and 15-bit digits on each output: each
+        # fits 31 bits, their sum needs 33.
+        x, y, _ = variables(VARS3)
+        c = LaurentQ({0: 2**16 - 1, 2: 2**16 - 1})
+        p = MultiPolyQ.constant(VARS3, LaurentQ.integer(2**15 - 1))
+        one = MultiPolyQ.one(VARS3)
+        groups = [(m * c, p, (0, 0, 0)) for m in (one, one, one, one, x, x, y, y)]
+        got = shift_sum(VARS3, groups)
+        assert got == accumulated_shift_sum(VARS3, groups)
+        assert_canonical(got)
+
+    def test_one_poly_at_several_shifts(self):
+        p = q_polynomial(1, 1)
+        groups = [
+            (X, p, (1, 0, 0, 0)),
+            (Y - 1, p, (0, 0, 0, 0)),
+            (X, p, (0, 2, -2, 0)),
+            (W, p, (1, 0, 0, 0)),
+        ]
+        assert shift_sum(VARS4, groups) == accumulated_shift_sum(VARS4, groups)
+        # The shifts moved copies of the column, not the memoized Q_{1,1}.
+        assert p == q_polynomial_alt_route(1, 1)
+
+    @pytest.mark.parametrize(
+        "coeff_names, poly_names", [(VARS4, VARS3), (VARS3, VARS4), (VARS3, VARS3)]
+    )
+    def test_variable_mismatch_rejected(self, coeff_names, poly_names):
+        with pytest.raises(DomainError):
+            shift_sum(VARS4, [(variables(coeff_names)[0], variables(poly_names)[1], (0,) * 4)])
+
+    def test_recursions_keep_narrow_slots(self):
+        # Each step's bound grows by the fan-in; a column is tightened before
+        # the call widens, so Q and P stay at the slot width of their digits.
+        q = q_polynomial_alt_route(4, 4)
+        assert {c._w for _, c in q.items()} == {32}
+        assert {c._w for _, c in p_polynomial(16).items()} == {32}
 
 
 class TestIntegerExponents:

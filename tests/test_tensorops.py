@@ -432,6 +432,21 @@ class TestPackedColumns:
         assert loose._b == 1
 
 
+    def test_fan_in_of_a_weight_block(self):
+        # Sixteen inputs, each alone in its weight block: an output collects
+        # one product, so 30-bit coefficients times R(0,0,0;0,0,0) = 1 stay
+        # at 32-bit slots, although ceil(log2 16) more bits would not fit.
+        assert R_OPERATOR.states(*R_OPERATOR.weights(0, 0, 0)) == [(0, 0, 0)]
+        signature = R_SIGNATURE + (Q1, Q1)
+        coeff = LaurentQ({0: 2**30 - 1, 2: -(2**30 - 1)})
+        vec = SparseVector(
+            signature, [((0, 0, 0, i, j), coeff) for i in range(4) for j in range(4)]
+        )
+        out = assert_matches_reference(R_OPERATOR, vec, (0, 1, 2), real_r)
+        assert len(out.terms) == 16
+        assert {v._w for v in out.terms.values()} == {32}
+
+
 class TestTableIsolation:
     def test_override_leaves_shared_table(self, restore_tables):
         positions = (0, 1, 2, 3)
