@@ -9,11 +9,9 @@ from .exactq import (
     DomainError,
     ExactDivisionError,
     LaurentQ,
-    RationalQ,
     euler_product,
     gaussian_binomial,
     q_pochhammer,
-    q_symbol,
     qq_pochhammer,
 )
 from .multipoly import VARS3, VARS4, MultiPolyQ
@@ -27,7 +25,6 @@ __all__ = [
     "Failure",
     "LaurentQ",
     "MultiPolyQ",
-    "RationalQ",
     "VARS3",
     "VARS4",
     "VerificationError",
@@ -35,7 +32,6 @@ __all__ = [
     "euler_product",
     "gaussian_binomial",
     "q_pochhammer",
-    "q_symbol",
     "qq_pochhammer",
     "__version__",
 ]

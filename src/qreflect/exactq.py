@@ -46,12 +46,8 @@ multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
 
 On top of LaurentQ the module provides
 
-  * RationalQ         -- a ratio of two LaurentQ values, compared
-                         cross-multiplicatively and never auto-reduced;
-                         reduce_to_laurent() performs exact division and
-                         fails loudly if a remainder survives,
-  * q-Pochhammer products (z; q^B)_n and the multi-index q-factorial
-    symbol with its zero-extension rule for negative lower indices,
+  * q-Pochhammer products (z; q^B)_n, (q^B; q^B)_n and its tails
+    (q^B; q^B)_hi / (q^B; q^B)_lo,
   * euler_product     -- a product of Euler factors (a*u; q^2)_inf^{+-1}
                          to a fixed order in u, as the numerators of its
                          u^k coefficients over (q^2;q^2)_k,
@@ -732,95 +728,6 @@ def _column_sum(terms, keys, s: int) -> dict | None:
     return out
 
 
-class RationalQ:
-    """Ratio of two Laurent polynomials in q.
-
-    The denominator is nonzero and the fraction is not reduced to lowest
-    terms: equality is cross-multiplicative (a/b = c/d iff a*d = c*b) and
-    reduce_to_laurent() performs the one exact division at the boundary.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentQ, den: LaurentQ | None = None):
-        if den is None:
-            den = _ONE
-        if den.is_zero:
-            raise ZeroDivisionError("RationalQ with zero denominator")
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def zero() -> RationalQ:
-        return RationalQ(_ZERO, _ONE)
-
-    @staticmethod
-    def one() -> RationalQ:
-        return RationalQ(_ONE, _ONE)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, LaurentQ)):
-            other = RationalQ(
-                other if isinstance(other, LaurentQ) else LaurentQ.integer(other)
-            )
-        if not isinstance(other, RationalQ):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
-        raise TypeError("RationalQ is unhashable (no canonical form)")
-
-    def __neg__(self) -> RationalQ:
-        return RationalQ(-self.num, self.den)
-
-    def __add__(self, other: RationalQ) -> RationalQ:
-        if not isinstance(other, RationalQ):
-            return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        return RationalQ(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other: RationalQ) -> RationalQ:
-        return self + (-other)
-
-    def __mul__(self, other: RationalQ | LaurentQ | int) -> RationalQ:
-        if isinstance(other, (int, LaurentQ)):
-            return RationalQ(self.num * other, self.den)
-        if not isinstance(other, RationalQ):
-            return NotImplemented
-        return RationalQ(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> RationalQ:
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero")
-        return RationalQ(self.den, self.num)
-
-    def __truediv__(self, other: RationalQ) -> RationalQ:
-        return self * other.inverse()
-
-    def reduce_to_laurent(self) -> LaurentQ:
-        """Exact division num/den; raises ExactDivisionError if not polynomial."""
-        return self.num.exact_div(self.den)
-
-    def __str__(self) -> str:
-        if self.den == _ONE:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self) -> str:
-        return f"RationalQ({self})"
-
-
 # -- q-Pochhammer machinery ---------------------------------------------------
 
 
@@ -862,28 +769,6 @@ def q_pochhammer(a: tuple[int, int], base_exp: int, n: int) -> LaurentQ:
     for j in range(n):
         out = out * (1 - LaurentQ.monomial(a_exp + base_exp * j, sign))
     return out
-
-
-def q_symbol(uppers: Iterable[int], lowers: Iterable[int], base_exp: int) -> RationalQ:
-    """Multi-index q-factorial symbol prod (q^B)_{r_i} / prod (q^B)_{s_j}.
-
-    With all uppers >= 0, a negative lower index makes the symbol exactly
-    zero (the 1/(q)_n = 0 rule).  A negative upper index is a domain error:
-    the value is indeterminate and shipped formulas pre-filter it away.
-    """
-    uppers = list(uppers)
-    lowers = list(lowers)
-    if any(r < 0 for r in uppers):
-        raise DomainError(f"negative upper index in q_symbol: {uppers}")
-    if any(s < 0 for s in lowers):
-        return RationalQ.zero()
-    num = _ONE
-    for r in uppers:
-        num = num * qq_pochhammer(base_exp, r)
-    den = _ONE
-    for s in lowers:
-        den = den * qq_pochhammer(base_exp, s)
-    return RationalQ(num, den)
 
 
 @lru_cache(maxsize=None)

@@ -5,9 +5,10 @@ shifted copies of Q_{b-1,c}) and one reduces c (five shifted copies of
 Q_{b,c-1}).  The fixed computation route is c-reduction first, then
 b-reduction; the opposite route and a dual recursion in p = 1/q exist as
 independent cross-checks.  A closed form expresses Q_{b,c} as a sum over
-a finite support set of monomials x^r y^s z^t w^u whose coefficients come
-from a triple sum of q-factorial symbols; it is assembled through exact
-division and compared against the recursive route.
+a finite support set of monomials x^r y^s z^t w^u whose coefficients C
+come from a triple sum of q-factorial symbols.  Each C is a LaurentQ: the
+sum is taken over one common denominator and divided once, and the
+assembled polynomial is compared against the recursive route.
 
 By convention Q_{b,c} = 0 whenever b < 0 or c < 0; every difference
 equation then holds uniformly because the offending prefactors vanish at
@@ -19,9 +20,8 @@ from __future__ import annotations
 from . import memo
 from .exactq import (
     DomainError,
+    ExactDivisionError,
     LaurentQ,
-    RationalQ,
-    q_symbol,
     qq_pochhammer,
     qq_pochhammer_tail,
 )
@@ -228,125 +228,87 @@ def q_polynomial_dual(b: int, c: int) -> MultiPolyQ:
 # -- closed form -----------------------------------------------------------------
 
 
-def xi_term(
-    alpha: int,
-    beta: int,
-    gamma: int,
-    b: int,
-    c: int,
-    r: int,
-    s: int,
-    t: int,
-    u: int,
-) -> RationalQ:
-    """One summand of the coefficient triple sum, as a ratio of symbols."""
-    return q_symbol(
-        [b - s + t - alpha, 2 * r - s + beta],
-        [alpha, beta, gamma, u - t - alpha, t - beta, b - s - alpha + beta, s - beta - gamma],
-        2,
-    ) * q_symbol([c + s - r - beta, c + gamma], [c - r + gamma], 4)
+def coeff_c(b: int, c: int, r: int, s: int, t: int, u: int) -> LaurentQ:
+    """The coefficient C^{b,c}_{r,s,t,u} of the closed form.
 
-
-def _xi_sum(b: int, c: int, r: int, s: int, t: int, u: int) -> RationalQ:
-    """Sum of (-1)^{beta+gamma} q^{phi_C} Xi over the nonzero (alpha,beta,gamma).
-
-    Terms with a negative lower index are zero by the support rule, so the
-    enumeration covers exactly alpha <= u-t, beta <= t with
-    b-s-alpha+beta >= 0, and (r-c)+ <= gamma <= s-beta.  All terms are put
-    over one common denominator (per-slot maxima of the lower-index
-    Pochhammers) so the sum never compounds denominators.
-    """
-    triples = []
-    for alpha in range(u - t + 1):
-        for beta in range(t + 1):
-            if b - s - alpha + beta < 0:
-                continue
-            for gamma in range(max(0, r - c), s - beta + 1):
-                triples.append((alpha, beta, gamma))
-    if not triples:
-        return RationalQ.zero()
-    slots2 = []
-    slots4 = []
-    for alpha, beta, gamma in triples:
-        slots2.append(
-            (
-                alpha,
-                beta,
-                gamma,
-                u - t - alpha,
-                t - beta,
-                b - s - alpha + beta,
-                s - beta - gamma,
-            )
-        )
-        slots4.append((c - r + gamma,))
-    max2 = tuple(max(col) for col in zip(*slots2))
-    max4 = tuple(max(col) for col in zip(*slots4))
-    total = LaurentQ.zero()
-    for (alpha, beta, gamma), d2, d4 in zip(triples, slots2, slots4):
-        uppers = (
-            b - s + t - alpha,
-            2 * r - s + beta,
-            c + s - r - beta,
-            c + gamma,
-        )
-        if min(uppers) < 0:
-            raise DomainError(f"negative upper index at {(alpha, beta, gamma)}")
-        num = (
-            qq_pochhammer(2, uppers[0])
-            * qq_pochhammer(2, uppers[1])
-            * qq_pochhammer(4, uppers[2])
-            * qq_pochhammer(4, uppers[3])
-        )
-        for lo, hi in zip(d2, max2):
-            num = num * qq_pochhammer_tail(2, lo, hi)
-        for lo, hi in zip(d4, max4):
-            num = num * qq_pochhammer_tail(4, lo, hi)
-        sign = -1 if (beta + gamma) % 2 else 1
-        total = total + num.shifted(phi_c_exp(alpha, beta, gamma, b, r, t)) * sign
-    den = LaurentQ.one()
-    for m in max2:
-        den = den * qq_pochhammer(2, m)
-    for m in max4:
-        den = den * qq_pochhammer(4, m)
-    return RationalQ(total, den)
-
-
-def coeff_c(b: int, c: int, r: int, s: int, t: int, u: int) -> RationalQ:
-    """The coefficient C^{b,c}_{r,s,t,u} of the closed form, as a RationalQ.
-
-    Zero (by the boundary convention) for nonnegative quads outside the
-    support set.
+    C is (-1)^s q^{psi_rs} times a prefactor ratio of q-Pochhammer symbols
+    times the triple sum of (-1)^{beta+gamma} q^{phi_C} Xi over the nonzero
+    (alpha, beta, gamma).  Terms with a negative lower index are zero by the
+    support rule, so the enumeration covers exactly alpha <= u-t, beta <= t
+    with b-s-alpha+beta >= 0, and (r-c)+ <= gamma <= s-beta; on the support
+    set every upper index is then nonnegative.  The terms are put over one
+    common denominator (per-slot maxima of the lower-index Pochhammers),
+    summed as one packed sum and divided once, so ExactDivisionError means
+    that C is not a Laurent polynomial.  Zero (by the boundary convention)
+    for nonnegative quads outside the support set.
     """
     if min(b, c) < 0 or min(r, s, t, u) < 0:
         raise DomainError("coeff_c needs nonnegative arguments")
     if not in_support(b, c, (r, s, t, u)):
-        return RationalQ.zero()
-    pre_num = qq_pochhammer(2, b) * qq_pochhammer(2, u - t)
-    pre_den = (
+        return LaurentQ.zero()
+    triples = [
+        (alpha, beta, gamma)
+        for alpha in range(u - t + 1)
+        for beta in range(t + 1)
+        if b - s - alpha + beta >= 0
+        for gamma in range(max(0, r - c), s - beta + 1)
+    ]
+    lowers2 = [
+        (alpha, beta, gamma, u - t - alpha, t - beta, b - s - alpha + beta, s - beta - gamma)
+        for alpha, beta, gamma in triples
+    ]
+    lowers4 = [c - r + gamma for _, _, gamma in triples]
+    max2 = [max(col) for col in zip(*lowers2)]
+    max4 = max(lowers4, default=0)
+    terms = []
+    for (alpha, beta, gamma), d2, d4 in zip(triples, lowers2, lowers4):
+        num = (
+            qq_pochhammer(2, b - s + t - alpha)
+            * qq_pochhammer(2, 2 * r - s + beta)
+            * qq_pochhammer(4, c + s - r - beta)
+            * qq_pochhammer(4, c + gamma)
+        )
+        for lo, hi in zip(d2, max2):
+            num = num * qq_pochhammer_tail(2, lo, hi)
+        num = num * qq_pochhammer_tail(4, d4, max4)
+        if (beta + gamma) % 2:
+            num = -num
+        terms.append((num, phi_c_exp(alpha, beta, gamma, b, r, t)))
+    num = LaurentQ.sum_shifted(terms) * qq_pochhammer(2, b) * qq_pochhammer(2, u - t)
+    den = (
         qq_pochhammer(2, b + 2 * t - s - u)
         * qq_pochhammer(2, 2 * r - s)
         * qq_pochhammer(4, r)
         * qq_pochhammer(4, u - t)
         * qq_pochhammer(4, c - r + s - t)
+        * qq_pochhammer(4, max4)
     )
-    sign = -1 if s % 2 else 1
-    inner = _xi_sum(b, c, r, s, t, u)
-    return RationalQ(
-        pre_num.shifted(psi_rs(r, s)) * sign * inner.num, pre_den * inner.den
-    )
+    for m in max2:
+        den = den * qq_pochhammer(2, m)
+    num = num.shifted(psi_rs(r, s))
+    return (-num if s % 2 else num).exact_div(den)
 
 
-def coeff_a(b: int, c: int, r: int, s: int, t: int, u: int) -> RationalQ:
-    """C^{b,c}_{r,s,t,u} divided by its factorization prefactor symbols."""
-    if min(b, c) < 0 or min(r, s, t, u) < 0:
-        raise DomainError("coeff_a needs nonnegative arguments")
-    if not in_support(b, c, (r, s, t, u)):
-        return RationalQ.zero()
-    prefactor = q_symbol([b], [s, t, b - s + 2 * t - u, 2 * r - s], 2) * q_symbol(
-        [c], [u - t, c - r + s - t], 4
+def coeff_a(b: int, c: int, r: int, s: int, t: int, u: int) -> LaurentQ:
+    """C^{b,c}_{r,s,t,u} divided by its factorization prefactor symbols.
+
+    The prefactor is [b over s, t, b-s+2t-u, 2r-s]_{q^2} [c over u-t,
+    c-r+s-t]_{q^4}, whose lower indices are nonnegative on the support set.
+    Raises ExactDivisionError where A is not a Laurent polynomial; it is one
+    on every support quad with b+c <= 4.
+    """
+    cval = coeff_c(b, c, r, s, t, u)
+    if cval.is_zero:
+        return cval
+    lowers = (
+        qq_pochhammer(2, s)
+        * qq_pochhammer(2, t)
+        * qq_pochhammer(2, b - s + 2 * t - u)
+        * qq_pochhammer(2, 2 * r - s)
+        * qq_pochhammer(4, u - t)
+        * qq_pochhammer(4, c - r + s - t)
     )
-    return coeff_c(b, c, r, s, t, u) / prefactor
+    return (cval * lowers).exact_div(qq_pochhammer(2, b) * qq_pochhammer(4, c))
 
 
 def closed_form_q(b: int, c: int) -> MultiPolyQ:
@@ -357,15 +319,10 @@ def closed_form_q(b: int, c: int) -> MultiPolyQ:
     terms: dict[tuple[int, int, int, int], LaurentQ] = {}
     for quad in support_set(b, c):
         r, s, t, u = quad
-        cval = coeff_c(b, c, r, s, t, u)
-        if cval.is_zero:
-            continue
-        sign = -1 if (r + u) % 2 else 1
-        shift = phi + phi_q(b, c, r, s, t, u) - psi_rs(r, s)
-        num = cval.num.shifted(shift) * sign
-        coeff = num.exact_div(cval.den)
-        if not coeff.is_zero:
-            terms[quad] = coeff
+        coeff = coeff_c(b, c, r, s, t, u).shifted(
+            phi + phi_q(b, c, r, s, t, u) - psi_rs(r, s)
+        )
+        terms[quad] = -coeff if (r + u) % 2 else coeff
     poly = MultiPolyQ(VARS4, terms)
     if poly != q_polynomial(b, c):
         raise VerificationError(f"closed form mismatch at (b,c)=({b},{c})")
@@ -478,22 +435,23 @@ def check_route_agreement(b: int, c: int) -> VerificationReport:
 def conjecture_report(max_bc: int) -> VerificationReport:
     """Status of the open conjecture: C^{b,c} in Z[q^2] with constant term 1.
 
-    Reported, never asserted fatally: a failing quad goes into the report
-    as a counterexample instead of raising.
+    Reported, never asserted fatally: a quad whose C is not a Laurent
+    polynomial (coeff_c raises ExactDivisionError), lies outside Z[q^2] or
+    has another constant term goes into the report as a counterexample.
+    Any other exception is a fault, not a counterexample, and propagates.
     """
     rep = VerificationReport(f"conjecture C in Z[q^2], C(0)=1, b+c<={max_bc}")
     for b in range(max_bc + 1):
         for c in range(max_bc + 1 - b):
             for quad in support_set(b, c):
-                cval = coeff_c(b, c, *quad)
                 loc = f"C^{{{b},{c}}}_{quad}"
                 try:
-                    reduced = cval.reduce_to_laurent()
-                except Exception:
+                    cval = coeff_c(b, c, *quad)
+                except ExactDivisionError:
                     rep.record(False, f"{loc} not a Laurent polynomial")
                     continue
-                ok = reduced.in_parity_class(0) and reduced.coeff(0) == 1
-                rep.record(ok, loc, str(reduced), "element of Z[q^2] with C(0)=1")
+                ok = cval.in_parity_class(0) and cval.coeff(0) == 1
+                rep.record(ok, loc, str(cval), "element of Z[q^2] with C(0)=1")
     if rep.passed:
         rep.notes.append("conjecture holds on the tested range")
     return rep

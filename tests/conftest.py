@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from qreflect.exactq import LaurentQ
+from qreflect.exactq import LaurentQ, qq_pochhammer
 from qreflect.multipoly import MultiPolyQ, VARS4, q_power, variables
 
 X, Y, Z, W = variables(VARS4)
@@ -21,6 +21,37 @@ def qc(exp: int, coeff: int = 1) -> MultiPolyQ:
 
 def laurent(pairs: dict[int, int]) -> LaurentQ:
     return LaurentQ(pairs)
+
+
+# Fractions as unreduced (num, den) pairs of LaurentQ, for references that
+# must not divide: equal when cross-multiplied.
+
+
+def frac_symbol(uppers, lowers, base_exp: int) -> tuple[LaurentQ, LaurentQ]:
+    """prod (q^B;q^B)_r / prod (q^B;q^B)_s; zero if a lower index is negative."""
+    if min(lowers, default=0) < 0:
+        return LaurentQ.zero(), LaurentQ.one()
+    num = den = LaurentQ.one()
+    for r in uppers:
+        num = num * qq_pochhammer(base_exp, r)
+    for s in lowers:
+        den = den * qq_pochhammer(base_exp, s)
+    return num, den
+
+
+def frac_add(a, b):
+    return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+
+
+def frac_mul(a, b):
+    return a[0] * b[0], a[1] * b[1]
+
+
+def frac_equals(value, frac) -> bool:
+    """value (a LaurentQ or a pair) equals the pair frac."""
+    if isinstance(value, LaurentQ):
+        value = (value, LaurentQ.one())
+    return value[0] * frac[1] == frac[0] * value[1]
 
 
 def reference_q10() -> MultiPolyQ:

@@ -1,6 +1,8 @@
-"""Exact arithmetic: Laurent polynomials, rationals, symbols, series."""
+"""Exact arithmetic: Laurent polynomials, q-Pochhammer symbols, series."""
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,14 +12,14 @@ from qreflect.exactq import (
     DomainError,
     ExactDivisionError,
     LaurentQ,
-    RationalQ,
     accumulate,
     euler_product,
     gaussian_binomial,
     q_pochhammer,
-    q_symbol,
     qq_pochhammer,
 )
+
+from conftest import frac_add, frac_equals, frac_mul
 
 laurents = st.dictionaries(
     st.integers(min_value=-6, max_value=6),
@@ -514,24 +516,6 @@ class TestAccumulate:
         assert accumulate([(0, zero), (0, a), (1, zero)]) == {0: a}
 
 
-class TestRationalQ:
-    def test_cross_multiplicative_equality(self):
-        # (1-q^4)/(1-q^2) == (1+q^2)/1 without reduction
-        a = RationalQ(1 - LaurentQ.monomial(4), 1 - LaurentQ.monomial(2))
-        b = RationalQ(1 + LaurentQ.monomial(2))
-        assert a == b
-        assert a.reduce_to_laurent() == 1 + LaurentQ.monomial(2)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            RationalQ(LaurentQ.one(), LaurentQ.zero())
-
-    def test_reduce_failure_is_loud(self):
-        bad = RationalQ(1 + LaurentQ.monomial(1), 1 - LaurentQ.monomial(1))
-        with pytest.raises(ExactDivisionError):
-            bad.reduce_to_laurent()
-
-
 class TestPochhammer:
     def test_empty_product(self):
         assert q_pochhammer((1, 2), 2, 0) == LaurentQ.one()
@@ -548,6 +532,8 @@ class TestPochhammer:
     def test_negative_n_rejected(self):
         with pytest.raises(DomainError):
             q_pochhammer((1, 2), 2, -1)
+        with pytest.raises(DomainError):
+            qq_pochhammer(4, -1)
 
     @given(
         st.integers(min_value=-4, max_value=4),
@@ -560,30 +546,6 @@ class TestPochhammer:
         shorter = q_pochhammer(a, 2, n)
         factor = 1 - LaurentQ.monomial(a_exp + 2 * n, sign)
         assert q_pochhammer(a, 2, n + 1) == shorter * factor
-
-
-class TestQSymbol:
-    def test_identical_factors(self):
-        assert q_symbol([1], [1], 2) == RationalQ.one()
-
-    def test_direct_evaluation(self):
-        # (q^2)_2 / ((q^2)_1 (q^2)_1) = (1-q^4)/(1-q^2) = 1 + q^2
-        value = q_symbol([2], [1, 1], 2)
-        assert value.reduce_to_laurent() == 1 + LaurentQ.monomial(2)
-
-    def test_negative_lower_is_zero(self):
-        assert q_symbol([3], [-1, 4], 2).is_zero
-
-    def test_negative_upper_rejected(self):
-        with pytest.raises(DomainError):
-            q_symbol([-1], [0], 2)
-        with pytest.raises(DomainError):
-            q_symbol([2, -3], [-1], 4)
-
-    @given(st.lists(st.integers(min_value=0, max_value=6), max_size=4))
-    @settings(max_examples=30)
-    def test_equal_multisets(self, indices):
-        assert q_symbol(indices, list(reversed(indices)), 2) == RationalQ.one()
 
 
 class TestGaussianBinomial:
@@ -601,22 +563,25 @@ class TestGaussianBinomial:
 
 
 def reference_euler_product(factors, order):
-    """u^0..u^order of a product of Euler factors as RationalQ values: each
+    """u^0..u^order of a product of Euler factors as (num, den) pairs: each
     factor solved from its functional equation, then multiplied by the plain
     Cauchy convolution."""
-    out = [RationalQ.one()] + [RationalQ.zero()] * order
+    one, zero = (LaurentQ.one(), LaurentQ.one()), (LaurentQ.zero(), LaurentQ.one())
+    out = [one] + [zero] * order
     for (sign, a_exp), invert in factors:
         # (a u; q^2)_oo = (1 - a u) (a q^2 u; q^2)_oo, and its reciprocal
         # satisfies (1 - a u) g(u) = g(q^2 u); read off u^k on both sides.
-        series = [RationalQ.one()]
+        series = [one]
         for k in range(1, order + 1):
             if invert:
                 step = LaurentQ.monomial(a_exp, sign)
             else:
                 step = LaurentQ.monomial(a_exp + 2 * k - 2, -sign)
-            series.append(series[-1] * RationalQ(step, 1 - LaurentQ.monomial(2 * k)))
+            series.append(frac_mul(series[-1], (step, 1 - LaurentQ.monomial(2 * k))))
         out = [
-            sum((out[i] * series[k - i] for i in range(k + 1)), RationalQ.zero())
+            functools.reduce(
+                frac_add, (frac_mul(out[i], series[k - i]) for i in range(k + 1))
+            )
             for k in range(order + 1)
         ]
     return out
@@ -667,7 +632,7 @@ class TestEulerSeries:
         nums = euler_product(factors, order)
         want = reference_euler_product(factors, order)
         for k in range(order + 1):
-            assert RationalQ(nums[k], qq_pochhammer(2, k)) == want[k], k
+            assert frac_equals((nums[k], qq_pochhammer(2, k)), want[k]), k
 
     def test_bad_sign_rejected(self):
         with pytest.raises(DomainError):

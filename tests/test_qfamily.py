@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import qreflect.qfamily as qfamily
-from qreflect.exactq import LaurentQ, RationalQ, q_symbol, qq_pochhammer
+from qreflect.exactq import DomainError, ExactDivisionError, LaurentQ, qq_pochhammer
 from qreflect.multipoly import MultiPolyQ, VARS4
 from qreflect.qfamily import (
     check_route_agreement,
@@ -24,11 +24,10 @@ from qreflect.qfamily import (
     q_polynomial_alt_route,
     q_polynomial_dual,
     support_set,
-    xi_term,
 )
 from qreflect.report import VerificationError
 
-from conftest import reference_q
+from conftest import frac_add, frac_equals, frac_mul, frac_symbol, reference_q
 
 
 class TestExponentLedger:
@@ -106,7 +105,7 @@ class TestClosedForm:
 
 class TestCoefficientC:
     def test_origin(self):
-        assert coeff_c(0, 0, 0, 0, 0, 0) == RationalQ.one()
+        assert coeff_c(0, 0, 0, 0, 0, 0) == LaurentQ.one()
 
     def test_outside_support_is_zero(self):
         assert coeff_c(1, 0, 0, 0, 1, 0).is_zero
@@ -115,41 +114,59 @@ class TestCoefficientC:
     def test_c_zero_special_case(self, b):
         # C^{b,0} = [b over u, b+2t-s-u, 2r-s]_{q^2} [u over t, u-t, s-r-t]_{q^4}
         for r, s, t, u in support_set(b, 0):
-            want = q_symbol([b], [u, b + 2 * t - s - u, 2 * r - s], 2) * q_symbol(
-                [u], [t, u - t, s - r - t], 4
+            want = frac_mul(
+                frac_symbol([b], [u, b + 2 * t - s - u, 2 * r - s], 2),
+                frac_symbol([u], [t, u - t, s - r - t], 4),
             )
-            assert coeff_c(b, 0, r, s, t, u) == want
+            assert frac_equals(coeff_c(b, 0, r, s, t, u), want)
 
     @pytest.mark.parametrize("c", [1, 2, 3])
     def test_b_zero_special_case(self, c):
         # C^{0,c} = [2r over s, 2t-s-u, 2r-s]_{q^2} [c over r, u-t, c-r+s-t]_{q^4}
         for r, s, t, u in support_set(0, c):
-            want = q_symbol([2 * r], [s, 2 * t - s - u, 2 * r - s], 2) * q_symbol(
-                [c], [r, u - t, c - r + s - t], 4
+            want = frac_mul(
+                frac_symbol([2 * r], [s, 2 * t - s - u, 2 * r - s], 2),
+                frac_symbol([c], [r, u - t, c - r + s - t], 4),
             )
-            assert coeff_c(0, c, r, s, t, u) == want
+            assert frac_equals(coeff_c(0, c, r, s, t, u), want)
 
     def test_matches_xi_sum(self):
-        # The optimized accumulation agrees with the naive filtered sum.
-        for b, c in ((1, 1), (2, 1)):
+        # The one-division sum agrees with the naive sum of Xi symbols, in
+        # which a negative lower index makes a term zero.
+        for b, c in ((1, 1), (2, 1), (1, 2)):
             for quad in support_set(b, c):
                 r, s, t, u = quad
-                total = RationalQ.zero()
+                total = (LaurentQ.zero(), LaurentQ.one())
                 for alpha in range(u - t + 1):
                     for beta in range(t + 1):
-                        if b - s - alpha + beta < 0:
-                            continue
-                        for gamma in range(max(0, r - c), s - beta + 1):
-                            sign = -1 if (beta + gamma) % 2 else 1
+                        for gamma in range(s + 1):
+                            xi = frac_mul(
+                                frac_symbol(
+                                    [b - s + t - alpha, 2 * r - s + beta],
+                                    [
+                                        alpha,
+                                        beta,
+                                        gamma,
+                                        u - t - alpha,
+                                        t - beta,
+                                        b - s - alpha + beta,
+                                        s - beta - gamma,
+                                    ],
+                                    2,
+                                ),
+                                frac_symbol(
+                                    [c + s - r - beta, c + gamma], [c - r + gamma], 4
+                                ),
+                            )
                             phi = (
                                 alpha * (alpha + 1 + 2 * t)
                                 + beta * (beta - 1 - 2 * alpha + 2 * b - 4 * r)
                                 + gamma * (gamma - 1 - 4 * r)
                             )
-                            total = total + xi_term(
-                                alpha, beta, gamma, b, c, r, s, t, u
-                            ) * LaurentQ.monomial(phi, sign)
-                prefactor = RationalQ(
+                            sign = -1 if (beta + gamma) % 2 else 1
+                            term = (xi[0] * LaurentQ.monomial(phi, sign), xi[1])
+                            total = frac_add(total, term)
+                prefactor = (
                     qq_pochhammer(2, b) * qq_pochhammer(2, u - t),
                     qq_pochhammer(2, b + 2 * t - s - u)
                     * qq_pochhammer(2, 2 * r - s)
@@ -158,23 +175,23 @@ class TestCoefficientC:
                     * qq_pochhammer(4, c - r + s - t),
                 )
                 sign_s = -1 if s % 2 else 1
-                want = prefactor * total * LaurentQ.monomial(psi_rs(r, s), sign_s)
-                assert coeff_c(b, c, r, s, t, u) == want
+                num, den = frac_mul(prefactor, total)
+                want = (num * LaurentQ.monomial(psi_rs(r, s), sign_s), den)
+                assert frac_equals(coeff_c(b, c, r, s, t, u), want), quad
 
 
 class TestCoefficientA:
     def test_base(self):
-        assert coeff_a(0, 0, 0, 0, 0, 0) == RationalQ.one()
+        assert coeff_a(0, 0, 0, 0, 0, 0) == LaurentQ.one()
 
     def test_c_family_closed_form(self):
         # A^{0,c}_{r,s,t,u} = (q^2)_t (q^2)_{2r} / (q^4)_r on the support set;
         # in particular A^{0,c}_{r,0,0,0} = (q^2)_{2r}/(q^4)_r for c >= r.
         for c in range(4):
             for r, s, t, u in support_set(0, c):
-                want = RationalQ(
-                    qq_pochhammer(2, t) * qq_pochhammer(2, 2 * r), qq_pochhammer(4, r)
-                )
-                assert coeff_a(0, c, r, s, t, u) == want
+                assert coeff_a(0, c, r, s, t, u) * qq_pochhammer(
+                    4, r
+                ) == qq_pochhammer(2, t) * qq_pochhammer(2, 2 * r)
 
     def test_b_reduction_identity(self):
         # A^{b,c}_{r,s,0,0} = A^{b-1,c}_{r,s,0,0} for b > s.
@@ -213,7 +230,7 @@ class TestCoefficientA:
                 for r, s, t, u in support_set(b, c):
                     if u != t or t < 1 or min(b - s + t, c + s - r - t) < 0:
                         continue
-                    first = RationalQ.zero()
+                    first = LaurentQ.zero()
                     if s >= 1:
                         first = coeff_a(b, c, r, s - 1, t - 1, t - 1) * (
                             1 - LaurentQ.monomial(2 * s)
@@ -296,3 +313,41 @@ class TestConjecture:
         assert rep.checked > 0
         # The report carries a verdict either way; on this range it holds.
         assert rep.passed
+
+    @staticmethod
+    def _corrupt(monkeypatch, bad):
+        # coeff_c with the value at C^{1,1}_(1,1,1,1) replaced by bad().
+        original = qfamily.coeff_c
+
+        def patched(*args):
+            if args == (1, 1, 1, 1, 1, 1):
+                return bad()
+            return original(*args)
+
+        monkeypatch.setattr(qfamily, "coeff_c", patched)
+
+    def test_not_laurent_is_counterexample(self, monkeypatch):
+        def bad():
+            raise ExactDivisionError("nonzero remainder in exact division")
+
+        self._corrupt(monkeypatch, bad)
+        rep = conjecture_report(2)
+        assert not rep.passed
+        assert rep.first_failure.location == (
+            "C^{1,1}_(1, 1, 1, 1) not a Laurent polynomial"
+        )
+
+    def test_constant_term_two_is_counterexample(self, monkeypatch):
+        self._corrupt(monkeypatch, lambda: LaurentQ({0: 2, 2: 1}))
+        rep = conjecture_report(2)
+        assert not rep.passed
+        assert rep.first_failure.location == "C^{1,1}_(1, 1, 1, 1)"
+        assert rep.first_failure.lhs == "2 + q^2"
+
+    def test_domain_error_propagates(self, monkeypatch):
+        def bad():
+            raise DomainError("a fault, not a counterexample")
+
+        self._corrupt(monkeypatch, bad)
+        with pytest.raises(DomainError, match="a fault"):
+            conjecture_report(2)
