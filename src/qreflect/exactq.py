@@ -14,24 +14,28 @@ guarantees.  The bounds follow the arithmetic:
 
   * a product's coefficients are sums of at most m = min(slot counts)
     products of two digits, so its bound is b_a + b_b + ceil(log2 m);
-  * a sum's bound is max(b_a, b_b) + 1.
+  * a sum of n values has bound max(bounds) + ceil(log2 n), so a sum of
+    two has max(b_a, b_b) + 1.
 
-When a bound would reach w, both operands are decoded, their bounds
-tightened to the true coefficient sizes, and re-encoded at the narrowest
-width that holds the result.  With the bound in place a product is one
-bigint multiply and a sum one shift and add, and no carry ever crosses a
-slot boundary.  The form is canonical for its width and stride: the lowest
-digit c_0 is nonzero, and the zero polynomial is p == 0.
+One rule (_shared) brings the operands of a sum or product to one width
+and stride: their packed ints serve as they are when the result's bound
+stays below the width and each operand fits it; otherwise the operands
+are decoded, their bounds tightened to the true coefficient sizes, and
+re-encoded at the narrowest width that holds the result.  With the bound
+in place a product is one bigint multiply and a sum one shift and add per
+term, and no carry ever crosses a slot boundary.  An int operand is a
+one-slot value like any other.  The form is canonical for its width and
+stride: the lowest digit c_0 is nonzero, and the zero polynomial is p == 0.
 
 The stride is there because the R and K matrix elements lie in q^eta Z[q^2],
 and so does every coefficient the operator words build from them: at
 stride 2 no slot holds a zero forced by parity, so products and divisions
 touch half the digits.  A value is encoded at stride 2 whenever its
 odd-offset coefficients vanish.  A one-slot value (a monomial or an
-integer) is the same packed int at either stride, so it combines with
-both as it is.  A product of two stride-2 values is stride 2 with the two
-lo summed; a sum stays stride 2 when the two lo share one parity; any
-other mix is re-packed at stride 1.
+integer) is the same packed int at either stride and at any width above
+its bound, so it combines with any value as it is.  A product of two
+stride-2 values is stride 2 with the two lo summed; a sum stays stride 2
+when the two lo share one parity; any other mix is re-packed at stride 1.
 
 Exact division of two stride-2 values divides their stride-2 digits, and
 loses nothing by it.  If N = n(q^2) q^a and D = d(q^2) q^b, a quotient
@@ -47,7 +51,9 @@ multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
 On top of LaurentQ the module provides
 
   * q-Pochhammer products (z; q^B)_n, (q^B; q^B)_n and its tails
-    (q^B; q^B)_hi / (q^B; q^B)_lo,
+    (q^B; q^B)_hi / (q^B; q^B)_lo, all three one cached loop over the
+    factors (no recursion, so n is not limited by the interpreter's
+    recursion limit),
   * euler_product     -- a product of Euler factors (a*u; q^2)_inf^{+-1}
                          to a fixed order in u, as the numerators of its
                          u^k coefficients over (q^2;q^2)_k,
@@ -68,7 +74,8 @@ Values are immutable after construction, except that decoding a value for
 a re-pack lowers its bound _b in place to the true coefficient size.  Any
 bound written there is valid, so values stay safe to share between threads.
 A PackedColumn is widened in place (its ps, then its w) and its bound b
-lowered in place, so a table of columns is not for concurrent use.
+lowered in place, so a table of columns (the R and K element caches) is not
+for concurrent threads; separate processes each hold their own.
 """
 
 from __future__ import annotations
@@ -146,8 +153,13 @@ def _one_slot(v: LaurentQ) -> bool:
 
 
 def _fits(v: LaurentQ, w: int, s: int) -> bool:
-    """v's packed int serves as it is at width w and stride s."""
-    return v._w == w and (v._s == s or _one_slot(v))
+    """v's packed int serves as it is at width w and stride s.
+
+    A multi-slot value needs its own width and stride.  A one-slot value's
+    packed int is its one digit, which serves at either stride and at any
+    width above its bound.
+    """
+    return (v._w == w and v._s == s) or (_one_slot(v) and v._b < w)
 
 
 def _joint_stride(values: Iterable[LaurentQ], los: Iterable[int] = ()) -> int:
@@ -158,7 +170,10 @@ def _joint_stride(values: Iterable[LaurentQ], los: Iterable[int] = ()) -> int:
     """
     if len({lo & 1 for lo in los}) > 1:
         return 1
-    return 2 if all(v._s == 2 or _one_slot(v) for v in values) else 1
+    for v in values:
+        if v._s == 1 and not _one_slot(v):
+            return 1
+    return 2
 
 
 def _restride(digits: list[int], s: int, t: int) -> list[int]:
@@ -173,20 +188,29 @@ def _restride(digits: list[int], s: int, t: int) -> list[int]:
     return spread
 
 
-def _repack(
-    values: list[LaurentQ], s: int, extra: int, combine=max
-) -> tuple[list, int, int]:
-    """Nonzero values re-packed at stride s and one width that holds a result bound.
+def _shared(
+    values: list[LaurentQ], extra: int, combine=max, los: Iterable[int] = ()
+) -> tuple[list[int], int, int, int]:
+    """Nonzero values at one width and stride, with the bound of their result.
 
-    Each value is decoded and its bound tightened; the result's bound is
-    combine(tight bounds) + extra (max for sums, sum for products).  A
-    multi-slot value of stride 1 needs s == 1.  Returns (packed ints,
-    width, result bound).
+    The stride is the joint stride of the values placed at the exponents
+    los.  The result's bound is combine(bounds) + extra: max for a sum,
+    sum for a product.  When it is below the widest width and every value
+    fits there, the packed ints serve as they are; otherwise each value is
+    decoded, its bound tightened, and all are re-packed at the narrowest
+    width that holds the result's bound.  Returns (packed ints, width,
+    stride, result bound).
     """
+    s = _joint_stride(values, los)
+    w = max([v._w for v in values])
+    b = combine([v._b for v in values]) + extra
+    if b < w and all([_fits(v, w, s) for v in values]):
+        return [v._p for v in values], w, s, b
     tight = [v._tight() for v in values]
     b = combine(bits for _, bits in tight) + extra
     w = _width_for(b)
-    return [_pack(_restride(d, v._s, s), w) for v, (d, _) in zip(values, tight)], w, b
+    ps = [_pack(_restride(d, v._s, s), w) for v, (d, _) in zip(values, tight)]
+    return ps, w, s, b
 
 
 _new = object.__new__
@@ -235,10 +259,10 @@ class LaurentQ:
     digits, _w the slot width (a multiple of 32) and _b a bound with every
     |coefficient| < 2^_b and _b < _w.  Values whose odd-offset coefficients
     vanish are built at stride 2; a one-slot value (a monomial or an
-    integer) combines with either stride as it is.  Stride-2 exact division
-    divides the stride-2 digits, which is exact because a quotient of two
-    values in q^a Z[q^2] and q^b Z[q^2] lies in q^(a-b) Z[q^2] (see the
-    module docstring).
+    integer) combines as it is with either stride and any width above its
+    bound.  Stride-2 exact division divides the stride-2 digits, which is
+    exact because a quotient of two values in q^a Z[q^2] and q^b Z[q^2]
+    lies in q^(a-b) Z[q^2] (see the module docstring).
 
     Every operation returns a new value; only _b is ever lowered in place,
     by _tight.  Equal values may be held at different widths and strides;
@@ -286,22 +310,22 @@ class LaurentQ:
 
     @staticmethod
     def sum_shifted(terms: Iterable[tuple[LaurentQ, int]]) -> LaurentQ:
-        """The sum of c * q^k over the (c, k) pairs, as one packed sum."""
-        parts = [(c._lo + k, c) for c, k in terms if c._p]
-        if not parts:
+        """The sum of c * q^k over the (c, k) pairs, as one packed sum.
+
+        The package's one packed sum: every LaurentQ addition is one.  A sum
+        of n values has bound max(bounds) + ceil(log2 n), and each value
+        lands at its exponent with one shift and one add.
+        """
+        values, los = [], []
+        for c, k in terms:
+            if c._p:
+                values.append(c)
+                los.append(c._lo + k)
+        if not values:
             return _ZERO
-        los = [lo for lo, _ in parts]
-        values = [c for _, c in parts]
-        extra = (len(parts) - 1).bit_length()
-        s = _joint_stride(values, los)
-        w = values[0]._w
-        b = max(c._b for c in values) + extra
-        if b < w and all(_fits(c, w, s) for c in values):
-            ps = [c._p for c in values]
-        else:
-            ps, w, b = _repack(values, s, extra)
+        ps, w, s, b = _shared(values, (len(values) - 1).bit_length(), max, los)
         base = min(los)
-        packed = sum(p << (w * ((lo - base) // s)) for lo, p in zip(los, ps))
+        packed = sum([p << (w * ((lo - base) // s)) for lo, p in zip(los, ps)])
         return _strip_low(base, packed, w, b, s)
 
     # -- predicates and access ---------------------------------------------
@@ -393,27 +417,12 @@ class LaurentQ:
         return _make(self._lo, -self._p, self._w, self._b, self._s)
 
     def __add__(self, other: LaurentQ | int) -> LaurentQ:
+        """The two-term sum_shifted."""
         if isinstance(other, int):
             other = LaurentQ.integer(other)
         elif not isinstance(other, LaurentQ):
             return NotImplemented
-        pa, pb = self._p, other._p
-        if not pa:
-            return other
-        if not pb:
-            return self
-        w, s = self._w, self._s
-        d = self._lo - other._lo
-        b = max(self._b, other._b) + 1
-        if b >= w or other._w != w or other._s != s or d % s:
-            s = _joint_stride((self, other), (self._lo, other._lo))
-            if b >= w or not (_fits(self, w, s) and _fits(other, w, s)):
-                (pa, pb), w, b = _repack([self, other], s, 1)
-        if d > 0:
-            return _make(other._lo, (pa << (w * (d // s))) + pb, w, b, s)
-        if d < 0:
-            return _make(self._lo, pa + (pb << (w * (-d // s))), w, b, s)
-        return _strip_low(self._lo, pa + pb, w, b, s)
+        return LaurentQ.sum_shifted(((self, 0), (other, 0)))
 
     __radd__ = __add__
 
@@ -431,17 +440,8 @@ class LaurentQ:
 
     def __mul__(self, other: LaurentQ | int) -> LaurentQ:
         if isinstance(other, int):
-            if other == 0 or not self._p:
-                return _ZERO
-            if other == 1:
-                return self
-            w = self._w
-            p = self._p
-            b = self._b + other.bit_length()
-            if b >= w:
-                (p,), w, b = _repack([self], self._s, other.bit_length())
-            return _make(self._lo, p * other, w, b, self._s)
-        if not isinstance(other, LaurentQ):
+            other = LaurentQ.integer(other)
+        elif not isinstance(other, LaurentQ):
             return NotImplemented
         pa, pb = self._p, other._p
         if not pa or not pb:
@@ -451,11 +451,8 @@ class LaurentQ:
         short = min(pa.bit_length(), pb.bit_length()) // w
         b = self._b + other._b + short.bit_length()
         if b >= w or other._w != w or other._s != s:
-            s = _joint_stride((self, other))
             short = min(pa.bit_length() // w, pb.bit_length() // other._w)
-            b = self._b + other._b + short.bit_length()
-            if b >= w or not (_fits(self, w, s) and _fits(other, w, s)):
-                (pa, pb), w, b = _repack([self, other], s, short.bit_length(), sum)
+            (pa, pb), w, s, b = _shared([self, other], short.bit_length(), sum)
         # The lowest digit is a product of two nonzero digits: canonical.
         return _make(self._lo + other._lo, pa * pb, w, b, s)
 
@@ -591,12 +588,7 @@ class PackedColumn:
         self.outs = tuple(out for out, _ in pairs)
         self.los = tuple(v._lo for v in values)
         self.log_block = None if block_size is None else (block_size - 1).bit_length()
-        s = _joint_stride(values)
-        w = values[0]._w if values else 32
-        if all(_fits(v, w, s) for v in values):
-            ps, b = [v._p for v in values], max((v._b for v in values), default=0)
-        else:
-            ps, w, b = _repack(values, s, 0)
+        ps, w, s, b = _shared(values, 0) if values else ([], 32, 2, 0)
         self.ps = tuple(ps)
         self.w, self.s, self.b = w, s, b
         self.slots = max((p.bit_length() // w + 1 for p in ps), default=1)
@@ -732,24 +724,30 @@ def _column_sum(terms, keys, s: int) -> dict | None:
 
 
 @lru_cache(maxsize=None)
+def _pochhammer(sign: int, a_exp: int, base_exp: int, n: int) -> LaurentQ:
+    """prod_{j=0..n-1} (1 - sign q^{a_exp + B*j}) for B = base_exp, n >= 0.
+
+    The one q-Pochhammer product, a loop over its factors: the public
+    functions below check their domains and come here.
+    """
+    out = _ONE
+    for j in range(n):
+        out = out * (1 - LaurentQ.monomial(a_exp + base_exp * j, sign))
+    return out
+
+
 def qq_pochhammer(base_exp: int, n: int) -> LaurentQ:
     """(q^B; q^B)_n = prod_{j=1..n} (1 - q^{B*j}) for B = base_exp."""
     if n < 0:
         raise DomainError("qq_pochhammer needs n >= 0")
-    if n == 0:
-        return _ONE
-    return qq_pochhammer(base_exp, n - 1) * (1 - LaurentQ.monomial(base_exp * n))
+    return _pochhammer(1, base_exp, base_exp, n)
 
 
-@lru_cache(maxsize=None)
 def qq_pochhammer_tail(base_exp: int, lo: int, hi: int) -> LaurentQ:
     """(q^B; q^B)_hi / (q^B; q^B)_lo = prod_{j=lo+1..hi} (1 - q^{B*j})."""
     if not 0 <= lo <= hi:
         raise DomainError("qq_pochhammer_tail needs 0 <= lo <= hi")
-    out = _ONE
-    for j in range(lo + 1, hi + 1):
-        out = out * (1 - LaurentQ.monomial(base_exp * j))
-    return out
+    return _pochhammer(1, base_exp * (lo + 1), base_exp, hi - lo)
 
 
 def q_pochhammer(a: tuple[int, int], base_exp: int, n: int) -> LaurentQ:
@@ -765,10 +763,7 @@ def q_pochhammer(a: tuple[int, int], base_exp: int, n: int) -> LaurentQ:
         raise DomainError("base exponent must be a positive even integer")
     if n < 0:
         raise DomainError("q_pochhammer needs n >= 0")
-    out = _ONE
-    for j in range(n):
-        out = out * (1 - LaurentQ.monomial(a_exp + base_exp * j, sign))
-    return out
+    return _pochhammer(sign, a_exp, base_exp, n)
 
 
 @lru_cache(maxsize=None)

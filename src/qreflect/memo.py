@@ -7,8 +7,9 @@ columns of tensorops.apply_local (R_local, K_local): exactq.PackedColumn
 values, each the nonzero entries of one local input at one slot width,
 widened in place when a call needs wider slots.  `clear` empties every table
 and puts back the entries it was registered with (P_0 = 1 is the only one).
-The lru_caches on the pure q-Pochhammer and Gaussian-binomial functions in
-exactq read no table, so they are not registered here.
+The lru_caches of exactq, on the one q-Pochhammer product behind its three
+public Pochhammer functions and on the Gaussian binomials, cache pure
+functions and read no table, so they are not registered here.
 """
 
 from __future__ import annotations

@@ -39,10 +39,6 @@ def _q4(exp: int, coeff: int = 1) -> MultiPolyQ:
     return q_power(VARS4, exp, coeff)
 
 
-def weight_compatible(a: int, b: int, c: int, d: int, i: int, j: int, k: int, l: int) -> bool:
-    return k_weights(a, b, c, d) == k_weights(i, j, k, l)
-
-
 def _check_element(value: LaurentQ, key: tuple[int, ...]) -> LaurentQ:
     a, b, c, d, i, j, k, l = key
     if not value.in_parity_class(b * d + j * l):
@@ -60,7 +56,7 @@ def k_element(
     if route not in (*K_ROUTES, "both"):
         raise DomainError(f"unknown route {route!r}")
     key = (a, b, c, d, i, j, k, l)
-    if min(key) < 0 or not weight_compatible(*key):
+    if min(key) < 0 or k_weights(a, b, c, d) != k_weights(i, j, k, l):
         return LaurentQ.zero()
     if route == "primary":
         value = q_polynomial(b, c).evaluate_at_q_powers((4 * i, 2 * j, 4 * k, 2 * l))

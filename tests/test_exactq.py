@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from qreflect.exactq import (
     gaussian_binomial,
     q_pochhammer,
     qq_pochhammer,
+    qq_pochhammer_tail,
 )
 
 from conftest import frac_add, frac_equals, frac_mul
@@ -254,6 +256,27 @@ class TestPackedAgainstReference:
         check_matches(k * pa, ref_mul(a, ka))
         check_matches(pa + k, ref_add(a, ka))
         check_matches(k - pa, ref_add(ka, {e: -c for e, c in a.items()}))
+
+    def test_small_int_operand_needs_no_decode(self, monkeypatch):
+        # An int is a one-slot value, which serves at any width above its
+        # bound: a product or sum with a multi-slot value decodes nothing.
+        calls = []
+        tight = LaurentQ._tight
+
+        def counted(value):
+            calls.append(value)
+            return tight(value)
+
+        monkeypatch.setattr(LaurentQ, "_tight", counted)
+        for a in ({0: 5, 1: -3, 4: 7}, {0: 5, 2: -3, 4: 7},
+                  {0: 2**40, 1: 3}, {0: 2**40, 2: -3, 6: 1}):
+            x = LaurentQ(a)
+            for k in (-1, 2, 3, 1000):
+                ka = {0: k}
+                check_matches(x * k, ref_mul(a, ka))
+                check_matches(k * x, ref_mul(a, ka))
+                check_matches(x + k, ref_add(a, ka))
+        assert calls == []
 
     @given(
         st.dictionaries(st.integers(-40, 40), wide_coeffs, max_size=4),
@@ -534,6 +557,43 @@ class TestPochhammer:
             q_pochhammer((1, 2), 2, -1)
         with pytest.raises(DomainError):
             qq_pochhammer(4, -1)
+
+    def test_base_domains(self):
+        # qq_pochhammer takes any base; q_pochhammer a positive even one.
+        assert qq_pochhammer(3, 2) == L({0: 1, 3: -1, 6: -1, 9: 1})
+        with pytest.raises(DomainError):
+            q_pochhammer((1, 3), 3, 1)
+
+    def test_tail(self):
+        for base in (2, 4):
+            for hi in range(7):
+                for lo in range(hi + 1):
+                    tail = qq_pochhammer_tail(base, lo, hi)
+                    assert tail * qq_pochhammer(base, lo) == qq_pochhammer(base, hi)
+        for lo, hi in ((-1, 3), (3, 2)):
+            with pytest.raises(DomainError):
+                qq_pochhammer_tail(2, lo, hi)
+
+    def test_length_not_bounded_by_recursion_limit(self):
+        # Each product is one loop over its factors.  No other test uses n
+        # or n + 1, so every cache is cold for them.
+        depth = 0
+        frame = sys._getframe()
+        while frame:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        n = depth + 150
+        sys.setrecursionlimit(depth + 100)
+        try:
+            product = qq_pochhammer(2, n)
+            binomial = gaussian_binomial(n + 1, 0, 2)
+        finally:
+            sys.setrecursionlimit(limit)
+        # (q^2;q^2)_n = 1 - q^2 - q^4 + ... + (-1)^n q^(n(n+1)).
+        assert [product.coeff(e) for e in range(5)] == [1, 0, -1, 0, -1]
+        assert product.max_exp() == n * (n + 1)
+        assert product.coeff(n * (n + 1)) == (-1) ** n
+        assert binomial == LaurentQ.one()
 
     @given(
         st.integers(min_value=-4, max_value=4),

@@ -14,11 +14,11 @@ from qreflect.threedk import (
     e_residual,
     k_block_states,
     k_element,
+    k_weights,
     verify_bridge_recursion,
     verify_e,
     verify_e_all,
     verify_transpose_block,
-    weight_compatible,
 )
 
 
@@ -28,7 +28,7 @@ class TestKElement:
 
     def test_weight_violation(self):
         assert k_element(1, 0, 0, 0, 0, 0, 0, 0).is_zero
-        assert not weight_compatible(1, 0, 0, 0, 0, 0, 0, 0)
+        assert k_weights(1, 0, 0, 0) != k_weights(0, 0, 0, 0)
 
     def test_printed_block(self, printed_k):
         for inp, want in printed_k.items():
