@@ -223,8 +223,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             rep = VerificationReport(f"R suite, b <= {args.max_b}")
             for b in range(args.max_b + 1):
                 rep.absorb(threedr.verify_p_relations(b))
-                threedr.hypergeometric_p(b)
-                rep.count()
+                rep.attempt(threedr.hypergeometric_p, b)
             rep.absorb(threedr.p_ring_report(args.max_b + 1))
             rep.absorb(threedr.verify_mirror_pairs())
             rep.absorb(

@@ -38,10 +38,10 @@ stride-2 values is stride 2 with the two lo summed; a sum stays stride 2
 when the two lo share one parity; any other mix is re-packed at stride 1.
 
 Exact division of two stride-2 values divides their stride-2 digits, and
-loses nothing by it.  If N = n(q^2) q^a and D = d(q^2) q^b, a quotient
-Q = N / D in Z[q, q^-1] is q^(a-b) times n(q^2) / d(q^2), which is even in
-q; so Q = q^(a-b) g(q^2) with n = g d, and the stride-2 division finds g
-exactly when Q exists.
+loses nothing by it: if N = n(q^2) q^a and D = d(q^2) q^b, a quotient in
+Z[q, q^-1] is q^(a-b) n(q^2) / d(q^2) = q^(a-b) g(q^2) with n = g d.  Like
+the other operations it is one bigint operation, a divmod of the packed
+ints, and a bound check proves its quotient (LaurentQ.exact_div).
 
 All arithmetic is exact: coefficients are arbitrary precision integers and
 nothing in this package ever rounds (D. Harvey, "Faster polynomial
@@ -51,9 +51,8 @@ multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
 On top of LaurentQ the module provides
 
   * q-Pochhammer products (z; q^B)_n, (q^B; q^B)_n and its tails
-    (q^B; q^B)_hi / (q^B; q^B)_lo, all three one cached loop over the
-    factors (no recursion, so n is not limited by the interpreter's
-    recursion limit),
+    (q^B; q^B)_hi / (q^B; q^B)_lo, all three one cached loop of packed
+    differences over the factors, so n is not limited by recursion,
   * euler_product     -- a product of Euler factors (a*u; q^2)_inf^{+-1}
                          to a fixed order in u, as the numerators of its
                          u^k coefficients over (q^2;q^2)_k,
@@ -257,12 +256,9 @@ class LaurentQ:
     The value is sum_i c_i q^(_lo + _s*i) for the signed digits c_i of _p.
     Fields: _lo the minimum exponent, _s the stride (1 or 2), _p the packed
     digits, _w the slot width (a multiple of 32) and _b a bound with every
-    |coefficient| < 2^_b and _b < _w.  Values whose odd-offset coefficients
-    vanish are built at stride 2; a one-slot value (a monomial or an
-    integer) combines as it is with either stride and any width above its
-    bound.  Stride-2 exact division divides the stride-2 digits, which is
-    exact because a quotient of two values in q^a Z[q^2] and q^b Z[q^2]
-    lies in q^(a-b) Z[q^2] (see the module docstring).
+    |coefficient| < 2^_b and _b < _w.  A value whose odd-offset digits all
+    vanish is built at stride 2; a one-slot value (a monomial or an integer)
+    combines as it is with either stride and any width above its bound.
 
     Every operation returns a new value; only _b is ever lowered in place,
     by _tight.  Equal values may be held at different widths and strides;
@@ -477,38 +473,39 @@ class LaurentQ:
         return _make(self._lo + k, self._p, self._w, self._b, self._s)
 
     def exact_div(self, den: LaurentQ) -> LaurentQ:
-        """Exact division self / den in Z[q, q^-1]; raises if not exact.
+        """N / D in Z[q, q^-1] for N = self, D = den; raises if not exact.
 
-        Two stride-2 values divide at stride 2 (see the module docstring).
+        N, D are polynomials in q^s (joint stride s) of n_N, n_D slots, and
+        span = n_N - n_D.  One divmod of the packed ints at the operands'
+        width w, and if need be at one wider w, is exact because
+          * a nonzero remainder proves there is no quotient: evaluation at 2^w
+            is a ring homomorphism, so N = Q D gives N(2^w) = Q(2^w) D(2^w);
+          * a zero remainder is proved by a bound check: if the quotient int
+            has span + 1 balanced digits (two bits spare at the top), whose
+            bound + b_D + ceil(log2 n_D) < w, Q D has no carries: Q D = N;
+          * the retry is complete: its w holds span + b_N + ceil(log2 n_N),
+            Mignotte's bound on a factor of N (von zur Gathen and Gerhard,
+            Modern Computer Algebra, 6.6), plus that margin.
         """
-        if den.is_zero:
+        if not den._p:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
+        if not self._p:
             return _ZERO
         s = _joint_stride((self, den))
-        ncoeffs = _restride(self._digits(), self._s, s)
-        dcoeffs = _restride(den._digits(), den._s, s)
-        nspan = len(ncoeffs) - 1
-        dspan = len(dcoeffs) - 1
-        if nspan < dspan:
-            raise ExactDivisionError("degree span of numerator below denominator")
-        dlead = dcoeffs[dspan]
-        quot = [0] * (nspan - dspan + 1)
-        for pos in range(nspan, dspan - 1, -1):
-            c = ncoeffs[pos]
-            if c == 0:
-                continue
-            qc, rem = divmod(c, dlead)
+        nspan = (self.max_exp() - self._lo) // s
+        dspan = (den.max_exp() - den._lo) // s
+        span, fan = nspan - dspan, dspan.bit_length()
+        for extra, combine in ((0, max), (span + nspan.bit_length() + fan, sum)):
+            (pn, pd), w, s, _ = _shared([self, den], extra, combine)
+            quot, rem = divmod(pn, pd)
             if rem:
-                raise ExactDivisionError("leading coefficient does not divide")
-            shift = pos - dspan
-            quot[shift] = qc
-            for i, dc in enumerate(dcoeffs):
-                ncoeffs[shift + i] -= qc * dc
-        if any(ncoeffs):
-            raise ExactDivisionError("nonzero remainder in exact division")
-        # With no remainder, both end digits of the quotient are nonzero.
-        return _make(self._lo - den._lo, *_encode(quot, s))
+                raise ExactDivisionError("nonzero remainder in exact division")
+            if span * w <= quot.bit_length() <= (span + 1) * w - 2:
+                digits = _unpack(quot, w)
+                if _max_bits(digits) + den._b + fan < w:
+                    # Q D = N: both end digits of Q are nonzero.
+                    return _make(self._lo - den._lo, *_encode(digits, s))
+        raise ExactDivisionError("no quotient in Z[q, q^-1]")
 
     # -- rendering -----------------------------------------------------------
 
@@ -728,11 +725,13 @@ def _pochhammer(sign: int, a_exp: int, base_exp: int, n: int) -> LaurentQ:
     """prod_{j=0..n-1} (1 - sign q^{a_exp + B*j}) for B = base_exp, n >= 0.
 
     The one q-Pochhammer product, a loop over its factors: the public
-    functions below check their domains and come here.
+    functions below check their domains and come here.  A factor is one
+    packed difference, which adds one bit to the bound.
     """
     out = _ONE
     for j in range(n):
-        out = out * (1 - LaurentQ.monomial(a_exp + base_exp * j, sign))
+        term = -out if sign > 0 else out
+        out = LaurentQ.sum_shifted(((out, 0), (term, a_exp + base_exp * j)))
     return out
 
 

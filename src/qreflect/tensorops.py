@@ -130,9 +130,10 @@ class SparseVector:
     def first_difference(
         self, other: SparseVector
     ) -> tuple[tuple[int, ...], LaurentQ, LaurentQ] | None:
-        keys = set(self.terms) | set(other.terms)
+        if self.terms == other.terms:
+            return None
         zero = LaurentQ.zero()
-        for occ in sorted(keys):
+        for occ in sorted(set(self.terms) | set(other.terms)):
             a = self.terms.get(occ, zero)
             b = other.terms.get(occ, zero)
             if a != b:

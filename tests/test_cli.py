@@ -160,6 +160,21 @@ class TestCommands:
 
         assert _emit_report(bad, "text") == 1
 
+    def test_hypergeometric_mismatch_is_a_verified_failure(self, capsys, monkeypatch):
+        # Negate (q^{-2b}; q^2)_1 in the hypergeometric sum only: P_1 disagrees.
+        pochhammer = threedr.q_pochhammer
+        monkeypatch.setattr(
+            threedr,
+            "q_pochhammer",
+            lambda a, base, n: -pochhammer(a, base, n) if n == 1 else pochhammer(a, base, n),
+        )
+        code = main(["r", "verify", "--max-b", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        assert "FAIL" in captured.out
+        assert "hypergeometric route mismatch at b=1" in captured.out
+
     @pytest.mark.parametrize(
         "argv",
         [

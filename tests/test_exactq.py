@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qreflect
+from qreflect import exactq
 from qreflect.exactq import (
     DomainError,
     ExactDivisionError,
@@ -309,6 +310,51 @@ class TestPackedAgainstReference:
         else:
             check_matches(pn.exact_div(pb), want)
 
+    @pytest.mark.parametrize(
+        "num, den, k",
+        [
+            # The quotient int has more bits than two 32-bit slots hold.
+            ({0: 406971029, 1: 502194308, 2: 1076616277}, {0: 3, 1: 1},
+             2**62 + 12345678901234567),
+            # Two slots, but a 31-bit digit: Q D could carry, so it is no proof.
+            ({0: 2**29, 1: 3 * 2**29 + 4, 2: 1}, {0: 3, 1: 1}, 2**32 + 3 * 2**29),
+            # Two slots whose balanced digits do not exist: the top one is 2^31.
+            ({0: 1, 1: 2**31 - 1, 2: 2**31 - 1}, {0: -1, 1: 1}, 2**63 - 1),
+        ],
+        ids=["wide-quotient", "carry-unproved", "top-digit-overflows"],
+    )
+    def test_zero_remainder_without_quotient(self, num, den, k):
+        # N's digits are the balanced 32-bit digits of D(2^32) k, so the
+        # packed ints divide at w = 32, but D does not divide N.
+        assert ref_exact_div(num, den) is None
+        num, den = L(num), L(den)
+        assert num._w == den._w == 32
+        assert num._p == den._p * k
+        with pytest.raises(ExactDivisionError):
+            num.exact_div(den)
+
+    def test_quotient_wider_than_its_operands(self, monkeypatch):
+        # [40 over 20]_{q^2} has 31-bit coefficients, over operand bounds of
+        # at most 11 bits: the product check fails at the operands' 32-bit
+        # width and the quotient is found at the second width.
+        num = qq_pochhammer(2, 40)
+        den = qq_pochhammer(2, 20) * qq_pochhammer(2, 20)
+        widths = []
+        shared = exactq._shared
+
+        def recorded(*args):
+            out = shared(*args)
+            widths.append(out[1])
+            return out
+
+        monkeypatch.setattr(exactq, "_shared", recorded)
+        got = num.exact_div(den)
+        assert widths[0] == 32 and len(widths) == 2
+        want = ref_exact_div(dict(num.items()), dict(den.items()))
+        check_matches(got, want)
+        assert max(abs(c) for c in want.values()).bit_length() == 31
+        assert got == gaussian_binomial(40, 20, 2)
+
     @given(ref_polys, st.dictionaries(st.integers(-40, 40), wide_coeffs, max_size=6))
     @settings(max_examples=100)
     def test_end_slots_cancel(self, a, extra):
@@ -594,6 +640,24 @@ class TestPochhammer:
         assert product.max_exp() == n * (n + 1)
         assert product.coeff(n * (n + 1)) == (-1) ** n
         assert binomial == LaurentQ.one()
+
+    def test_long_product_repacks_rarely(self, monkeypatch):
+        # Each factor is one packed difference, so the bound grows one bit
+        # per factor and the product is decoded for a re-pack only when it
+        # outgrows its slots: 56 decodes for 300 factors.
+        calls = []
+        tight = LaurentQ._tight
+
+        def counted(value):
+            calls.append(value)
+            return tight(value)
+
+        monkeypatch.setattr(LaurentQ, "_tight", counted)
+        # Past the cache, so the product is built from its first factor.
+        product = exactq._pochhammer.__wrapped__(1, 2, 2, 300)
+        assert len(calls) <= 75
+        assert product == qq_pochhammer(2, 300)
+        assert product.max_exp() == 300 * 301
 
     @given(
         st.integers(min_value=-4, max_value=4),

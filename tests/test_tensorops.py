@@ -120,6 +120,23 @@ class TestOperatorApplication:
         with pytest.raises(DomainError):
             apply_R(v, (0, 1, 2))
 
+    def test_first_difference_is_the_smallest_differing_key(self):
+        q = LaurentQ.monomial
+        shared = {(0, 2, 1): q(1), (1, 0, 0): q(2, 3), (2, 2, 2): q(0, -1)}
+        left = {**shared, (1, 1, 0): q(4), (2, 0, 0): q(1)}
+        # (1, 1, 0) and (2, 0, 0) differ; (0, 3, 0) and (1, 2, 0) are on the right only.
+        right = {**shared, (1, 1, 0): q(5), (2, 0, 0): q(1, 2), (1, 2, 0): q(0)}
+        zero = LaurentQ.zero()
+
+        def vec(terms):
+            return SparseVector(R_SIGNATURE, terms.items())
+
+        assert vec(left).first_difference(vec(right)) == ((1, 1, 0), q(4), q(5))
+        right[(0, 3, 0)] = q(3)
+        assert vec(left).first_difference(vec(right)) == ((0, 3, 0), zero, q(3))
+        assert vec(right).first_difference(vec(left)) == ((0, 3, 0), q(3), zero)
+        assert vec(left).first_difference(vec(dict(left))) is None
+
 
 class TestIntertwiners:
     def test_weight_relation_trivial(self):
