@@ -63,18 +63,18 @@ On top of LaurentQ the module provides
                          (PackedColumn: an operator column, or a
                          polynomial's terms): one int multiply and one
                          shift-add per product at one slot width for the
-                         whole call, and one LaurentQ per output.  Every
+                         whole call, the narrowest that holds its output
+                         bound, and one LaurentQ per output.  Every
                          sum of products goes through it: R and K
                          application, polynomial products and shift sums.
                          With accumulate, it is one of the two places
                          where cancelled terms are dropped.
 
-Values are immutable after construction, except that decoding a value for
-a re-pack lowers its bound _b in place to the true coefficient size.  Any
-bound written there is valid, so values stay safe to share between threads.
-A PackedColumn is widened in place (its ps, then its w) and its bound b
-lowered in place, so a table of columns (the R and K element caches) is not
-for concurrent threads; separate processes each hold their own.
+Values and PackedColumns are immutable after construction, except that
+decoding one for a re-pack lowers its bound (_b, or a column's b) in place
+to the true coefficient size.  Any bound written there is valid, so values
+and tables of columns (the R and K element caches) are safe to share
+between threads.
 """
 
 from __future__ import annotations
@@ -571,8 +571,9 @@ class PackedColumn:
     every entry's coefficients, slots is the largest slot count, and
     log_block is ceil(log2 |block|) for the weight block of an operator
     column's input, or None for a column with no weight block (a
-    polynomial's terms).  apply_columns widens a column in place (ps and w)
-    when a call needs wider slots, so each width is packed once.
+    polynomial's terms).  Only b changes after construction, lowered by
+    _tight; a call at another width or stride re-packs the entries for
+    itself (_at) and leaves the column as it is.
     """
 
     __slots__ = ("outs", "los", "ps", "w", "s", "b", "slots", "log_block")
@@ -595,17 +596,8 @@ class PackedColumn:
         self.b = max((_max_bits(_unpack(p, self.w)) for p in self.ps), default=0)
 
     def _at(self, w: int, s: int) -> tuple[int, ...]:
-        """The entries' packed ints at width w >= self.w and stride s.
-
-        A narrower column is widened in place, once; a stride-2 column is
-        spread to stride 1 for one call only.
-        """
-        if self.w != w:
-            self.ps = tuple(_pack(_unpack(p, self.w), w) for p in self.ps)
-            self.w = w
-        if self.s == s:
-            return self.ps
-        return tuple(_pack(_restride(_unpack(p, w), self.s, s), w) for p in self.ps)
+        """The entries' packed ints re-packed at width w and stride s, for one call."""
+        return tuple(_pack(_restride(_unpack(p, self.w), self.s, s), w) for p in self.ps)
 
 
 def apply_columns(
@@ -630,11 +622,13 @@ def apply_columns(
     each input of its weight block with the same untouched sites, so its
     bound is its largest pair bound plus ceil(log2 count) <= pair bound +
     min(log_block, ceil(log2 len(terms))).  A term for which that sum would
-    reach w first has its coefficient's bound tightened (one decode), then
-    its column's (one decode per entry); w widens only if it still does
-    not fit.  Tightening the column keeps a chain of polynomial steps,
-    whose output bounds grow by the fan-in at every step, at the width
-    its digits need.
+    reach 32 bits first has its coefficient's bound tightened (one decode),
+    then its column's (one decode per entry).  The call then runs at the
+    narrowest width that holds the largest such sum, whatever the widths
+    of its columns; a coefficient or column at another width is re-packed
+    for the call, and no column is changed.  Tightening the column keeps a
+    chain of polynomial steps, whose output bounds grow by the fan-in at
+    every step, at the width its digits need.
 
     The stride is 2 unless a column or a multi-slot coefficient has stride
     1.  Two stride-2 contributions to one output whose lo differ by an odd
@@ -653,7 +647,6 @@ def apply_columns(
 
 def _column_sum(terms, keys, s: int) -> dict | None:
     """apply_columns at stride s; None on a parity clash at s == 2."""
-    w = max((col.w for _, col, _, _ in terms), default=32)
     # ceil(log2 len(terms)): an output collects at most one product per term.
     fan = (len(terms) - 1).bit_length()
     bounds = []
@@ -665,17 +658,16 @@ def _column_sum(terms, keys, s: int) -> dict | None:
         log_fan = col.log_block
         if log_fan is None or log_fan > fan:
             log_fan = fan
-        if b + log_fan >= w:
+        if b + log_fan >= 32:
             c._tight()
             b = c._b + col.b + short
-            if b + log_fan >= w:
+            if b + log_fan >= 32:
                 col._tight()
                 b = c._b + col.b + short
         bounds.append(b)
         if b + log_fan > top:
             top = b + log_fan
-    if top >= w:
-        w = _width_for(top)
+    w = _width_for(top)
     # Each output's record: [lo, packed sum, largest pair bound, terms summed].
     acc: dict = {}
     get = acc.get

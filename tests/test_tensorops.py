@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import product
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -381,7 +381,7 @@ def cases(draw):
 
 @pytest.fixture
 def restore_tables():
-    """Clear every memo table afterwards, so no widened column outlives the test."""
+    """Clear every memo table afterwards, so no column built in the test outlives it."""
     yield
     memo.clear()
 
@@ -401,14 +401,34 @@ class TestPackedColumns:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_shared_table_against_reference(self, case, restore_tables):
-        # Wide coefficients widen the shared columns; each is stored back at
-        # the width of the call.
+        # A call leaves every shared column it uses as it was, whatever its
+        # width: only a bound may drop.  The columns are built first, by a
+        # call with unit coefficients.
         op, vec, positions, _ = case
-        out = assert_matches_reference(op, vec, positions)
-        if out.terms:
-            w = next(iter(out.terms.values()))._w
-            gather = itemgetter(*positions)
-            assert {op.table[gather(occ)].w for occ in vec.terms} == {w}
+        gather = itemgetter(*positions)
+        units = SparseVector(vec.signature, [(occ, LaurentQ.one()) for occ in vec.terms])
+        apply_local(op, units, positions)
+        packed = attrgetter("outs", "los", "ps", "w", "s", "slots", "log_block")
+        columns = {gather(occ): op.table[gather(occ)] for occ in vec.terms}
+        before = {inp: (packed(col), col.b) for inp, col in columns.items()}
+        assert_matches_reference(op, vec, positions)
+        for inp, (fields, b) in before.items():
+            col = op.table[inp]
+            assert col is columns[inp]
+            assert packed(col) == fields
+            assert col.b <= b
+
+    def test_narrow_call_after_a_wide_one(self, restore_tables):
+        # Coefficients 2^31 - 1 on a whole block need 64-bit slots; a unit
+        # input next runs on the same shared columns at 32-bit slots.
+        block = K_OPERATOR.states(3, 4)
+        positions = (0, 1, 2, 3)
+        wide = SparseVector(K_SIGNATURE, [(inp, LaurentQ.integer(2**31 - 1)) for inp in block])
+        out = apply_K(wide, positions)
+        assert {v._w for v in out.terms.values()} == {64}
+        unit = SparseVector.unit(K_SIGNATURE, block[0])
+        out = assert_matches_reference(K_OPERATOR, unit, positions)
+        assert {v._w for v in out.terms.values()} == {32}
 
     def test_cancellation_strips_low_slots(self):
         # Input i with coefficient E(o,j) (1 + q^2) and input j with -E(o,i):
