@@ -72,9 +72,10 @@ On top of LaurentQ the module provides
 
 Values and PackedColumns are immutable after construction, except that
 decoding one for a re-pack lowers its bound (_b, or a column's b) in place
-to the true coefficient size.  Any bound written there is valid, so values
-and tables of columns (the R and K element caches) are safe to share
-between threads.
+to the true coefficient size, and a column's keyed cache gains entries.
+Any bound written there is valid and no keyed entry is ever rewritten, so
+values and tables of columns (the R and K element caches) are safe to
+share between threads.
 """
 
 from __future__ import annotations
@@ -573,10 +574,12 @@ class PackedColumn:
     column's input, or None for a column with no weight block (a
     polynomial's terms).  Only b changes after construction, lowered by
     _tight; a call at another width or stride re-packs the entries for
-    itself (_at) and leaves the column as it is.
+    itself (_at) and leaves the column as it is.  keyed is the caller's
+    cache of keys derived from outs, one entry per key layout: this module
+    never reads it, and an entry, once written, is not changed.
     """
 
-    __slots__ = ("outs", "los", "ps", "w", "s", "b", "slots", "log_block")
+    __slots__ = ("outs", "los", "ps", "w", "s", "b", "slots", "log_block", "keyed")
 
     def __init__(
         self, pairs: Iterable[tuple[Hashable, LaurentQ]], block_size: int | None = None
@@ -590,6 +593,7 @@ class PackedColumn:
         self.ps = tuple(ps)
         self.w, self.s, self.b = w, s, b
         self.slots = max((p.bit_length() // w + 1 for p in ps), default=1)
+        self.keyed: dict = {}
 
     def _tight(self) -> None:
         """Lower b to the entries' true coefficient size (one decode of each entry)."""

@@ -11,6 +11,20 @@ confine the output to a single finite block, so there is no truncation
 parameter anywhere and every verification below is an exact identity of
 sparse vectors with Laurent polynomial coefficients.
 
+A vector holds its basis states as ints (SparseVector).  With a field
+width of w bits, site p's occupation sits in bits [w(n-1-p), w(n-p)) of
+the code of an n-site state, site 0 in the most significant field, so the
+codes of one width order as the occupation tuples do.  The width is a
+proven bound, never a fixed number: a vector built from tuples starts at
+the bit length of its largest occupation, and a factor's outputs lie in
+its input's weight block (m, n), where no occupation exceeds max(m, n).
+apply_local checks every column of a call against the width and first
+widens all codes to the largest field a column needs, so no field ever
+carries into the next.  The two equation verifiers start from the width of
+that bound carried through both words (_word_unit), and no factor then
+widens.  Decoding to tuples happens only at the edges: the terms view,
+str, generator actions, and the one basis state first_difference reports.
+
 R and K are two LocalOperators (name, factor types, conserved weights,
 weight block enumerator, element function, memo table) applied by one
 engine, apply_local.  The weights and blocks are threedr's r_weights and
@@ -18,9 +32,14 @@ r_block_states and threedk's k_weights and k_block_states, the one place
 each weight block is written.  The memo table holds the nonzero column of
 each local input seen, packed (exactq.PackedColumn), and is the only cache
 of R and K elements; it sits in the package's one registry (memo), whose
-single clear is every module's clear_caches.  apply_local supplies the
-output keys and exactq.apply_columns does the arithmetic: one int multiply
-and one shift-add per matrix element, and one LaurentQ per output.  One
+single clear is every module's clear_caches.  A column also keeps, in its
+keyed cache, its outputs' codes for each layout (field width and the
+shifts of op's sites) it has been applied at; the columns of one block
+with the same nonzero outputs share that cache.  apply_local clears op's
+fields of each input code once (base), so an output's code is base plus
+its out code, and exactq.apply_columns does the arithmetic: one int
+multiply, one shift-add and one int key per matrix element, and one
+LaurentQ per output.  One
 sweep, verify_route_agreement, checks either operator's element routes
 against each other block by block, through the one cross-check,
 report.cross_check.  Vector sums, generator actions and the intertwiner
@@ -41,13 +60,14 @@ from __future__ import annotations
 
 import random
 from enum import Enum
+from collections.abc import Mapping
 from itertools import chain, combinations, product
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import memo
 from .exactq import DomainError, LaurentQ, PackedColumn, accumulate, apply_columns
-from .report import VerificationReport
+from .report import VerificationError, VerificationReport
 from .threedk import k_block_states, k_element, k_weights
 from .threedr import r_block_states, r_element, r_weights
 
@@ -76,28 +96,39 @@ _GENERATOR_TYPES = {
 class SparseVector:
     """Finite linear combination of basis states over one signature.
 
+    Held as one dict from int-coded basis states to nonzero coefficients,
+    and the field width of the code (see the module docstring); terms is
+    the same dict keyed by occupation tuples, a view that decodes its keys.
     Built from (basis state, coefficient) pairs by exactq.accumulate: the
     coefficients of equal states are added and cancelled states dropped.
     """
 
-    __slots__ = ("signature", "terms")
+    __slots__ = ("signature", "_codes", "_width")
 
     def __init__(
         self,
         signature: tuple[SpaceType, ...],
         pairs: Iterable[tuple[tuple[int, ...], LaurentQ]] = (),
     ):
+        terms = accumulate(pairs)
+        width = 0
+        for occ in terms:
+            if len(occ) != len(signature) or min(occ, default=0) < 0:
+                raise DomainError(
+                    f"basis state {occ} is not {len(signature)} nonnegative occupations"
+                )
+            width = max(width, max(occ, default=0).bit_length())
         self.signature = signature
-        self.terms: dict[tuple[int, ...], LaurentQ] = accumulate(pairs)
+        self._codes = {_encode(occ, width): c for occ, c in terms.items()}
+        self._width = width
 
     @classmethod
-    def summed(
-        cls, signature: tuple[SpaceType, ...], terms: dict[tuple[int, ...], LaurentQ]
+    def _coded(
+        cls, signature: tuple[SpaceType, ...], codes: dict[int, LaurentQ], width: int
     ) -> SparseVector:
-        """Wrap terms that are already summed, every coefficient nonzero."""
+        """Wrap summed coded terms, every coefficient nonzero, every field < 2^width."""
         vec = object.__new__(cls)
-        vec.signature = signature
-        vec.terms = terms
+        vec.signature, vec._codes, vec._width = signature, codes, width
         return vec
 
     @staticmethod
@@ -105,48 +136,128 @@ class SparseVector:
         return SparseVector(signature, [(tuple(occ), LaurentQ.one())])
 
     @property
+    def terms(self) -> Mapping[tuple[int, ...], LaurentQ]:
+        return _Terms(self)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._codes
+
+    def _aligned(self, other: SparseVector) -> tuple[dict, dict, int]:
+        """Both vectors' codes at the wider of their two field widths."""
+        size, width = len(self.signature), max(self._width, other._width)
+        return (
+            _widened(self._codes, size, self._width, width),
+            _widened(other._codes, size, other._width, width),
+            width,
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseVector):
             return NotImplemented
-        return self.signature == other.signature and self.terms == other.terms
+        if self.signature != other.signature:
+            return False
+        mine, theirs, _ = self._aligned(other)
+        return mine == theirs
 
     __hash__ = None  # type: ignore[assignment]
 
     def __add__(self, other: SparseVector) -> SparseVector:
         if self.signature != other.signature:
             raise DomainError("adding vectors over different signatures")
-        return SparseVector(self.signature, chain(self.terms.items(), other.terms.items()))
+        mine, theirs, width = self._aligned(other)
+        codes = accumulate(chain(mine.items(), theirs.items()))
+        return SparseVector._coded(self.signature, codes, width)
 
     def __sub__(self, other: SparseVector) -> SparseVector:
         return self + other.scaled(LaurentQ.integer(-1))
 
     def scaled(self, scalar: LaurentQ) -> SparseVector:
-        terms = self.terms.items() if scalar else ()
-        return SparseVector(self.signature, ((occ, c * scalar) for occ, c in terms))
+        terms = self._codes.items() if scalar else ()
+        codes = accumulate((code, c * scalar) for code, c in terms)
+        return SparseVector._coded(self.signature, codes, self._width)
 
     def first_difference(
         self, other: SparseVector
     ) -> tuple[tuple[int, ...], LaurentQ, LaurentQ] | None:
-        if self.terms == other.terms:
+        """The smallest basis state where the two differ, and both coefficients.
+
+        Codes order as their occupation tuples do, so the smallest differing
+        code is the first differing state; only that one is decoded.
+        """
+        mine, theirs, width = self._aligned(other)
+        if mine == theirs:
             return None
         zero = LaurentQ.zero()
-        for occ in sorted(set(self.terms) | set(other.terms)):
-            a = self.terms.get(occ, zero)
-            b = other.terms.get(occ, zero)
-            if a != b:
-                return (occ, a, b)
-        return None
+        code = min(
+            code for code in mine.keys() | theirs.keys()
+            if mine.get(code, zero) != theirs.get(code, zero)
+        )
+        occ = _decoder(len(self.signature), width)(code)
+        return occ, mine.get(code, zero), theirs.get(code, zero)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._codes:
             return "0"
+        decode = _decoder(len(self.signature), self._width)
         return " + ".join(
-            f"({coeff})*|{','.join(map(str, occ))}>"
-            for occ, coeff in sorted(self.terms.items())
+            f"({coeff})*|{','.join(map(str, decode(code)))}>"
+            for code, coeff in sorted(self._codes.items())
         )
+
+
+class _Terms(Mapping):
+    """A vector's terms keyed by occupation tuples, decoding its codes."""
+
+    __slots__ = ("_vec",)
+
+    def __init__(self, vec: SparseVector):
+        self._vec = vec
+
+    def __len__(self) -> int:
+        return len(self._vec._codes)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        vec = self._vec
+        return map(_decoder(len(vec.signature), vec._width), vec._codes)
+
+    def __getitem__(self, occ: tuple[int, ...]) -> LaurentQ:
+        vec = self._vec
+        if (
+            isinstance(occ, tuple)
+            and len(occ) == len(vec.signature)
+            and all(0 <= m < 1 << vec._width for m in occ)
+        ):
+            code = _encode(occ, vec._width)
+            if code in vec._codes:
+                return vec._codes[code]
+        raise KeyError(occ)
+
+
+def _encode(occ: tuple[int, ...], width: int) -> int:
+    """The code of a basis state: occupation p in field p, site 0 the most significant."""
+    code = 0
+    for m in occ:
+        code = code << width | m
+    return code
+
+
+def _decoder(size: int, width: int) -> Callable[[int], tuple[int, ...]]:
+    """The inverse of _encode for size sites at one field width."""
+    return _fields(_shifts(size, width, range(size)), (1 << width) - 1)
+
+
+def _shifts(size: int, width: int, positions: Iterable[int]) -> tuple[int, ...]:
+    """The lowest bit of each position's field in the code of a size-site state."""
+    return tuple([width * (size - 1 - p) for p in positions])
+
+
+def _widened(codes: dict, size: int, width: int, new: int) -> dict:
+    """codes re-encoded at fields of new >= width bits, in the same order."""
+    if new == width:
+        return codes
+    decode = _decoder(size, width)
+    return {_encode(decode(code), new): c for code, c in codes.items()}
 
 
 # -- generator actions -----------------------------------------------------------
@@ -246,37 +357,94 @@ def apply_local(
 
     An element function given here replaces op.element (a negative control
     passes a corrupted one); its columns are memoized for this call only,
-    so a corrupted column never reaches op.table.
+    so a corrupted column never reaches op.table.  When a column has an
+    output occupation too large for the vector's fields, every code is
+    first widened to the largest field the call's columns need.
     """
-    gather = itemgetter(*positions)
-    got = gather(vec.signature)
+    got = itemgetter(*positions)(vec.signature)
     if got != op.signature:
         raise DomainError(
             f"signature at positions {tuple(positions)} is "
             f"{tuple(s.name for s in got)}, need {tuple(s.name for s in op.signature)}"
         )
-    # occ + local lists the whole state, then the new local occupations;
-    # scatter picks each position's entry from it.
-    size = len(vec.signature)
-    slots = list(range(size))
-    for offset, p in enumerate(positions, size):
-        slots[p] = offset
-    scatter = itemgetter(*slots)
     table, element = (op.table, op.element) if element is None else ({}, element)
+    size = len(vec.signature)
+    codes, width = vec._codes, vec._width
+    terms, need = _coded_terms(op, table, element, codes, size, width, positions)
+    if need > width:
+        codes, width = _widened(codes, size, width, need), need
+        terms, need = _coded_terms(op, table, element, codes, size, width, positions)
+        if need > width:
+            raise VerificationError(
+                f"{op.name} at {tuple(positions)} needs {need}-bit fields after widening to {width}"
+            )
+    return SparseVector._coded(vec.signature, apply_columns(terms, _output_codes), width)
+
+
+def _coded_terms(op, table, element, codes, size, width, positions):
+    """(apply_columns terms of op at positions on coded states, field width needed).
+
+    A term's prefix is (base, out codes): base is its state's code with
+    op's fields cleared, and an output's code is base + out code.  The out
+    codes of a column at one layout (field width, op's field shifts) are
+    built once, when every output occupation fits the width, and kept in
+    column.keyed.  A column that does not fit raises the width needed
+    above width, and the terms are then not usable.
+    """
+    field = (1 << width) - 1
+    shifts = _shifts(size, width, positions)
+    local = sum([field << s for s in shifts])
+    layout = (width, *shifts)
+    fields = _fields(shifts, field)
+    need = width
+    seen: dict = {}
     terms = []
-    for occ, coeff in vec.terms.items():
-        inp = gather(occ)
-        column = table.get(inp)
-        if column is None:
-            block = op.states(*op.weights(*inp))
-            pairs = [(o, element(*o, *inp)) for o in block]
-            column = table[inp] = PackedColumn(pairs, len(block))
-        terms.append((coeff, column, occ, column.los))
+    append = terms.append
+    for code, coeff in codes.items():
+        lc = code & local
+        hit = seen.get(lc)
+        if hit is None:
+            inp = fields(lc)
+            column = table.get(inp)
+            if column is None:
+                block = op.states(*op.weights(*inp))
+                pairs = [(o, element(*o, *inp)) for o in block]
+                column = table[inp] = PackedColumn(pairs, len(block))
+                # Out codes depend only on the outputs: columns of one block
+                # with the same nonzero outputs share one keyed cache.
+                twin = table.get(column.outs[0]) if column.outs else None
+                if twin is not None and twin.outs == column.outs:
+                    column.keyed = twin.keyed
+            outs = column.keyed.get(layout)
+            if outs is None:
+                top = max(map(max, column.outs), default=0).bit_length()
+                if top > need:
+                    need = top
+                if top <= width:
+                    outs = column.keyed[layout] = tuple(
+                        [sum([m << s for m, s in zip(out, shifts)]) for out in column.outs]
+                    )
+            hit = seen[lc] = (column, outs, column.los)
+        column, outs, los = hit
+        append((coeff, column, (code ^ lc, outs), los))
+    return terms, need
 
-    def keys(occ, outs):
-        return map(scatter, map(occ.__add__, outs))
 
-    return SparseVector.summed(vec.signature, apply_columns(terms, keys))
+def _fields(shifts: tuple[int, ...], field: int) -> Callable[[int], tuple[int, ...]]:
+    """The function from a code to its fields at shifts; unrolled for R and K."""
+    if len(shifts) == 3:
+        a, b, c = shifts
+        return lambda x: (x >> a & field, x >> b & field, x >> c & field)
+    if len(shifts) == 4:
+        a, b, c, d = shifts
+        return lambda x: (x >> a & field, x >> b & field, x >> c & field, x >> d & field)
+    return lambda x: tuple([x >> s & field for s in shifts])
+
+
+def _output_codes(prefix: tuple[int, tuple[int, ...]], _outs) -> Iterator[int]:
+    """The output codes of one term: its base plus each out code."""
+    base, outs = prefix
+    return map(base.__add__, outs)
 
 
 def apply_R(
@@ -493,11 +661,34 @@ def compare_words(name: str, lhs: SparseVector, rhs: SparseVector) -> Verificati
     return rep
 
 
+def _word_unit(signature, occupations: Sequence[int], *words) -> SparseVector:
+    """The unit vector of occupations, coded wide enough for every factor of the words.
+
+    A factor's outputs lie in its input's weight block (m, n), whose
+    occupations are at most max(m, n), and the weights grow with the
+    occupations; so a bound per site, carried through a word factor by
+    factor, bounds every occupation the word reaches.  No factor then
+    widens the vector, and the words' results share one field width.
+    """
+    vec = SparseVector.unit(signature, occupations)
+    width = vec._width
+    for word in words:
+        bound = list(occupations)
+        for kind, positions in reversed(word):
+            weights = (R_OPERATOR if kind == "R" else K_OPERATOR).weights
+            top = max(weights(*[bound[p] for p in positions]))
+            for p in positions:
+                bound[p] = top
+        width = max(width, max(bound).bit_length())
+    codes = _widened(vec._codes, len(signature), vec._width, width)
+    return SparseVector._coded(signature, codes, width)
+
+
 def verify_tetrahedron(
     occupations: Sequence[int], element: ElementFn | None = None
 ) -> VerificationReport:
     """Both fourfold R compositions agree on one 6-fold basis state."""
-    vec = SparseVector.unit(TETRAHEDRON_SIGNATURE, occupations)
+    vec = _word_unit(TETRAHEDRON_SIGNATURE, occupations, TETRAHEDRON_LHS, TETRAHEDRON_RHS)
     lhs = _apply_operator_word(TETRAHEDRON_LHS, vec, element, None)
     rhs = _apply_operator_word(TETRAHEDRON_RHS, vec, element, None)
     return compare_words(f"tetrahedron on {tuple(occupations)}", lhs, rhs)
@@ -507,7 +698,7 @@ def verify_reflection(
     occupations: Sequence[int], k_fn: ElementFn | None = None
 ) -> VerificationReport:
     """Both sevenfold compositions agree on one 9-fold basis state."""
-    vec = SparseVector.unit(REFLECTION_SIGNATURE, occupations)
+    vec = _word_unit(REFLECTION_SIGNATURE, occupations, REFLECTION_LHS, REFLECTION_RHS)
     lhs = _apply_operator_word(REFLECTION_LHS, vec, None, k_fn)
     rhs = _apply_operator_word(REFLECTION_RHS, vec, None, k_fn)
     return compare_words(f"reflection on {tuple(occupations)}", lhs, rhs)

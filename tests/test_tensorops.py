@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import importlib.util
 import re
 from functools import lru_cache
 from itertools import product
 from operator import attrgetter, itemgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qreflect import memo
-from qreflect.exactq import DomainError, LaurentQ, _make
+from qreflect.exactq import DomainError, LaurentQ, _make, accumulate
+from qreflect.report import VerificationReport
 from qreflect.tensorops import (
     INTERTWINER_RELATIONS,
     K_OPERATOR,
@@ -20,8 +23,15 @@ from qreflect.tensorops import (
     Q2,
     R_OPERATOR,
     R_SIGNATURE,
+    REFLECTION_LHS,
+    REFLECTION_RHS,
     REFLECTION_SIGNATURE,
+    TETRAHEDRON_LHS,
+    TETRAHEDRON_RHS,
+    TETRAHEDRON_SIGNATURE,
     SparseVector,
+    _apply_operator_word,
+    _word_unit,
     apply_generator,
     apply_local,
     apply_K,
@@ -253,29 +263,37 @@ class TestMemoRegistry:
 # and sums the products with accumulate, one term at a time.
 
 
-def reference_apply(op, vec, positions, element):
-    """op applied at positions term by term, with element(*out, *inp) as its entries.
+def reference_terms(op, terms, positions, element):
+    """op applied at positions to a dict from occupation tuples to coefficients,
+    term by term, with element(*out, *inp) as its entries.
 
     Zero entries are skipped, as the columns skip them, so that the output
     keys come in the same order.
     """
+    if not terms:
+        return {}
     gather = itemgetter(*positions)
-    size = len(vec.signature)
+    size = len(next(iter(terms)))
     slots = list(range(size))
     for offset, p in enumerate(positions, size):
         slots[p] = offset
     scatter = itemgetter(*slots)
 
     def contributions():
-        for occ, coeff in vec.terms.items():
+        for occ, coeff in terms.items():
             inp = gather(occ)
             for local in op.states(*op.weights(*inp)):
                 value = element(*local, *inp)
                 if value:
                     yield scatter(occ + local), coeff * value
 
-    # SparseVector sums the contributions with exactq.accumulate.
-    return SparseVector(vec.signature, contributions())
+    return accumulate(contributions())
+
+
+def reference_apply(op, vec, positions, element):
+    """reference_terms on a vector's terms, as a vector."""
+    terms = reference_terms(op, dict(vec.terms.items()), positions, element)
+    return SparseVector(vec.signature, terms.items())
 
 
 def assert_packed_invariants(value):
@@ -349,7 +367,10 @@ def placed_vectors(draw, op, max_occ):
     """(vector, positions): op at permuted positions of a wider signature.
 
     One input, some of its block-mates with the same untouched sites (so
-    that outputs collect several terms), and a few other states.
+    that outputs collect several terms), and a few other states.  Now and
+    then the input has an occupation past 2^16 at an untouched site, so
+    that every code has fields wider than 16 bits.  (At one of op's sites
+    it would make elements like 1 - q^(2^18), slow to build.)
     """
     arity = len(op.signature)
     size = arity + draw(st.integers(0, 2))
@@ -359,6 +380,9 @@ def placed_vectors(draw, op, max_occ):
         signature[p] = kind
     states = st.tuples(*[st.integers(0, max_occ)] * size)
     base = list(draw(states))
+    untouched = [p for p in range(size) if p not in positions]
+    if untouched and draw(st.integers(0, 7)) == 0:
+        base[draw(st.sampled_from(untouched))] = draw(st.sampled_from((2**16, 2**17 - 1)))
     block = op.states(*op.weights(*(base[p] for p in positions)))
     occs = [tuple(base)]
     for local in draw(st.lists(st.sampled_from(block), max_size=4, unique=True)):
@@ -506,3 +530,115 @@ class TestTableIsolation:
         assert snapshot() == before
         assert bad != reference_apply(K_OPERATOR, vec, positions, real_k)
         assert_matches_reference(K_OPERATOR, vec, positions)
+
+
+class TestKInvolution:
+    # Every state of every K weight block with m <= 3, n <= 5.
+    STATES = [inp for m in range(4) for n in range(6) for inp in K_OPERATOR.states(m, n)]
+    POSITIONS = (0, 1, 2, 3)
+
+    def squares_to_unit(self, inp, element=None):
+        unit = SparseVector.unit(K_SIGNATURE, inp)
+        once = apply_K(unit, self.POSITIONS, element)
+        return apply_K(once, self.POSITIONS, element) == unit
+
+    def test_k_squared_is_identity(self):
+        assert len(self.STATES) == 75
+        for inp in self.STATES:
+            assert self.squares_to_unit(inp), inp
+
+    def test_negative_control(self):
+        corrupted = zeroed_key(real_k, (1, 0, 0, 1, 0, 1, 0, 0))
+        assert not all(self.squares_to_unit(inp, corrupted) for inp in self.STATES)
+
+
+class TestWideOccupations:
+    def test_outputs_widen_the_fields(self):
+        # R on (2^17 - 1, 1, 0) reaches (2^17, 0, 1): 18-bit fields, one more
+        # than the input's, at every site.  Its elements are monomials.
+        signature = R_SIGNATURE + (Q1,)
+        vec = SparseVector(signature, [((2**17 - 1, 1, 0, 5), LaurentQ.monomial(3))])
+        assert vec._width == 17
+        out = assert_matches_reference(R_OPERATOR, vec, (0, 1, 2), real_r)
+        assert out._width == 18
+        assert set(out.terms) == {(2**17, 0, 1, 5), (2**17 - 1, 1, 0, 5)}
+
+    @pytest.mark.parametrize(
+        "signature, words, occ",
+        [
+            (TETRAHEDRON_SIGNATURE, (TETRAHEDRON_LHS, TETRAHEDRON_RHS), (3, 0, 3, 1, 0, 2)),
+            (REFLECTION_SIGNATURE, (REFLECTION_LHS, REFLECTION_RHS), (0, 2, 0, 1, 2, 0, 2, 0, 1)),
+        ],
+    )
+    def test_word_bound_leaves_no_factor_to_widen(self, signature, words, occ):
+        # The verifiers' start width holds every occupation both words reach.
+        vec = _word_unit(signature, occ, *words)
+        for word in words:
+            assert _apply_operator_word(word, vec, None, None)._width == vec._width
+
+    @pytest.mark.parametrize("occ", [(2**20, 1, 0, 0, 0, 0), (40000, 0, 0, 0, 0, 1)])
+    def test_tetrahedron_past_sixteen_bit_fields(self, occ):
+        rep = verify_tetrahedron(occ)
+        assert rep.passed, rep.summary()
+
+
+# -- failure reports against a tuple-keyed reference --------------------------------
+
+
+def _load_workloads():
+    """perfbench/workloads.py, which generates the benchmark's states."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def control_k(state):
+    """K with the key zeroed that the reflection benchmark's negative control
+    zeroes for state; K itself when that control skips the state."""
+    i, j, k, l = inp = state[:4]
+    if not any(inp):
+        return real_k
+    block = K_OPERATOR.states(i + j + k, j + 2 * k + l)
+    return zeroed_key(real_k, next(out + inp for out in block if real_k(*out, *inp)))
+
+
+def reference_word(word, terms, k_fn):
+    """A word applied by reference_terms, the rightmost factor first."""
+    for kind, positions in reversed(word):
+        op, element = (R_OPERATOR, real_r) if kind == "R" else (K_OPERATOR, k_fn)
+        terms = reference_terms(op, terms, positions, element)
+    return terms
+
+
+def reference_reflection_summary(state, k_fn):
+    """verify_reflection's summary, from tuple-keyed dicts and sorted tuples."""
+    start = {state: LaurentQ.one()}
+    lhs = reference_word(REFLECTION_LHS, start, k_fn)
+    rhs = reference_word(REFLECTION_RHS, start, k_fn)
+    name = f"reflection on {state}"
+    rep = VerificationReport(name)
+    zero = LaurentQ.zero()
+    diffs = [occ for occ in sorted(lhs.keys() | rhs.keys()) if lhs.get(occ, zero) != rhs.get(occ, zero)]
+    if diffs:
+        occ = diffs[0]
+        where = f"{name}, first difference at |{','.join(map(str, occ))}>"
+        rep.record(False, where, str(lhs.get(occ, zero)), str(rhs.get(occ, zero)))
+    else:
+        rep.record(True, name)
+    return rep.summary()
+
+
+class TestFailureReports:
+    def test_reports_match_the_tuple_keyed_reference(self):
+        # The benchmark's first 40 seed-1 states, each with the K key of its
+        # negative control zeroed: the first difference and both values match.
+        states = _load_workloads().reflection_states(1, (5, 6), 2)[:40]
+        failed = 0
+        for state in states:
+            k_fn = control_k(state)
+            rep = verify_reflection(state, k_fn=k_fn)
+            assert rep.summary() == reference_reflection_summary(state, k_fn)
+            failed += not rep.passed
+        assert failed == 32
