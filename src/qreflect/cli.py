@@ -1,18 +1,19 @@
 """Command-line front end.
 
-Verbs: q (polynomial family), r and k (matrix elements, and blocks as
-text, JSON or CSV tables), verify (identity suites, including the golden
-regression set).  Every answer is recomputed from the formulas; the CLI
-reads and writes no cache file.  Exit codes: 0 success or verification
-pass, 1 verification failure, 2 usage or domain errors, 3 internal
-consistency error (an exact division left a remainder or a
-construction-time cross-check failed).
+Verbs: q (polynomial family), r and k (matrix elements, blocks as text,
+JSON or CSV tables, and one verify suite each), verify (identity suites,
+including the golden regression set).  Every answer is recomputed from
+the formulas; the CLI reads and writes no cache file.  Exit codes: 0
+success or verification pass, 1 verification failure, 2 usage or domain
+errors, 3 internal consistency error (an exact division left a remainder
+or a construction-time cross-check failed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -38,21 +39,32 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+def _emit(code: int, *lines: str) -> int:
+    """Print lines and return code, the verdict.  A reader that closed stdout
+    changes neither: stdout then points at os.devnull, so the flush at exit
+    prints nothing, and the exit code is the one an open stdout gets."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
+
+
 def _emit_report(rep: VerificationReport, fmt: str) -> int:
     if fmt == "json":
-        print(json.dumps(rep.to_json()))
+        lines = [json.dumps(rep.to_json())]
     else:
-        print(rep.summary())
-        for note in rep.notes:
-            print(f"  note: {note}")
-    return 0 if rep.passed else 1
+        lines = [rep.summary(), *(f"  note: {note}" for note in rep.notes)]
+    return _emit(0 if rep.passed else 1, *lines)
 
 
 def _emit_suite(reps: list[VerificationReport], fmt: str, label: str) -> int:
     passed = sum(1 for r in reps if r.passed)
     total = len(reps)
     if fmt == "json":
-        print(
+        lines = [
             json.dumps(
                 {
                     "name": label,
@@ -62,21 +74,15 @@ def _emit_suite(reps: list[VerificationReport], fmt: str, label: str) -> int:
                     "reports": [r.to_json() for r in reps if not r.passed],
                 }
             )
-        )
+        ]
     else:
-        print(f"{label}: {passed}/{total} pass")
-        for r in reps:
-            if not r.passed:
-                print(f"  {r.summary()}")
-    return 0 if passed == total else 1
+        lines = [f"{label}: {passed}/{total} pass"]
+        lines += [f"  {r.summary()}" for r in reps if not r.passed]
+    return _emit(0 if passed == total else 1, *lines)
 
 
 def _emit_value(value, fmt: str) -> int:
-    if fmt == "json":
-        print(json.dumps(value.to_json()))
-    else:
-        print(value)
-    return 0
+    return _emit(0, json.dumps(value.to_json()) if fmt == "json" else str(value))
 
 
 def _emit_block(states, element, fmt: str) -> int:
@@ -85,20 +91,17 @@ def _emit_block(states, element, fmt: str) -> int:
         width = len(states[0])
         out_cols = ",".join(f"out{i}" for i in range(width))
         in_cols = ",".join(f"in{i}" for i in range(width))
-        print(f"{out_cols},{in_cols},value")
-        for out, inp, value in cells:
-            print(",".join(map(str, out + inp + (value,))))
+        lines = [f"{out_cols},{in_cols},value"]
+        lines += [",".join(map(str, out + inp + (value,))) for out, inp, value in cells]
     elif fmt == "json":
         entries = [
             {"out": list(out), "in": list(inp), "value": value.to_json()}
             for out, inp, value in cells
         ]
-        print(json.dumps({"states": [list(s) for s in states], "entries": entries}))
+        lines = [json.dumps({"states": [list(s) for s in states], "entries": entries})]
     else:
-        for out, inp, value in cells:
-            if not value.is_zero:
-                print(f"{out} <- {inp}: {value}")
-    return 0
+        lines = [f"{out} <- {inp}: {value}" for out, inp, value in cells if not value.is_zero]
+    return _emit(0, *lines)
 
 
 def golden_report() -> VerificationReport:
@@ -182,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     kb.add_argument("m", type=int)
     kb.add_argument("n", type=int)
     add_format(kb, choices=("text", "json", "csv"))
-    kv = ksub.add_parser("verify-e", help="difference equations E22..E55")
+    kv = ksub.add_parser("verify", help="difference equations and block checks")
     kv.add_argument("--max-bc", type=nonnegative_int, default=3)
     add_format(kv)
 
@@ -226,10 +229,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 rep.attempt(threedr.hypergeometric_p, b)
             rep.absorb(threedr.p_ring_report(args.max_b + 1))
             rep.absorb(threedr.verify_mirror_pairs())
-            rep.absorb(
-                tensorops.verify_route_agreement(tensorops.R_OPERATOR, "all", 3, 3)
-            )
-            rep.absorb(threedr.verify_involution(2, 2))
+            rep.absorb(tensorops.verify_blocks(tensorops.R_OPERATOR, 3, 3))
             rep.absorb(threedr.verify_generating_series(1, 1, 1, min(args.max_b, 6)))
             return _emit_report(rep, args.format)
         if args.action == "block":
@@ -246,8 +246,16 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.action == "block":
             states = threedk.k_block_states(args.m, args.n)
             return _emit_block(states, threedk.k_element, args.format)
-        if args.action == "verify-e":
-            rep = threedk.verify_e_all(args.max_bc, args.max_bc)
+        if args.action == "verify":
+            rep = VerificationReport(f"K suite, b, c <= {args.max_bc}")
+            rep.absorb(threedk.verify_e_all(args.max_bc, args.max_bc))
+            rep.absorb(tensorops.verify_blocks(tensorops.K_OPERATOR, 3, 5))
+            # A key is trivial unless its input shares a block with (a,b,c,d+1).
+            for m in range(4):
+                for n in range(5):
+                    for out in threedk.k_block_states(m, n):
+                        for inp in threedk.k_block_states(m, n + 1):
+                            rep.absorb(threedk.verify_bridge_recursion(*out, *inp))
             return _emit_report(rep, args.format)
     if args.verb == "verify":
         if args.what == "tetrahedron":

@@ -47,15 +47,17 @@ class VerificationReport:
             self.fail(location, lhs, rhs)
         return ok
 
-    def attempt(self, fn, *args, **kwargs) -> None:
+    def attempt(self, fn, *args, **kwargs):
         """Run fn, a cross-check that raises VerificationError on a mismatch:
-        one check, whose failure records the exception text."""
+        one check, whose failure records the exception text.  Returns fn's
+        value, or None when it raised."""
         try:
-            fn(*args, **kwargs)
+            value = fn(*args, **kwargs)
         except VerificationError as exc:
             self.record(False, str(exc))
-        else:
-            self.count()
+            return None
+        self.count()
+        return value
 
     def absorb(self, other: VerificationReport) -> None:
         self.checked += other.checked

@@ -39,12 +39,13 @@ with the same nonzero outputs share that cache.  apply_local clears op's
 fields of each input code once (base), so an output's code is base plus
 its out code, and exactq.apply_columns does the arithmetic: one int
 multiply, one shift-add and one int key per matrix element, and one
-LaurentQ per output.  One
-sweep, verify_route_agreement, checks either operator's element routes
-against each other block by block, through the one cross-check,
-report.cross_check.  Vector sums, generator actions and the intertwiner
-combinations collect their terms through exactq.accumulate, and operator
-applications through exactq.apply_columns; both drop the cancelled ones.
+LaurentQ per output.  One sweep, verify_blocks, checks either operator
+block by block: its weights, its element routes against each other
+(through the one cross-check, report.cross_check), its transpose symmetry
+up to the operator's norm, and op^2 = 1.  Vector sums, generator
+actions and the intertwiner combinations collect their terms through
+exactq.accumulate, and operator applications through
+exactq.apply_columns; both drop the cancelled ones.
 All three equation verifiers report through compare_words, which names the
 first basis state where the two sides differ.
 
@@ -68,8 +69,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from . import memo
 from .exactq import DomainError, LaurentQ, PackedColumn, accumulate, apply_columns
 from .report import VerificationError, VerificationReport
-from .threedk import k_block_states, k_element, k_weights
-from .threedr import r_block_states, r_element, r_weights
+from .threedk import k_block_states, k_element, k_norm, k_weights
+from .threedr import r_block_states, r_element, r_norm, r_weights
 
 
 class SpaceType(Enum):
@@ -313,8 +314,10 @@ class LocalOperator(NamedTuple):
     """An operator on a few tensor factors, finite on each weight block.
 
     weights maps local occupations to the block they lie in, states lists
-    that block, element(*out, *inp, route=...) is one matrix element and
-    table holds the packed column (exactq.PackedColumn: the nonzero
+    that block, element(*out, *inp, route=...) is one matrix element,
+    route is the element route that cross-checks all the others, norm(*s)
+    is the normalisation N with op[out,inp] N(out) = op[inp,out] N(inp),
+    and table holds the packed column (exactq.PackedColumn: the nonzero
     entries, their width, stride, bound, slot count and ceil(log2 |block|))
     of each local input seen so far.
     """
@@ -324,6 +327,8 @@ class LocalOperator(NamedTuple):
     weights: Callable[..., tuple[int, int]]
     states: Callable[[int, int], list[tuple[int, ...]]]
     element: ElementFn
+    route: str
+    norm: Callable[..., LaurentQ]
     table: dict
 
 
@@ -335,6 +340,8 @@ R_OPERATOR = LocalOperator(
     r_weights,
     r_block_states,
     lambda *key, **kw: r_element(*key, **kw),
+    "all",
+    r_norm,
     memo.table("R_local"),
 )
 K_OPERATOR = LocalOperator(
@@ -343,6 +350,8 @@ K_OPERATOR = LocalOperator(
     k_weights,
     k_block_states,
     lambda *key, **kw: k_element(*key, **kw),
+    "both",
+    k_norm,
     memo.table("K_local"),
 )
 
@@ -461,28 +470,14 @@ def apply_K(
     return apply_local(K_OPERATOR, vec, positions, element)
 
 
-def verify_route_agreement(
-    op: LocalOperator, route: str, max_m: int, max_n: int
-) -> VerificationReport:
-    """op.element's cross-checking route passes on every key of every block
-    with m <= max_m, n <= max_n ("all" for R, "both" for K)."""
-    rep = VerificationReport(f"{op.name} route agreement, m<={max_m}, n<={max_n}")
-    for m in range(max_m + 1):
-        for n in range(max_n + 1):
-            states = op.states(m, n)
-            for out in states:
-                for inp in states:
-                    rep.attempt(op.element, *out, *inp, route=route)
-    return rep
-
-
 def zeroed_key(fn: ElementFn, key: tuple[int, ...]) -> ElementFn:
-    """Wrap an element function, forcing one key to zero (negative control)."""
+    """Wrap an element function, forcing one key to zero on every route
+    (negative control)."""
 
-    def corrupted(*args: int) -> LaurentQ:
+    def corrupted(*args: int, **kw) -> LaurentQ:
         if tuple(args) == key:
             return LaurentQ.zero()
-        return fn(*args)
+        return fn(*args, **kw)
 
     return corrupted
 
@@ -661,6 +656,39 @@ def compare_words(name: str, lhs: SparseVector, rhs: SparseVector) -> Verificati
     return rep
 
 
+def verify_blocks(op: LocalOperator, max_m: int, max_n: int) -> VerificationReport:
+    """op's identities on each weight block (m, n), m <= max_m, n <= max_n, in order:
+    each state op.states lists has op.weights (m, n); each key's element routes
+    agree (op.route, through report.cross_check); op[out,inp] N(out) =
+    op[inp,out] N(inp) for out < inp, with N = op.norm; and op^2 = 1 on each
+    unit vector.  op^2 is applied with the route check's values (zero where
+    it failed) through apply_local's element override (zero off the block, as
+    op is), so the sweep neither reads nor fills op.table: no bad column
+    fools or outlives it.
+    """
+    rep = VerificationReport(f"{op.name} blocks, m<={max_m}, n<={max_n}")
+    positions, zero = tuple(range(len(op.signature))), LaurentQ.zero()
+    for m, n in product(range(max_m + 1), range(max_n + 1)):
+        states = op.states(m, n)
+        for s in states:
+            got, where = op.weights(*s), f"{op.name} lists {s} in block ({m},{n})"
+            rep.record(got == (m, n), where, str(got), str((m, n)))
+        values = {
+            (*out, *inp): rep.attempt(op.element, *out, *inp, route=op.route) or zero
+            for out, inp in product(states, states)
+        }
+        for out, inp in combinations(states, 2):
+            lhs = values[(*out, *inp)] * op.norm(*out)
+            rhs = values[(*inp, *out)] * op.norm(*inp)
+            rep.record(lhs == rhs, f"{op.name} transpose at {(*out, *inp)}", str(lhs), str(rhs))
+        element = lambda *key: values.get(key, zero)
+        for inp in states:
+            unit = SparseVector.unit(op.signature, inp)
+            twice = apply_local(op, apply_local(op, unit, positions, element), positions, element)
+            rep.absorb(compare_words(f"{op.name}^2 on {inp}", twice, unit))
+    return rep
+
+
 def _word_unit(signature, occupations: Sequence[int], *words) -> SparseVector:
     """The unit vector of occupations, coded wide enough for every factor of the words.
 
@@ -747,21 +775,6 @@ def oscillator_relations_report(max_m: int) -> VerificationReport:
             rep.record(
                 up_down == want, f"{lower}{raise_}|{m}> ({space.name})"
             )
-    return rep
-
-
-def weight_conservation_report(max_occ: int) -> VerificationReport:
-    """R and K outputs stay in their input's weight block, termwise."""
-    rep = VerificationReport(f"weight conservation, occupations <= {max_occ}")
-    for op in (R_OPERATOR, K_OPERATOR):
-        positions = tuple(range(len(op.signature)))
-        for occ in states_up_to(len(positions), max_occ):
-            out = apply_local(op, SparseVector.unit(op.signature, occ), positions)
-            for local in out.terms:
-                rep.record(
-                    op.weights(*local) == op.weights(*occ),
-                    f"{op.name} weight on {occ} -> {local}",
-                )
     return rep
 
 

@@ -12,14 +12,20 @@ K operator conserves it.  Two routes produce the element:
 
 Both reduce by exact division to a polynomial in q lying in
 q^eta Z[q^2] with eta = bd + jl mod 2; mismatches of any kind raise
-(route="both" cross-checks one key by report.cross_check,
-tensorops.verify_route_agreement sweeps whole blocks).  The only cache of
-K elements is the column table of tensorops.apply_local.
+(route="both" cross-checks one key by report.cross_check).  The only
+cache of K elements is the column table of tensorops.apply_local.  On
+each block K is an involution, symmetric up to its normalisation k_norm:
+
+  K^{abcd}_{ijkl} (q^2)_b (q^2)_d (q^4)_a (q^4)_c
+    = K^{ijkl}_{abcd} (q^2)_j (q^2)_l (q^4)_i (q^4)_k;
+
+both, and the route agreement, are checked block by block by
+tensorops.verify_blocks.
 
 The module also verifies the fourteen difference equations E22..E55 that
 characterize the Q family (each one the image of a generator
-intertwining relation), the binomial-transpose symmetry between a key
-and its flip, and the element-level recursion bridging the two levels.
+intertwining relation) and the element-level recursion bridging the two
+levels.
 """
 
 from __future__ import annotations
@@ -67,11 +73,11 @@ def k_element(
         value = q_polynomial(j, k).evaluate_at_q_powers((4 * a, 2 * b, 4 * c, 2 * d))
         num = value.shifted(phi_k(*key) - phi_bc(j, k))
         num = num * qq_pochhammer(2, l) * qq_pochhammer(4, i)
-        return _check_element(num.exact_div(_k_norm(a, b, c, d)), key)
+        return _check_element(num.exact_div(k_norm(a, b, c, d)), key)
     return cross_check(k_element, key, K_ROUTES)
 
 
-def _k_norm(a: int, b: int, c: int, d: int) -> LaurentQ:
+def k_norm(a: int, b: int, c: int, d: int) -> LaurentQ:
     """K's normalisation of |a,b,c,d>: (q^2;q^2)_b (q^2;q^2)_d (q^4;q^4)_a (q^4;q^4)_c."""
     p = qq_pochhammer
     return p(2, b) * p(2, d) * p(4, a) * p(4, c)
@@ -91,30 +97,6 @@ def k_block_states(m: int, n: int) -> list[tuple[int, int, int, int]]:
         for b in range(min(m - c, n - 2 * c) + 1):
             states.append((m - b - c, b, c, n - b - 2 * c))
     return sorted(states)
-
-
-def check_transpose(
-    a: int, b: int, c: int, d: int, i: int, j: int, k: int, l: int
-) -> VerificationReport:
-    """K^{a,b,c,d}_{i,j,k,l} [j,l over b,d]^{-1}... cross-multiplied:
-
-    K^{abcd}_{ijkl} (q^2)_b (q^2)_d (q^4)_a (q^4)_c
-      = (q^2)_j (q^2)_l (q^4)_i (q^4)_k K^{ijkl}_{abcd}.
-    """
-    rep = VerificationReport(f"transpose symmetry at {(a, b, c, d, i, j, k, l)}")
-    lhs = k_element(a, b, c, d, i, j, k, l) * _k_norm(a, b, c, d)
-    rhs = k_element(i, j, k, l, a, b, c, d) * _k_norm(i, j, k, l)
-    rep.record(lhs == rhs, f"transpose at {(a, b, c, d, i, j, k, l)}", str(lhs), str(rhs))
-    return rep
-
-
-def verify_transpose_block(m: int, n: int) -> VerificationReport:
-    rep = VerificationReport(f"transpose symmetry on block ({m},{n})")
-    states = k_block_states(m, n)
-    for out in states:
-        for inp in states:
-            rep.absorb(check_transpose(*out, *inp))
-    return rep
 
 
 # -- the difference equations E22..E55 -------------------------------------------

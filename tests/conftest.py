@@ -2,13 +2,15 @@
 
 Everything here is transcribed independently of the package's own
 computation routes (built from explicit factored products), so equality
-tests against these are genuine cross-checks.
+tests against these are genuine cross-checks.  assert_zeroed_key_caught
+is the one negative control of the block sweep, shared by R and K.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from qreflect import memo, tensorops
 from qreflect.exactq import LaurentQ, qq_pochhammer
 from qreflect.multipoly import MultiPolyQ, VARS4, q_power, variables
 
@@ -139,3 +141,30 @@ def printed_q():
 @pytest.fixture(scope="session")
 def printed_k():
     return reference_k_values()
+
+
+def assert_zeroed_key_caught(monkeypatch, op, key, transpose_at, square_at):
+    """tensorops.verify_blocks(op, 3, 5) with op's element zeroed at key on
+    every route, through the name tensorops looks op's elements up by.
+
+    Route agreement, which runs before both checks in each block, passes on
+    the zeroed key; the transpose check fails first, at transpose_at, and
+    with it blinded by a zero norm, op^2 = 1 fails first at square_at.
+    Neither corrupted sweep adds or replaces a column of R_local or K_local.
+    """
+    name = {"R": "r_element", "K": "k_element"}[op.name]
+    inp = key[len(key) // 2 :]
+    positions = tuple(range(len(inp)))
+    tensorops.apply_local(op, tensorops.SparseVector.unit(op.signature, inp), positions)
+
+    def columns():
+        return {table: dict(memo.tables()[table]) for table in ("R_local", "K_local")}
+
+    before = columns()
+    monkeypatch.setattr(tensorops, name, tensorops.zeroed_key(getattr(tensorops, name), key))
+    rep = tensorops.verify_blocks(op, 3, 5)
+    assert rep.first_failure.location == transpose_at, rep.summary()
+    blind = op._replace(norm=lambda *state: LaurentQ.zero())
+    rep = tensorops.verify_blocks(blind, 3, 5)
+    assert rep.first_failure.location == square_at, rep.summary()
+    assert columns() == before

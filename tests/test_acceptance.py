@@ -50,10 +50,10 @@ def test_criterion_02_golden_k_block_and_quotients():
 
 def test_criterion_03_k_route_agreement():
     t0 = time.time()
-    rep = tensorops.verify_route_agreement(tensorops.K_OPERATOR, "both", 3, 5)
+    rep = tensorops.verify_blocks(tensorops.K_OPERATOR, 3, 5)
     assert rep.passed, rep.summary()
     assert rep.checked >= 300
-    _done(3, f"primary = dual on {rep.checked} keys (m<=3, n<=5)", t0, 120.0)
+    _done(3, f"primary = dual, K^2 = 1, transpose: {rep.checked} checks (m<=3, n<=5)", t0, 120.0)
 
 
 def test_criterion_04_closed_form_and_dual():
@@ -110,13 +110,9 @@ def test_criterion_08_r_suite():
     for point in GRID_POINTS:
         rep = threedr.verify_generating_series(*point, 6)
         assert rep.passed, rep.summary()
-    rep = tensorops.verify_route_agreement(tensorops.R_OPERATOR, "all", 4, 4)
+    rep = tensorops.verify_blocks(tensorops.R_OPERATOR, 4, 4)
     assert rep.passed, rep.summary()
-    for m in range(5):
-        for n in range(5):
-            rep = threedr.verify_involution(m, n)
-            assert rep.passed, rep.summary()
-    _done(8, "relations b<=5, symmetry b<=6, 2phi1, series u^6 x9, routes, R^2", t0, 600.0)
+    _done(8, "relations b<=5, symmetry b<=6, 2phi1, series u^6 x9, R blocks", t0, 600.0)
 
 
 def test_criterion_09_tetrahedron():

@@ -7,6 +7,8 @@ import json
 import os
 import shlex
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,7 +185,7 @@ class TestCommands:
             "verify reflection --max-occ -1",
             "verify reflection --sample -3",
             "q verify props --max-bc -1",
-            "k verify-e --max-bc -1",
+            "k verify --max-bc -1",
             "r verify --max-b -1",
         ],
     )
@@ -200,6 +202,62 @@ class TestCommands:
         (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         assert sorted(verbs.choices) == ["k", "q", "r", "verify"]
         assert [s for a in parser._actions for s in a.option_strings] == ["-h", "--help"]
+
+
+class TestKVerify:
+    def test_passes_in_text_and_json(self, capsys):
+        # The E relations for b, c <= 1, the K blocks m <= 3, n <= 5 and
+        # the 290 keys of the bridge recursion.
+        checked = 14 * 4 + tensorops.verify_blocks(tensorops.K_OPERATOR, 3, 5).checked + 290
+        code, out = run(capsys, "k", "verify", "--max-bc", "1")
+        assert code == 0
+        assert out == f"K suite, b, c <= 1: {checked} checked, pass\n"
+        code, out = run(capsys, "k", "verify", "--max-bc", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"name": "K suite, b, c <= 1", "passed": True, "checked": checked}
+
+    def test_zeroed_element_is_a_verified_failure(self, capsys, monkeypatch):
+        key = (1, 0, 0, 1, 0, 1, 0, 0)
+        monkeypatch.setattr(tensorops, "k_element", tensorops.zeroed_key(threedk.k_element, key))
+        code, out = run(capsys, "k", "verify", "--max-bc", "0")
+        assert code == 1
+        (line,) = out.splitlines()
+        assert line.startswith("K suite, b, c <= 0: ")
+        assert "FAIL (K transpose at (0, 1, 0, 0, 1, 0, 0, 1): " in line
+
+    def test_old_verb_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["k", "verify-e"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'verify-e'" in capsys.readouterr().err
+
+
+class TestClosedStdout:
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def spawn(self, argv, **kwargs):
+        path = os.pathsep.join([str(self.SRC), os.environ.get("PYTHONPATH", "")])
+        cmd = [sys.executable, "-m", "qreflect.cli", *argv]
+        env = {**os.environ, "PYTHONPATH": path}
+        return subprocess.Popen(cmd, env=env, stderr=subprocess.PIPE, **kwargs)
+
+    @pytest.mark.parametrize(
+        "command",
+        ["verify tetrahedron --max-occ 0", "q compute 1 0", "verify golden --format json"],
+    )
+    def test_exit_code_is_the_verdict(self, command):
+        # A reader that goes away at once (a pipe into `head -0`) changes
+        # neither the exit code nor stderr.
+        argv = command.split()
+        with self.spawn(argv, stdout=subprocess.DEVNULL) as proc:
+            _, err = proc.communicate(timeout=120)
+        want = proc.returncode
+        assert err == b""
+        with self.spawn(argv, stdout=subprocess.PIPE) as proc:
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert err.decode() == ""
+        assert proc.returncode == want
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -40,14 +40,16 @@ from qreflect.tensorops import (
     sample_unit_states,
     states_up_to,
     unit_states,
+    verify_blocks,
     verify_intertwiner,
     verify_reflection,
     verify_tetrahedron,
-    weight_conservation_report,
     zeroed_key,
 )
 from qreflect.threedk import k_element
 from qreflect.threedr import r_element
+
+from conftest import assert_zeroed_key_caught
 
 
 def assert_first_difference(rep):
@@ -122,8 +124,10 @@ class TestOperatorApplication:
         assert len(out.terms) == 8
 
     def test_weight_conservation(self):
-        rep = weight_conservation_report(2)
-        assert rep.passed, rep.summary()
+        # Every block that a local input with occupations <= 2 lies in.
+        for op, max_m, max_n in ((R_OPERATOR, 4, 4), (K_OPERATOR, 6, 8)):
+            rep = verify_blocks(op, max_m, max_n)
+            assert rep.passed, rep.summary()
 
     def test_signature_mismatch_rejected(self):
         v = SparseVector.unit(K_SIGNATURE, (0, 0, 0, 0))
@@ -533,23 +537,39 @@ class TestTableIsolation:
 
 
 class TestKInvolution:
-    # Every state of every K weight block with m <= 3, n <= 5.
-    STATES = [inp for m in range(4) for n in range(6) for inp in K_OPERATOR.states(m, n)]
-    POSITIONS = (0, 1, 2, 3)
-
-    def squares_to_unit(self, inp, element=None):
-        unit = SparseVector.unit(K_SIGNATURE, inp)
-        once = apply_K(unit, self.POSITIONS, element)
-        return apply_K(once, self.POSITIONS, element) == unit
-
     def test_k_squared_is_identity(self):
-        assert len(self.STATES) == 75
-        for inp in self.STATES:
-            assert self.squares_to_unit(inp), inp
+        # K^2 = 1 on the unit vector of each of the 75 states of the blocks
+        # m <= 3, n <= 5, with the transpose symmetry and route agreement.
+        assert sum(len(K_OPERATOR.states(m, n)) for m in range(4) for n in range(6)) == 75
+        rep = verify_blocks(K_OPERATOR, 3, 5)
+        assert rep.passed, rep.summary()
 
-    def test_negative_control(self):
-        corrupted = zeroed_key(real_k, (1, 0, 0, 1, 0, 1, 0, 0))
-        assert not all(self.squares_to_unit(inp, corrupted) for inp in self.STATES)
+    def test_negative_control(self, monkeypatch):
+        assert_zeroed_key_caught(
+            monkeypatch,
+            K_OPERATOR,
+            (1, 0, 0, 1, 0, 1, 0, 0),
+            "K transpose at (0, 1, 0, 0, 1, 0, 0, 1)",
+            "K^2 on (0, 1, 0, 0), first difference at |0,1,0,0>",
+        )
+
+
+class TestVerifyBlocks:
+    @pytest.mark.parametrize(
+        "op, stray, location",
+        [
+            (R_OPERATOR, (2, 0, 0), "R lists (2, 0, 0) in block (1,1): lhs=(2, 0) rhs=(1, 1)"),
+            (K_OPERATOR, (0, 0, 0, 2), "K lists (0, 0, 0, 2) in block (1,1): lhs=(0, 2) rhs=(1, 1)"),
+        ],
+        ids=["R", "K"],
+    )
+    def test_state_off_its_block_fails_the_weight_check(self, op, stray, location):
+        def states(m, n):
+            return op.states(m, n) + [stray] * ((m, n) == (1, 1))
+
+        rep = verify_blocks(op._replace(states=states), 2, 2)
+        assert not rep.passed
+        assert str(rep.first_failure) == location
 
 
 class TestWideOccupations:

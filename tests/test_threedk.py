@@ -8,17 +8,16 @@ import qreflect.threedk as threedk
 from qreflect.exactq import DomainError, LaurentQ
 from qreflect.multipoly import VARS4, q_power
 from qreflect.report import VerificationError
-from qreflect.tensorops import K_OPERATOR, verify_route_agreement
+from qreflect.tensorops import K_OPERATOR, verify_blocks
 from qreflect.threedk import (
-    check_transpose,
     e_residual,
     k_block_states,
     k_element,
+    k_norm,
     k_weights,
     verify_bridge_recursion,
     verify_e,
     verify_e_all,
-    verify_transpose_block,
 )
 
 
@@ -51,7 +50,7 @@ class TestKElement:
             assert k_element(3, 1, 0, 2, *inp, route="both") == want
 
     def test_route_agreement_sweep(self):
-        rep = verify_route_agreement(K_OPERATOR, "both", 2, 4)
+        rep = verify_blocks(K_OPERATOR, 2, 4)
         assert rep.passed, rep.summary()
 
     def test_route_sweep_negative_control(self, monkeypatch):
@@ -64,7 +63,7 @@ class TestKElement:
             return poly * q_power(VARS4, 2) if (b, c) == (1, 0) else poly
 
         monkeypatch.setattr(threedk, "q_polynomial", corrupted)
-        rep = verify_route_agreement(K_OPERATOR, "both", 1, 2)
+        rep = verify_blocks(K_OPERATOR, 1, 2)
         assert not rep.passed
         key = (0, 1, 0, 0, 1, 0, 0, 1)
         assert rep.first_failure.location == f"route dual disagrees with primary at {key}"
@@ -97,17 +96,21 @@ class TestKElement:
 
 
 class TestTranspose:
+    @staticmethod
+    def symmetric(out, inp):
+        """K^{out}_{inp} k_norm(out) = K^{inp}_{out} k_norm(inp)."""
+        return k_element(*out, *inp) * k_norm(*out) == k_element(*inp, *out) * k_norm(*inp)
+
     def test_self_transposed(self):
-        rep = check_transpose(3, 1, 0, 2, 3, 1, 0, 2)
-        assert rep.passed
+        assert self.symmetric((3, 1, 0, 2), (3, 1, 0, 2))
 
     def test_printed_pair(self):
-        rep = check_transpose(3, 1, 0, 2, 1, 3, 0, 0)
-        assert rep.passed, rep.summary()
+        assert self.symmetric((3, 1, 0, 2), (1, 3, 0, 0))
 
     @pytest.mark.parametrize("block", [(4, 3), (4, 5)])
     def test_block_scan(self, block):
-        rep = verify_transpose_block(*block)
+        # verify_blocks(K, 4, 5) sweeps both blocks, and every block below them.
+        rep = verify_blocks(K_OPERATOR, *block)
         assert rep.passed, rep.summary()
 
 

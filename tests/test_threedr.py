@@ -16,11 +16,12 @@ from qreflect.threedr import (
     r_weights,
     swap_xz,
     verify_generating_series,
-    verify_involution,
     verify_mirror_pairs,
     verify_p_relations,
 )
-from qreflect.tensorops import R_OPERATOR, verify_route_agreement
+from qreflect.tensorops import R_OPERATOR, verify_blocks
+
+from conftest import assert_zeroed_key_caught
 
 X, Y, Z = variables(VARS3)
 
@@ -150,7 +151,7 @@ class TestRElement:
         r_element(*key, route="all")
 
     def test_route_agreement_sweep(self):
-        rep = verify_route_agreement(R_OPERATOR, "all", 3, 3)
+        rep = verify_blocks(R_OPERATOR, 3, 3)
         assert rep.passed, rep.summary()
 
     def test_route_sweep_negative_control(self, monkeypatch):
@@ -161,13 +162,13 @@ class TestRElement:
             return gaussian_binomial(n, k, base_exp) + ((n, k) == (1, 1))
 
         monkeypatch.setattr(threedr, "gaussian_binomial", corrupted)
-        rep = verify_route_agreement(R_OPERATOR, "all", 2, 2)
+        rep = verify_blocks(R_OPERATOR, 2, 2)
         assert not rep.passed
         key = (0, 1, 0, 0, 1, 0)
         assert rep.first_failure.location == f"route doublesum disagrees with poly at {key}"
 
     def test_series_route_negative_control(self, perturbed_u1):
-        rep = verify_route_agreement(R_OPERATOR, "all", 2, 2)
+        rep = verify_blocks(R_OPERATOR, 2, 2)
         assert not rep.passed
         key = (0, 1, 0, 0, 1, 0)
         assert rep.first_failure.location == f"route series disagrees with poly at {key}"
@@ -177,20 +178,18 @@ class TestRElement:
             r_element(2, 0, 1, 0, 1, 0, route="bogus")
 
     def test_involution(self):
-        for m, n in ((0, 0), (1, 2), (3, 3), (2, 4)):
-            rep = verify_involution(m, n)
-            assert rep.passed, rep.summary()
+        # R^2 = 1 and the transpose symmetry on every block with m <= 3, n <= 4.
+        rep = verify_blocks(R_OPERATOR, 3, 4)
+        assert rep.passed, rep.summary()
 
     def test_involution_negative_control(self, monkeypatch):
-        r_element = threedr.r_element
-
-        def corrupted(*key):
-            return LaurentQ.zero() if key == (1, 0, 1, 0, 1, 0) else r_element(*key)
-
-        monkeypatch.setattr(threedr, "r_element", corrupted)
-        rep = verify_involution(1, 1)
-        assert not rep.passed
-        assert rep.first_failure.location == "(R^2)[(0, 1, 0),(0, 1, 0)]"
+        assert_zeroed_key_caught(
+            monkeypatch,
+            R_OPERATOR,
+            (1, 0, 1, 0, 1, 0),
+            "R transpose at (0, 1, 0, 1, 0, 1)",
+            "R^2 on (0, 1, 0), first difference at |0,1,0>",
+        )
 
     def test_block_shape(self):
         states = r_block_states(2, 3)
