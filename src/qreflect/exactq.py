@@ -7,25 +7,25 @@ and one Python int
     p = c_0 + c_1 2^w + c_2 2^(2w) + ... + c_t 2^(tw),
 
 the polynomial in q^s evaluated at q^s = 2^w with signed digits c_i.  The
-slot width w is a multiple of 32, and every value carries a proven bound b
-on the bit length of its coefficients.  Decoding p back into digits is
-unique as long as every |c_i| < 2^(w-1), which the invariant b <= w - 1
-guarantees.  The bounds follow the arithmetic:
+slot width w is a multiple of 32, and decoding p is unique as long as
+every |c_i| < 2^(w-1).  Every value carries two proven magnitude bounds,
+held as ints: n1 >= ||c||_1 = sum |c_i| and ni >= ||c||_inf = max |c_i|,
+with ni < 2^(w-1).  One rule bounds every packed operation:
 
-  * a product's coefficients are sums of at most m = min(slot counts)
-    products of two digits, so its bound is b_a + b_b + ceil(log2 m);
-  * a sum of n values has bound max(bounds) + ceil(log2 n), so a sum of
-    two has max(b_a, b_b) + 1.
+  * a product has ||ab||_1 <= ||a||_1 ||b||_1 and
+    ||ab||_inf <= min(||a||_1 ||b||_inf, ||a||_inf ||b||_1);
+  * a sum adds both norms;
+  * a value, or a call of the kernel below, runs at the narrowest width
+    above its ||.||_inf bound (_width_for).
 
-One rule (_shared) brings the operands of a sum or product to one width
-and stride: their packed ints serve as they are when the result's bound
-stays below the width and each operand fits it; otherwise the operands
-are decoded, their bounds tightened to the true coefficient sizes, and
-re-encoded at the narrowest width that holds the result.  With the bound
-in place a product is one bigint multiply and a sum one shift and add per
-term, and no carry ever crosses a slot boundary.  An int operand is a
-one-slot value like any other.  The form is canonical for its width and
-stride: the lowest digit c_0 is nonzero, and the zero polynomial is p == 0.
+So a product is one bigint multiply and a sum one shift and add per term,
+and no carry ever crosses a slot boundary.  A value is decoded to its true
+norms (_tight) only when a carried bound reaches the width: one routine
+(_shared) brings the operands of a sum, product or division to one width
+and stride, as they are or, when the result's bound reaches the widest
+operand width, tightened and re-packed at the width of that bound.  An
+int operand is a one-slot value like any other.  The form is canonical for
+its width and stride: the lowest digit c_0 is nonzero, and zero is p == 0.
 
 The stride is there because the R and K matrix elements lie in q^eta Z[q^2],
 and so does every coefficient the operator words build from them: at
@@ -36,12 +36,10 @@ integer) is the same packed int at either stride and at any width above
 its bound, so it combines with any value as it is.  A product of two
 stride-2 values is stride 2 with the two lo summed; a sum stays stride 2
 when the two lo share one parity; any other mix is re-packed at stride 1.
-
-Exact division of two stride-2 values divides their stride-2 digits, and
-loses nothing by it: if N = n(q^2) q^a and D = d(q^2) q^b, a quotient in
-Z[q, q^-1] is q^(a-b) n(q^2) / d(q^2) = q^(a-b) g(q^2) with n = g d.  Like
-the other operations it is one bigint operation, a divmod of the packed
-ints, and a bound check proves its quotient (LaurentQ.exact_div).
+Exact division of two stride-2 values divides their stride-2 digits and
+loses nothing by it: if N = n(q^2) q^a and D = d(q^2) q^b, a quotient is
+q^(a-b) g(q^2) with n = g d.  It is one divmod of the packed ints, and
+the same norms prove its quotient (LaurentQ.exact_div).
 
 All arithmetic is exact: coefficients are arbitrary precision integers and
 nothing in this package ever rounds (D. Harvey, "Faster polynomial
@@ -49,39 +47,34 @@ multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
 2009).
 
 On top of LaurentQ the module provides
-
   * q-Pochhammer products (z; q^B)_n, (q^B; q^B)_n and its tails
     (q^B; q^B)_hi / (q^B; q^B)_lo, all three one cached loop of packed
-    differences over the factors, so n is not limited by recursion,
-  * euler_product     -- a product of Euler factors (a*u; q^2)_inf^{+-1}
-                         to a fixed order in u, as the numerators of its
-                         u^k coefficients over (q^2;q^2)_k,
-  * accumulate        -- the sparse sum of (key, LaurentQ) pairs.  It only
-                         adds: sums without products (polynomial and
-                         vector sums, scalar multiples) go through it,
-  * apply_columns     -- the sparse sum of coefficient times packed column
-                         (PackedColumn: an operator column, or a
-                         polynomial's terms): one int multiply and one
-                         shift-add per product at one slot width for the
-                         whole call, the narrowest that holds its output
-                         bound, and one LaurentQ per output.  Every
-                         sum of products goes through it: R and K
-                         application, polynomial products and shift sums.
-                         With accumulate, it is one of the two places
-                         where cancelled terms are dropped.
+    differences over the factors, so n is not limited by recursion;
+  * euler_product, a product of Euler factors (a*u; q^2)_inf^{+-1} to a
+    fixed order in u, as the numerators of its u^k coefficients over
+    (q^2;q^2)_k;
+  * accumulate, the sparse sum of (key, LaurentQ) pairs.  It only adds:
+    sums without products (polynomial and vector sums, scalar multiples)
+    go through it;
+  * apply_columns, the sparse sum of coefficient times packed column
+    (PackedColumn: an operator column, or a polynomial's terms), one int
+    multiply and one shift-add per product at one slot width for the whole
+    call, and one LaurentQ per output.  Every sum of products goes through
+    it: R and K application, polynomial products and shift sums.
+Those two are where cancelled terms are dropped.
 
-Values and PackedColumns are immutable after construction, except that
-decoding one for a re-pack lowers its bound (_b, or a column's b) in place
-to the true coefficient size, and a column's keyed cache gains entries.
-Any bound written there is valid and no keyed entry is ever rewritten, so
-values and tables of columns (the R and K element caches) are safe to
-share between threads.
+Values and PackedColumns are immutable after construction, except that a
+decode lowers norm bounds in place to the true norms, and a column's
+keyed cache gains entries.  Any bound written there is valid and no keyed
+entry is ever rewritten, so values and tables of columns (the R and K
+element caches) are safe to share between threads.
 """
 
 from __future__ import annotations
 
 import struct
 from functools import lru_cache
+from math import isqrt
 from operator import index
 from typing import Callable, Hashable, Iterable, Iterator
 
@@ -97,15 +90,22 @@ class DomainError(ValueError):
 # -- the packed encoding ---------------------------------------------------------
 
 
-def _width_for(bits: int) -> int:
-    """The narrowest slot width (a multiple of 32) holding bits-bit digits."""
-    return 32 * (bits // 32 + 1)
+def _width_for(bound: int) -> int:
+    """The narrowest slot width (a multiple of 32) holding digits of absolute value <= bound."""
+    return 32 * (bound.bit_length() // 32 + 1)
 
 
 @lru_cache(maxsize=1024)
-def _offset(n: int, w: int) -> int:
-    """sum_{i<n} 2^(w-1) 2^(wi): adding it makes every signed digit nonnegative."""
+def _short_offset(n: int, w: int) -> int:
     return int.from_bytes((bytes(w // 8 - 1) + b"\x80") * n, "little")
+
+
+def _offset(n: int, w: int) -> int:
+    """sum_{i<n} 2^(w-1) 2^(wi): adding it makes every signed digit nonnegative.
+
+    Only offsets of up to 2^14 bits are cached, so the cache holds 2 MB at most.
+    """
+    return (_short_offset if n * w <= 1 << 14 else _short_offset.__wrapped__)(n, w)
 
 
 # struct packs and unpacks 32- and 64-bit slots, the common widths, several
@@ -143,23 +143,15 @@ def _unpack(p: int, w: int) -> list[int]:
     ]
 
 
-def _max_bits(digits: list[int]) -> int:
-    return max(max(digits), -min(digits)).bit_length()
+def _norms(digits: list[int]) -> tuple[int, int]:
+    """(||.||_1, ||.||_inf) of nonempty digits."""
+    sizes = list(map(abs, digits))
+    return sum(sizes), max(sizes)
 
 
 def _one_slot(v: LaurentQ) -> bool:
     """A nonzero value with one slot: the same packed int at either stride."""
     return v._p.bit_length() < v._w
-
-
-def _fits(v: LaurentQ, w: int, s: int) -> bool:
-    """v's packed int serves as it is at width w and stride s.
-
-    A multi-slot value needs its own width and stride.  A one-slot value's
-    packed int is its one digit, which serves at either stride and at any
-    width above its bound.
-    """
-    return (v._w == w and v._s == s) or (_one_slot(v) and v._b < w)
 
 
 def _joint_stride(values: Iterable[LaurentQ], los: Iterable[int] = ()) -> int:
@@ -188,58 +180,73 @@ def _restride(digits: list[int], s: int, t: int) -> list[int]:
     return spread
 
 
+def _sum_norms(values: list[LaurentQ]) -> tuple[int, int]:
+    return sum([v._n1 for v in values]), sum([v._ni for v in values])
+
+
+def _product_norms(values: list[LaurentQ]) -> tuple[int, int]:
+    a, b = values
+    return a._n1 * b._n1, min(a._n1 * b._ni, a._ni * b._n1)
+
+
+def _widest(values: list[LaurentQ]) -> tuple[int, int]:
+    """No result of its own: every value fits the width of the widest one."""
+    return 0, max([v._ni for v in values])
+
+
 def _shared(
-    values: list[LaurentQ], extra: int, combine=max, los: Iterable[int] = ()
-) -> tuple[list[int], int, int, int]:
-    """Nonzero values at one width and stride, with the bound of their result.
+    values: list[LaurentQ],
+    norms: Callable[[list[LaurentQ]], tuple[int, int]],
+    los: Iterable[int] = (),
+) -> tuple[list[int], int, int, int, int]:
+    """Nonzero values at one width and stride, with the norm bounds of their result.
 
     The stride is the joint stride of the values placed at the exponents
-    los.  The result's bound is combine(bounds) + extra: max for a sum,
-    sum for a product.  When it is below the widest width and every value
-    fits there, the packed ints serve as they are; otherwise each value is
-    decoded, its bound tightened, and all are re-packed at the narrowest
-    width that holds the result's bound.  Returns (packed ints, width,
-    stride, result bound).
+    los, and norms(values) bounds the result from the values' bounds.
+    When its ||.||_inf bound fits the widest width and every value fits
+    there (a multi-slot value at its own width and stride, a one-slot value
+    at any width above its bound), the packed ints serve as they are;
+    otherwise each value is tightened and all are re-packed at the width of
+    the result's bound, which holds each value too.  Returns (packed ints,
+    width, stride, ||.||_1 bound, ||.||_inf bound).
     """
     s = _joint_stride(values, los)
     w = max([v._w for v in values])
-    b = combine([v._b for v in values]) + extra
-    if b < w and all([_fits(v, w, s) for v in values]):
-        return [v._p for v in values], w, s, b
-    tight = [v._tight() for v in values]
-    b = combine(bits for _, bits in tight) + extra
-    w = _width_for(b)
-    ps = [_pack(_restride(d, v._s, s), w) for v, (d, _) in zip(values, tight)]
-    return ps, w, s, b
+    n1, ni = norms(values)
+    if ni.bit_length() < w and all(
+        [(v._w == w and v._s == s) or (_one_slot(v) and v._ni.bit_length() < w) for v in values]
+    ):
+        return [v._p for v in values], w, s, n1, ni
+    digits = [v._tight() for v in values]
+    n1, ni = norms(values)
+    w = _width_for(ni)
+    ps = [_pack(_restride(d, v._s, s), w) for v, d in zip(values, digits)]
+    return ps, w, s, n1, ni
 
 
 _new = object.__new__
 
 
-def _make(lo: int, p: int, w: int, b: int, s: int) -> LaurentQ:
+def _make(lo: int, p: int, w: int, n1: int, ni: int, s: int) -> LaurentQ:
     """A LaurentQ from packed fields that already satisfy the invariants."""
     x = _new(LaurentQ)
-    x._lo = lo
-    x._p = p
-    x._w = w
-    x._b = b
-    x._s = s
+    x._lo, x._p, x._w, x._n1, x._ni, x._s = lo, p, w, n1, ni, s
     return x
 
 
-def _encode(digits: list[int], s: int = 1) -> tuple[int, int, int, int]:
-    """(p, w, b, s) at the narrowest width for stride-s digits with nonzero ends.
+def _encode(digits: list[int], s: int = 1) -> tuple[int, int, int, int, int]:
+    """(p, w, n1, ni, s) at the narrowest width for stride-s digits with nonzero ends.
 
     Stride-1 digits whose odd-offset digits all vanish are packed at stride 2.
     """
     if s == 1 and not any(digits[1::2]):
         digits, s = digits[::2], 2
-    b = _max_bits(digits)
-    w = _width_for(b)
-    return _pack(digits, w), w, b, s
+    n1, ni = _norms(digits)
+    w = _width_for(ni)
+    return _pack(digits, w), w, n1, ni, s
 
 
-def _strip_low(lo: int, p: int, w: int, b: int, s: int) -> LaurentQ:
+def _strip_low(lo: int, p: int, w: int, n1: int, ni: int, s: int) -> LaurentQ:
     """Canonical form of a packed sum whose lowest slots may have cancelled."""
     if not p:
         return _ZERO
@@ -248,7 +255,7 @@ def _strip_low(lo: int, p: int, w: int, b: int, s: int) -> LaurentQ:
         k = tz // w
         p >>= w * k
         lo += k * s
-    return _make(lo, p, w, b, s)
+    return _make(lo, p, w, n1, ni, s)
 
 
 class LaurentQ:
@@ -256,31 +263,32 @@ class LaurentQ:
 
     The value is sum_i c_i q^(_lo + _s*i) for the signed digits c_i of _p.
     Fields: _lo the minimum exponent, _s the stride (1 or 2), _p the packed
-    digits, _w the slot width (a multiple of 32) and _b a bound with every
-    |coefficient| < 2^_b and _b < _w.  A value whose odd-offset digits all
-    vanish is built at stride 2; a one-slot value (a monomial or an integer)
-    combines as it is with either stride and any width above its bound.
+    digits, _w the slot width (a multiple of 32), and the norm bounds
+    _n1 >= sum |c_i| and _ni >= max |c_i|, with _ni < 2^(_w - 1).  A value
+    whose odd-offset digits all vanish is built at stride 2; a one-slot
+    value (a monomial or an integer) combines as it is with either stride
+    and any width above its bound.
 
-    Every operation returns a new value; only _b is ever lowered in place,
-    by _tight.  Equal values may be held at different widths and strides;
-    equality and hashing look through both.
+    Every operation returns a new value; only the norm bounds are ever
+    lowered in place, by _tight.  Equal values may be held at different
+    widths and strides; equality and hashing look through both.
     """
 
-    __slots__ = ("_lo", "_p", "_w", "_b", "_s")
+    __slots__ = ("_lo", "_p", "_w", "_n1", "_ni", "_s")
 
     def __init__(self, terms: dict[int, int] | None = None):
         # index() rejects a float or other non-integer instead of truncating it.
         pairs = [(index(e), index(c)) for e, c in (terms or {}).items()]
         terms = {e: c for e, c in pairs if c}
         if not terms:
-            self._lo, self._p, self._w, self._b, self._s = 0, 0, 32, 0, 2
+            self._lo, self._p, self._w, self._n1, self._ni, self._s = 0, 0, 32, 0, 0, 2
             return
         lo = min(terms)
         digits = [0] * (max(terms) - lo + 1)
         for e, c in terms.items():
             digits[e - lo] = c
         self._lo = lo
-        self._p, self._w, self._b, self._s = _encode(digits)
+        self._p, self._w, self._n1, self._ni, self._s = _encode(digits)
 
     # -- constructors ------------------------------------------------------
 
@@ -298,8 +306,8 @@ class LaurentQ:
         exp, coeff = index(exp), index(coeff)
         if coeff == 0:
             return _ZERO
-        b = coeff.bit_length()
-        return _make(exp, coeff, _width_for(b), b, 2)
+        size = abs(coeff)
+        return _make(exp, coeff, _width_for(size), size, size, 2)
 
     @staticmethod
     def integer(n: int) -> LaurentQ:
@@ -309,9 +317,9 @@ class LaurentQ:
     def sum_shifted(terms: Iterable[tuple[LaurentQ, int]]) -> LaurentQ:
         """The sum of c * q^k over the (c, k) pairs, as one packed sum.
 
-        The package's one packed sum: every LaurentQ addition is one.  A sum
-        of n values has bound max(bounds) + ceil(log2 n), and each value
-        lands at its exponent with one shift and one add.
+        The package's one packed sum: every LaurentQ addition is one.  The
+        norms of the values add, and each value lands at its exponent with
+        one shift and one add.
         """
         values, los = [], []
         for c, k in terms:
@@ -320,10 +328,10 @@ class LaurentQ:
                 los.append(c._lo + k)
         if not values:
             return _ZERO
-        ps, w, s, b = _shared(values, (len(values) - 1).bit_length(), max, los)
+        ps, w, s, n1, ni = _shared(values, _sum_norms, los)
         base = min(los)
         packed = sum([p << (w * ((lo - base) // s)) for lo, p in zip(los, ps)])
-        return _strip_low(base, packed, w, b, s)
+        return _strip_low(base, packed, w, n1, ni, s)
 
     # -- predicates and access ---------------------------------------------
 
@@ -335,15 +343,15 @@ class LaurentQ:
         """Coefficients of q^lo, q^(lo+1), .. q^max_exp: the digits at stride 1."""
         return _restride(self._digits(), self._s, 1)
 
-    def _tight(self) -> tuple[list[int], int]:
-        """(digits, true bit bound), decoded once for re-encoding.
+    def _tight(self) -> list[int]:
+        """The digits, decoded for a re-pack; the norm bounds become the true norms.
 
-        The true bound is also kept in _b: lowering a bound changes no
-        value, and later operations on this value then skip the decode.
+        Lowering a bound changes no value, and later operations on this
+        value then decode less often.
         """
         digits = self._digits()
-        self._b = _max_bits(digits)
-        return digits, self._b
+        self._n1, self._ni = _norms(digits)
+        return digits
 
     @property
     def is_zero(self) -> bool:
@@ -411,7 +419,7 @@ class LaurentQ:
     # -- arithmetic ---------------------------------------------------------
 
     def __neg__(self) -> LaurentQ:
-        return _make(self._lo, -self._p, self._w, self._b, self._s)
+        return _make(self._lo, -self._p, self._w, self._n1, self._ni, self._s)
 
     def __add__(self, other: LaurentQ | int) -> LaurentQ:
         """The two-term sum_shifted."""
@@ -444,14 +452,11 @@ class LaurentQ:
         if not pa or not pb:
             return _ZERO
         w, s = self._w, self._s
-        # min(slot counts) - 1, so that its bit length is ceil(log2 min).
-        short = min(pa.bit_length(), pb.bit_length()) // w
-        b = self._b + other._b + short.bit_length()
-        if b >= w or other._w != w or other._s != s:
-            short = min(pa.bit_length() // w, pb.bit_length() // other._w)
-            (pa, pb), w, s, b = _shared([self, other], short.bit_length(), sum)
+        n1, ni = _product_norms((self, other))
+        if ni.bit_length() >= w or other._w != w or other._s != s:
+            (pa, pb), w, s, n1, ni = _shared([self, other], _product_norms)
         # The lowest digit is a product of two nonzero digits: canonical.
-        return _make(self._lo + other._lo, pa * pb, w, b, s)
+        return _make(self._lo + other._lo, pa * pb, w, n1, ni, s)
 
     __rmul__ = __mul__
 
@@ -471,41 +476,45 @@ class LaurentQ:
         """Multiply by q^k."""
         if k == 0 or not self._p:
             return self
-        return _make(self._lo + k, self._p, self._w, self._b, self._s)
+        return _make(self._lo + k, self._p, self._w, self._n1, self._ni, self._s)
 
     def exact_div(self, den: LaurentQ) -> LaurentQ:
         """N / D in Z[q, q^-1] for N = self, D = den; raises if not exact.
 
-        N, D are polynomials in q^s (joint stride s) of n_N, n_D slots, and
-        span = n_N - n_D.  One divmod of the packed ints at the operands'
-        width w, and if need be at one wider w, is exact because
+        N, D are polynomials in q^s (joint stride s), and a quotient Q has
+        span = deg N - deg D in q^s.  One divmod of the packed ints at the
+        operands' width w, and if need be at one wider w, is exact because
           * a nonzero remainder proves there is no quotient: evaluation at 2^w
             is a ring homomorphism, so N = Q D gives N(2^w) = Q(2^w) D(2^w);
-          * a zero remainder is proved by a bound check: if the quotient int
-            has span + 1 balanced digits (two bits spare at the top), whose
-            bound + b_D + ceil(log2 n_D) < w, Q D has no carries: Q D = N;
-          * the retry is complete: its w holds span + b_N + ceil(log2 n_N),
-            Mignotte's bound on a factor of N (von zur Gathen and Gerhard,
-            Modern Computer Algebra, 6.6), plus that margin.
+          * a zero remainder is proved by the norms: if the quotient int has
+            span + 1 balanced digits (two bits spare at the top) with
+            ||Q||_inf ||D||_1 < 2^(w-1), Q D has no carries: Q D = N;
+          * the retry is complete: its w holds 2^(span+1) ||N||_2 ||D||_1,
+            by Mignotte's bound ||Q||_inf <= 2^span ||N||_2 on a factor of N
+            (von zur Gathen and Gerhard, Modern Computer Algebra, 6.6), with
+            ||N||_2^2 <= ||N||_1 ||N||_inf.
         """
         if not den._p:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self._p:
             return _ZERO
         s = _joint_stride((self, den))
-        nspan = (self.max_exp() - self._lo) // s
-        dspan = (den.max_exp() - den._lo) // s
-        span, fan = nspan - dspan, dspan.bit_length()
-        for extra, combine in ((0, max), (span + nspan.bit_length() + fan, sum)):
-            (pn, pd), w, s, _ = _shared([self, den], extra, combine)
+        span = (self.max_exp() - self._lo - den.max_exp() + den._lo) // s
+
+        def mignotte(values):
+            n, d = values
+            return 0, (isqrt(n._n1 * n._ni) + 1) * d._n1 << max(span + 1, 0)
+
+        for norms in (_widest, mignotte):
+            (pn, pd), w, s, _, _ = _shared([self, den], norms)
             quot, rem = divmod(pn, pd)
             if rem:
                 raise ExactDivisionError("nonzero remainder in exact division")
             if span * w <= quot.bit_length() <= (span + 1) * w - 2:
-                digits = _unpack(quot, w)
-                if _max_bits(digits) + den._b + fan < w:
+                p, wq, n1, ni, sq = _encode(_unpack(quot, w), s)
+                if ni * den._n1 < 1 << (w - 1):
                     # Q D = N: both end digits of Q are nonzero.
-                    return _make(self._lo - den._lo, *_encode(digits, s))
+                    return _make(self._lo - den._lo, p, wq, n1, ni, sq)
         raise ExactDivisionError("no quotient in Z[q, q^-1]")
 
     # -- rendering -----------------------------------------------------------
@@ -567,37 +576,27 @@ def accumulate(pairs: Iterable[tuple[Hashable, LaurentQ]]) -> dict:
 class PackedColumn:
     """The nonzero entries of one column, packed at one width and stride.
 
-    Entry j is q^los[j] times the packed int ps[j], at output outs[j].
-    Every entry has slot width w and stride s; b bounds the bit length of
-    every entry's coefficients, slots is the largest slot count, and
-    log_block is ceil(log2 |block|) for the weight block of an operator
-    column's input, or None for a column with no weight block (a
-    polynomial's terms).  Only b changes after construction, lowered by
-    _tight; a call at another width or stride re-packs the entries for
-    itself (_at) and leaves the column as it is.  keyed is the caller's
-    cache of keys derived from outs, one entry per key layout: this module
-    never reads it, and an entry, once written, is not changed.
+    Entry j is q^los[j] times the packed int ps[j], at output outs[j], with
+    norm bounds n1s[j] and nis[j].  Every entry has slot width w and stride
+    s.  Only the norm bounds change after construction, lowered to the true
+    norms by apply_columns; a call at another width or stride re-packs the
+    entries for itself (_at).  keyed is the caller's cache of keys derived
+    from outs, one entry per key layout: this module never reads it, and an
+    entry, once written, is not changed.
     """
 
-    __slots__ = ("outs", "los", "ps", "w", "s", "b", "slots", "log_block", "keyed")
+    __slots__ = ("outs", "los", "ps", "n1s", "nis", "w", "s", "keyed")
 
-    def __init__(
-        self, pairs: Iterable[tuple[Hashable, LaurentQ]], block_size: int | None = None
-    ):
+    def __init__(self, pairs: Iterable[tuple[Hashable, LaurentQ]]):
         pairs = [(out, v) for out, v in pairs if v._p]
         values = [v for _, v in pairs]
         self.outs = tuple(out for out, _ in pairs)
         self.los = tuple(v._lo for v in values)
-        self.log_block = None if block_size is None else (block_size - 1).bit_length()
-        ps, w, s, b = _shared(values, 0) if values else ([], 32, 2, 0)
+        ps, self.w, self.s = _shared(values, _widest)[:3] if values else ([], 32, 2)
         self.ps = tuple(ps)
-        self.w, self.s, self.b = w, s, b
-        self.slots = max((p.bit_length() // w + 1 for p in ps), default=1)
+        self.n1s = tuple([v._n1 for v in values])
+        self.nis = tuple([v._ni for v in values])
         self.keyed: dict = {}
-
-    def _tight(self) -> None:
-        """Lower b to the entries' true coefficient size (one decode of each entry)."""
-        self.b = max((_max_bits(_unpack(p, self.w)) for p in self.ps), default=0)
 
     def _at(self, w: int, s: int) -> tuple[int, ...]:
         """The entries' packed ints re-packed at width w and stride s, for one call."""
@@ -620,19 +619,18 @@ def apply_columns(
     package's one packed multiply-accumulate: R and K application,
     polynomial products and shift sums all come here.
 
-    The width: the pair bound of a term is b_coeff + b_column +
-    ceil(log2 min(slot counts)), as for one product.  An output collects at
-    most one product per term, and for an operator column at most one from
-    each input of its weight block with the same untouched sites, so its
-    bound is its largest pair bound plus ceil(log2 count) <= pair bound +
-    min(log_block, ceil(log2 len(terms))).  A term for which that sum would
-    reach 32 bits first has its coefficient's bound tightened (one decode),
-    then its column's (one decode per entry).  The call then runs at the
-    narrowest width that holds the largest such sum, whatever the widths
-    of its columns; a coefficient or column at another width is re-packed
-    for the call, and no column is changed.  Tightening the column keeps a
-    chain of polynomial steps, whose output bounds grow by the fan-in at
-    every step, at the width its digits need.
+    The width follows the module's one rule, with one side of the product
+    rule per term: a product of coefficient c and entry e has the pair
+    bound ||c||_inf ||e||_1, or ||c||_1 ||e||_inf when c's two bounds are
+    equal (a monomial or an integer).  That is the smaller side whenever
+    ||c||_1 / ||c||_inf >= ||e||_1 / ||e||_inf, as for the coefficients an
+    operator word builds.  Each output's record sums the pair bounds of
+    its products, its ||.||_inf bound; its ||.||_1 bound is its slot count
+    times that.  A call runs at 32-bit slots, whatever the widths of its
+    coefficients and columns; one at another width is re-packed for the
+    call.  When a bound reaches the width, the call is redone once with
+    every coefficient and column tightened to its true norms, and after
+    that at the width the bounds proved.
 
     The stride is 2 unless a column or a multi-slot coefficient has stride
     1.  Two stride-2 contributions to one output whose lo differ by an odd
@@ -640,54 +638,55 @@ def apply_columns(
     """
     s = 2
     for c, col, _, _ in terms:
-        if col.s == 1 or (c._s == 1 and c._p.bit_length() >= c._w):
+        if col.s == 1 or (c._s == 1 and not _one_slot(c)):
             s = 1
             break
-    out = _column_sum(terms, keys, s)
-    if out is None:
-        out = _column_sum(terms, keys, 1)
-    return out
+    w, tight = 32, False
+    while True:
+        out = _column_sum(terms, keys, s, w)
+        if out is None:
+            s = 1
+        elif type(out) is dict:
+            return out
+        elif tight:
+            w = _width_for(out)
+        else:
+            tight = True
+            for c in {id(c): c for c, _, _, _ in terms}.values():
+                c._tight()
+            for col in {id(col): col for _, col, _, _ in terms}.values():
+                if col.ps:
+                    col.n1s, col.nis = map(tuple, zip(*[_norms(_unpack(p, col.w)) for p in col.ps]))
 
 
-def _column_sum(terms, keys, s: int) -> dict | None:
-    """apply_columns at stride s; None on a parity clash at s == 2."""
-    # ceil(log2 len(terms)): an output collects at most one product per term.
-    fan = (len(terms) - 1).bit_length()
-    bounds = []
-    top = 0
-    for c, col, _, _ in terms:
-        # min(slot counts) - 1, so that its bit length is ceil(log2 min).
-        short = min(c._p.bit_length() // c._w, col.slots - 1).bit_length()
-        b = c._b + col.b + short
-        log_fan = col.log_block
-        if log_fan is None or log_fan > fan:
-            log_fan = fan
-        if b + log_fan >= 32:
-            c._tight()
-            b = c._b + col.b + short
-            if b + log_fan >= 32:
-                col._tight()
-                b = c._b + col.b + short
-        bounds.append(b)
-        if b + log_fan > top:
-            top = b + log_fan
-    w = _width_for(top)
-    # Each output's record: [lo, packed sum, largest pair bound, terms summed].
+def _column_sum(terms, keys, s: int, w: int) -> dict | int | None:
+    """apply_columns at stride s and width w.
+
+    The outputs; None on a parity clash at s == 2; or, when a record's
+    bound reaches the width, the largest record bound.
+    """
+    # Each output's record: [lo, packed sum, sum of pair bounds].
     acc: dict = {}
     get = acc.get
     # s - 1 masks an odd exponent gap at stride 2 and shifts a gap to slots.
     odd = s - 1
-    for (c, col, prefix, los), pb in zip(terms, bounds):
-        lc = c._lo
-        if c._w == w and (c._s == s or c._p.bit_length() < w):
+    for c, col, prefix, los in terms:
+        lc, ci = c._lo, c._ni
+        # A coefficient or column too wide for w serves as it is: its pair
+        # bounds make the records reach the width, and the call is redone.
+        if (c._w == w and (c._s == s or c._p.bit_length() < w)) or ci.bit_length() >= w:
             pc = c._p
         else:
             pc = _pack(_restride(c._digits(), c._s, s), w)
-        ps = col.ps if col.w == w and col.s == s else col._at(w, s)
-        for k, lv, pv in zip(keys(prefix, col.outs), los, ps):
+        ps = col.ps
+        if (col.w != w or col.s != s) and max(col.nis, default=0).bit_length() < w:
+            ps = col._at(w, s)
+        # The pair bound of a product is ci times its entry's side of the rule.
+        side = col.nis if c._n1 == ci else col.n1s
+        for k, lv, pv, e in zip(keys(prefix, col.outs), los, ps, side):
             rec = get(k)
             if rec is None:
-                acc[k] = [lc + lv, pc * pv, pb, 1]
+                acc[k] = [lc + lv, pc * pv, ci * e]
                 continue
             d = lc + lv - rec[0]
             if d & odd:
@@ -697,19 +696,19 @@ def _column_sum(terms, keys, s: int) -> dict | None:
             else:
                 rec[1] = pc * pv + (rec[1] << w * (-d >> odd))
                 rec[0] += d
-            if pb > rec[2]:
-                rec[2] = pb
-            rec[3] += 1
+            rec[2] += ci * e
     out = {}
     low = (1 << w) - 1
-    for k, (lo, p, b, n) in acc.items():
-        b += (n - 1).bit_length()
+    for k, (lo, p, ni) in acc.items():
+        if ni.bit_length() >= w:
+            return max([rec[2] for rec in acc.values()])
         if p & low:
             # The lowest slot is nonzero: canonical as it stands (_make inlined).
             x = out[k] = _new(LaurentQ)
-            x._lo, x._p, x._w, x._b, x._s = lo, p, w, b, s
+            x._lo, x._p, x._w, x._ni, x._s = lo, p, w, ni, s
+            x._n1 = ni * (p.bit_length() // w + 1)
         elif p:
-            out[k] = _strip_low(lo, p, w, b, s)
+            out[k] = _strip_low(lo, p, w, ni * (p.bit_length() // w + 1), ni, s)
     return out
 
 

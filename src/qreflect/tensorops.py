@@ -318,8 +318,8 @@ class LocalOperator(NamedTuple):
     route is the element route that cross-checks all the others, norm(*s)
     is the normalisation N with op[out,inp] N(out) = op[inp,out] N(inp),
     and table holds the packed column (exactq.PackedColumn: the nonzero
-    entries, their width, stride, bound, slot count and ceil(log2 |block|))
-    of each local input seen so far.
+    entries, their width, stride and norm bounds) of each local input seen
+    so far.
     """
 
     name: str
@@ -418,7 +418,7 @@ def _coded_terms(op, table, element, codes, size, width, positions):
             if column is None:
                 block = op.states(*op.weights(*inp))
                 pairs = [(o, element(*o, *inp)) for o in block]
-                column = table[inp] = PackedColumn(pairs, len(block))
+                column = table[inp] = PackedColumn(pairs)
                 # Out codes depend only on the outputs: columns of one block
                 # with the same nonzero outputs share one keyed cache.
                 twin = table.get(column.outs[0]) if column.outs else None

@@ -3,7 +3,8 @@
 Everything here is transcribed independently of the package's own
 computation routes (built from explicit factored products), so equality
 tests against these are genuine cross-checks.  assert_zeroed_key_caught
-is the one negative control of the block sweep, shared by R and K.
+is the one negative control of the block sweep, shared by R and K, and
+assert_packed_invariants the one check of a packed value's form and bounds.
 """
 
 from __future__ import annotations
@@ -23,6 +24,18 @@ def qc(exp: int, coeff: int = 1) -> MultiPolyQ:
 
 def laurent(pairs: dict[int, int]) -> LaurentQ:
     return LaurentQ(pairs)
+
+
+def assert_packed_invariants(value: LaurentQ) -> None:
+    """Canonical form and valid norm bounds: the lowest digit is nonzero,
+    the true ||.||_1 <= the carried one, and the true ||.||_inf <= the
+    carried one < 2^(w-1).  Zero is the packed int 0."""
+    if not value._p:
+        return
+    sizes = [abs(c) for c in value._digits()]
+    assert sizes[0] != 0
+    assert sum(sizes) <= value._n1
+    assert max(sizes) <= value._ni < 2 ** (value._w - 1)
 
 
 # Fractions as unreduced (num, den) pairs of LaurentQ, for references that

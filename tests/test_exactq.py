@@ -22,7 +22,7 @@ from qreflect.exactq import (
     qq_pochhammer_tail,
 )
 
-from conftest import frac_add, frac_equals, frac_mul
+from conftest import assert_packed_invariants, frac_add, frac_equals, frac_mul
 
 laurents = st.dictionaries(
     st.integers(min_value=-6, max_value=6),
@@ -193,6 +193,7 @@ ref_polys = st.dictionaries(
 
 def check_matches(value, ref):
     """Every read-out of a packed value agrees with the reference dict."""
+    assert_packed_invariants(value)
     assert dict(value.items()) == ref
     assert [e for e, _ in value.items()] == sorted(ref)
     assert len(value) == len(ref)
@@ -333,6 +334,28 @@ class TestPackedAgainstReference:
         with pytest.raises(ExactDivisionError):
             num.exact_div(den)
 
+    @pytest.mark.parametrize("d1, attempts", [(2**31 - 1, 1), (2**31 + 1, 2)])
+    def test_quotient_proof_at_its_boundary(self, monkeypatch, d1, attempts):
+        # Q = 1 - q and D = a + b q with ||D||_1 = a + b = d1: N = Q D has
+        # 31-bit digits, so both divide at 32-bit slots, and the proof
+        # ||Q||_inf ||D||_1 < 2^31 holds just below its boundary.  Just above
+        # it fails, and the quotient comes from the second width.
+        a = d1 // 2
+        b = d1 - a
+        num, den = L({0: a, 1: b - a, 2: -b}), L({0: a, 1: b})
+        assert num._w == den._w == 32
+        widths = []
+        shared = exactq._shared
+
+        def recorded(*args):
+            out = shared(*args)
+            widths.append(out[1])
+            return out
+
+        monkeypatch.setattr(exactq, "_shared", recorded)
+        check_matches(num.exact_div(den), {0: 1, 1: -1})
+        assert widths[0] == 32 and len(widths) == attempts
+
     def test_quotient_wider_than_its_operands(self, monkeypatch):
         # [40 over 20]_{q^2} has 31-bit coefficients, over operand bounds of
         # at most 11 bits: the product check fails at the operands' 32-bit
@@ -403,9 +426,20 @@ class TestPackedAgainstReference:
         a = LaurentQ({0: 2**62, 3: -(2**62)})
         check_matches(a * a, {0: 2**124, 3: -(2**125), 6: 2**124})
         check_matches(a + a + a, {0: 3 * 2**62, 3: -3 * 2**62})
-        # The product's bound is 63 + 63 + ceil(log2 4 slots) = 128 bits, and
-        # slot widths are multiples of 32: the narrowest above it is 160.
-        assert (a * a)._w == 160
+        # The product's ||.||_inf bound is min(2^63 2^62, 2^62 2^63) = 2^125,
+        # a 126-bit magnitude, and slot widths are multiples of 32: the
+        # narrowest that holds it is 128.
+        assert (a * a)._w == 128
+
+    def test_product_bound_takes_the_smaller_side(self):
+        # ||ab||_inf <= min(||a||_1 ||b||_inf, ||a||_inf ||b||_1): 2^10 unit
+        # digits times the one-slot 2^61 have the bound min(2^71, 2^61) and
+        # fit 64-bit slots, where the other side would need 96.
+        a = {2 * i: 1 for i in range(2**10)}
+        want = {e: 2**61 for e in a}
+        for got in (LaurentQ(a) * 2**61, LaurentQ.integer(2**61) * LaurentQ(a)):
+            check_matches(got, want)
+            assert got._w == 64
 
     # -- the stride: values in q^eta Z[q^2] are packed at stride 2 ----------------
 

@@ -12,7 +12,7 @@ from qreflect.multipoly import MultiPolyQ, VARS3, VARS4, shift_sum, variables
 from qreflect.qfamily import q_polynomial, q_polynomial_alt_route
 from qreflect.threedr import p_polynomial
 
-from conftest import qc, reference_q10
+from conftest import assert_packed_invariants, qc, reference_q10
 
 X, Y, Z, W = variables(VARS4)
 
@@ -209,11 +209,10 @@ def accumulated_shift_sum(names, terms):
 
 
 def assert_canonical(poly):
-    """Every coefficient nonzero, its lowest digit nonzero and its bound valid."""
+    """Every coefficient nonzero, in canonical form and with valid bounds."""
     for _, value in poly.items():
-        digits = value._digits()
-        assert digits and digits[0] != 0
-        assert max(abs(c) for c in digits).bit_length() <= value._b < value._w
+        assert value
+        assert_packed_invariants(value)
 
 
 _EDGE_BITS = (15, 16, 31, 32, 40, 63, 100, 200)
@@ -347,8 +346,9 @@ class TestPackedKernel:
             shift_sum(VARS4, [(variables(coeff_names)[0], variables(poly_names)[1], (0,) * 4)])
 
     def test_recursions_keep_narrow_slots(self):
-        # Each step's bound grows by the fan-in; a column is tightened before
-        # the call widens, so Q and P stay at the slot width of their digits.
+        # Each step's bounds grow by the sums of its products; a call whose
+        # records reach the width decodes its coefficients and columns before
+        # it widens, so Q and P stay at the slot width of their digits.
         q = q_polynomial_alt_route(4, 4)
         assert {c._w for _, c in q.items()} == {32}
         assert {c._w for _, c in p_polynomial(16).items()} == {32}

@@ -49,7 +49,7 @@ from qreflect.tensorops import (
 from qreflect.threedk import k_element
 from qreflect.threedr import r_element
 
-from conftest import assert_zeroed_key_caught
+from conftest import assert_packed_invariants, assert_zeroed_key_caught
 
 
 def assert_first_difference(rep):
@@ -300,13 +300,6 @@ def reference_apply(op, vec, positions, element):
     return SparseVector(vec.signature, terms.items())
 
 
-def assert_packed_invariants(value):
-    """Canonical form and a valid bound: lowest digit nonzero, true bits <= _b < _w."""
-    digits = value._digits()
-    assert digits and digits[0] != 0
-    assert max(abs(c) for c in digits).bit_length() <= value._b < value._w
-
-
 def assert_matches_reference(op, vec, positions, element=None):
     """apply_local equals the reference; returns its result."""
     out = apply_local(op, vec, positions, element)
@@ -430,21 +423,22 @@ class TestPackedColumns:
     )
     def test_shared_table_against_reference(self, case, restore_tables):
         # A call leaves every shared column it uses as it was, whatever its
-        # width: only a bound may drop.  The columns are built first, by a
-        # call with unit coefficients.
+        # width: only a norm bound may drop.  The columns are built first,
+        # by a call with unit coefficients.
         op, vec, positions, _ = case
         gather = itemgetter(*positions)
         units = SparseVector(vec.signature, [(occ, LaurentQ.one()) for occ in vec.terms])
         apply_local(op, units, positions)
-        packed = attrgetter("outs", "los", "ps", "w", "s", "slots", "log_block")
+        packed = attrgetter("outs", "los", "ps", "w", "s")
         columns = {gather(occ): op.table[gather(occ)] for occ in vec.terms}
-        before = {inp: (packed(col), col.b) for inp, col in columns.items()}
+        before = {inp: (packed(col), col.n1s, col.nis) for inp, col in columns.items()}
         assert_matches_reference(op, vec, positions)
-        for inp, (fields, b) in before.items():
+        for inp, (fields, n1s, nis) in before.items():
             col = op.table[inp]
             assert col is columns[inp]
             assert packed(col) == fields
-            assert col.b <= b
+            assert all(map(int.__le__, col.n1s, n1s)) and len(col.n1s) == len(n1s)
+            assert all(map(int.__le__, col.nis, nis)) and len(col.nis) == len(nis)
 
     def test_narrow_call_after_a_wide_one(self, restore_tables):
         # Coefficients 2^31 - 1 on a whole block need 64-bit slots; a unit
@@ -483,10 +477,34 @@ class TestPackedColumns:
         full = LaurentQ.integer(2**40 - 1)
         assert_matches_reference(K_OPERATOR, vec, (0, 1, 2, 3), lambda *key: full)
 
+    @pytest.mark.parametrize(
+        "digit, top, width",
+        [(d, top, 32) for d in (1, 2) for top in (2**30, 2**31 - d)]
+        + [(d, top, 64) for d in (1, 2) for top in (2**31, 2**31 + d)],
+    )
+    def test_sums_at_the_slot_edge(self, digit, top, width):
+        # Every input of a K weight block with coefficient x_j u, and every
+        # entry u, for u = 1 (digit 1) or u = 1 + q^2 (digit 2): each output
+        # is (sum x_j) u^2, whose largest digit is top, and each record's
+        # bound is exactly top.  Up to 2^31 - 1 the call runs at 32-bit
+        # slots; from 2^31 it is redone at 64.
+        u = LaurentQ({0: 1}) if digit == 1 else LaurentQ({0: 1, 2: 1})
+        block = K_OPERATOR.states(3, 4)
+        total = top // digit
+        xs = [total // len(block)] * (len(block) - 1)
+        xs.append(total - sum(xs))
+        vec = SparseVector(K_SIGNATURE, [(inp, u * x) for inp, x in zip(block, xs)])
+        out = assert_matches_reference(K_OPERATOR, vec, (0, 1, 2, 3), lambda *key: u)
+        assert set(out.terms.values()) == {u * u * total}
+        assert max(abs(c) for _, c in (u * u * total).items()) == top
+        assert {v._w for v in out.terms.values()} == {width}
+
     def test_tightening_comes_before_widening(self):
-        # A coefficient whose bound (30 bits) is far above its true size
-        # (1 bit) is tightened, so the call stays at 32-bit slots.
-        loose = _make(0, 1 + (1 << 32), 32, 30, 2)
+        # A coefficient whose norm bounds (2^31 and 2^30) are far above its
+        # true norms (2 and 1) makes a pair bound reach 2^31 with the entry
+        # 1 - q^2 - q^4 of the column; it is tightened, so the call stays at
+        # 32-bit slots.
+        loose = _make(0, 1 + (1 << 32), 32, 2**31, 2**30, 2)
         assert loose == LaurentQ({0: 1, 2: 1})
         table_fill = SparseVector.unit(R_SIGNATURE, (1, 1, 1))
         apply_R(table_fill, (0, 1, 2))
@@ -494,7 +512,7 @@ class TestPackedColumns:
         out = assert_matches_reference(R_OPERATOR, vec, (0, 1, 2))
         assert {v._w for v in out.terms.values()} == {32}
         assert R_OPERATOR.table[(1, 1, 1)].w == 32
-        assert loose._b == 1
+        assert (loose._n1, loose._ni) == (2, 1)
 
 
     def test_fan_in_of_a_weight_block(self):

@@ -101,9 +101,6 @@ class TestTranspose:
         """K^{out}_{inp} k_norm(out) = K^{inp}_{out} k_norm(inp)."""
         return k_element(*out, *inp) * k_norm(*out) == k_element(*inp, *out) * k_norm(*inp)
 
-    def test_self_transposed(self):
-        assert self.symmetric((3, 1, 0, 2), (3, 1, 0, 2))
-
     def test_printed_pair(self):
         assert self.symmetric((3, 1, 0, 2), (1, 3, 0, 0))
 
