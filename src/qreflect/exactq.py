@@ -59,15 +59,18 @@ On top of LaurentQ the module provides
   * apply_columns, the sparse sum of coefficient times packed column
     (PackedColumn: an operator column, or a polynomial's terms), one int
     multiply and one shift-add per product at one slot width for the whole
-    call, and one LaurentQ per output.  Every sum of products goes through
-    it: R and K application, polynomial products and shift sums.
+    call.  Every sum of products goes through it: R and K application,
+    polynomial products and shift sums.  Its coefficients and outputs are
+    records [lo, p, ni, n1], the fields of a value as plain ints at one
+    width and stride for a whole operand (to_records); a LaurentQ is built
+    from one only where a value is needed (from_record), so the factors of
+    an operator word pass records from call to call.
 Those two are where cancelled terms are dropped.
 
-Values and PackedColumns are immutable after construction, except that a
-decode lowers norm bounds in place to the true norms, and a column's
-keyed cache gains entries.  Any bound written there is valid and no keyed
-entry is ever rewritten, so values and tables of columns (the R and K
-element caches) are safe to share between threads.
+Values, records and PackedColumns are immutable after construction,
+except that a decode lowers norm bounds in place to the true norms.  Any
+bound written there is valid, so values and tables of columns (the R and
+K element caches) are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -577,47 +580,103 @@ class PackedColumn:
     """The nonzero entries of one column, packed at one width and stride.
 
     Entry j is q^los[j] times the packed int ps[j], at output outs[j], with
-    norm bounds n1s[j] and nis[j].  Every entry has slot width w and stride
-    s.  Only the norm bounds change after construction, lowered to the true
-    norms by apply_columns; a call at another width or stride re-packs the
-    entries for itself (_at).  keyed is the caller's cache of keys derived
-    from outs, one entry per key layout: this module never reads it, and an
-    entry, once written, is not changed.
+    norm bounds n1s[j] and nis[j]: the fields of a record (to_records) held
+    as parallel tuples.  Every entry has slot width w and stride s.  Only
+    the norm bounds change after construction, lowered to the true norms by
+    apply_columns; a call at another width or stride re-packs the entries
+    for itself, once (_at).
     """
 
-    __slots__ = ("outs", "los", "ps", "n1s", "nis", "w", "s", "keyed")
+    __slots__ = ("outs", "los", "ps", "n1s", "nis", "w", "s")
 
     def __init__(self, pairs: Iterable[tuple[Hashable, LaurentQ]]):
         pairs = [(out, v) for out, v in pairs if v._p]
         values = [v for _, v in pairs]
-        self.outs = tuple(out for out, _ in pairs)
-        self.los = tuple(v._lo for v in values)
+        self.outs = tuple([out for out, _ in pairs])
+        self.los = tuple([v._lo for v in values])
         ps, self.w, self.s = _shared(values, _widest)[:3] if values else ([], 32, 2)
         self.ps = tuple(ps)
         self.n1s = tuple([v._n1 for v in values])
         self.nis = tuple([v._ni for v in values])
-        self.keyed: dict = {}
 
     def _at(self, w: int, s: int) -> tuple[int, ...]:
         """The entries' packed ints re-packed at width w and stride s, for one call."""
         return tuple(_pack(_restride(_unpack(p, self.w), self.s, s), w) for p in self.ps)
 
 
-def apply_columns(
-    terms: list[tuple[LaurentQ, PackedColumn, Hashable, tuple[int, ...]]],
-    keys: Callable[[Hashable, tuple], Iterable[Hashable]],
-) -> dict:
-    """The sparse sum of coeff * column over (coeff, column, prefix, los) terms.
+def to_records(values: list[LaurentQ]) -> tuple[list[list[int]], int, int]:
+    """Nonzero values as kernel records [lo, p, ni, n1] at one width and stride.
 
-    Entry j of a term is q^los[j] times the packed int column.ps[j]: los is
-    column.los, or other exponents for the same packed ints (a polynomial
-    shifted by q-powers of its variables).  It lands at the j-th key of
-    keys(prefix, column.outs), and the keys of one term are distinct.
-    Every product is one int multiply and every sum one shift-add, at one
-    slot width w and stride s for the whole call; each output becomes one
-    LaurentQ at the end, and cancelled outputs are dropped.  This is the
-    package's one packed multiply-accumulate: R and K application,
-    polynomial products and shift sums all come here.
+    A record is a value's lowest exponent, packed int, ||.||_inf bound and
+    ||.||_1 bound.  The width is the widest value's and the stride the
+    values' joint stride; a multi-slot value at another width or stride is
+    re-packed there, and every value keeps its own norm bounds.  Returns
+    (records, width, stride).
+    """
+    w, s = 32, 2
+    for v in values:
+        if v._w > w:
+            w = v._w
+        if v._s == 1 and not _one_slot(v):
+            s = 1
+    return [
+        [v._lo, v._p if v._w == w and v._s == s or _one_slot(v) else _repacked(v, w, s), v._ni, v._n1]
+        for v in values
+    ], w, s
+
+
+def _repacked(v: LaurentQ, w: int, s: int) -> int:
+    return _pack(_restride(v._digits(), v._s, s), w)
+
+
+def from_record(rec: list[int], w: int, s: int) -> LaurentQ:
+    """The LaurentQ of a record at width w and stride s."""
+    lo, p, ni, n1 = rec
+    return _make(lo, p, w, n1, ni, s)
+
+
+def from_records(records: dict, w: int, s: int) -> dict:
+    """from_record of every record of a dict, by key."""
+    out = {}
+    for key, rec in records.items():
+        # _make inlined: this runs once per output of a polynomial product.
+        x = out[key] = _new(LaurentQ)
+        x._lo, x._p, x._ni, x._n1 = rec
+        x._w, x._s = w, s
+    return out
+
+
+def _record_at(rec: list[int], w0: int, s0: int, w: int, s: int) -> list[int]:
+    """A record at width w0 and stride s0 re-packed at w and s, for one call.
+
+    A one-slot value is the same packed int at any width above its bound,
+    and one too wide for w serves as it is (apply_columns).
+    """
+    lo, p, ni, n1 = rec
+    if p.bit_length() < w0 or ni.bit_length() >= w:
+        return rec
+    return [lo, _pack(_restride(_unpack(p, w0), s0, s), w), ni, n1]
+
+
+def apply_columns(
+    terms: list[tuple[list[int], Hashable, tuple[PackedColumn, tuple, tuple[int, ...]]]],
+    keys: Callable[[Hashable, tuple], Iterable[Hashable]],
+    w0: int,
+    s0: int,
+) -> tuple[dict, int, int]:
+    """The sparse sum of coeff * column over (record, prefix, (column, outs, los)) terms.
+
+    Each term's coefficient is a record (to_records) at width w0 and stride
+    s0, the same for every term.  Entry j of its column is q^los[j] times
+    the packed int column.ps[j]: los is column.los, or other exponents for
+    the same packed ints (a polynomial shifted by q-powers of its
+    variables).  It lands at the j-th key of keys(prefix, outs), and the
+    keys of one term are distinct.  Every product is one int multiply and
+    every sum one shift-add, at one slot width w and stride s for the whole
+    call.  Returns (records by key, w, s): each output is one record
+    [lo, p, ni, n1] at w and s, in canonical form, and cancelled outputs
+    are dropped.  This is the package's one packed multiply-accumulate: R
+    and K application, polynomial products and shift sums all come here.
 
     The width follows the module's one rule, with one side of the product
     rule per term: a product of coefficient c and entry e has the pair
@@ -627,66 +686,67 @@ def apply_columns(
     operator word builds.  Each output's record sums the pair bounds of
     its products, its ||.||_inf bound; its ||.||_1 bound is its slot count
     times that.  A call runs at 32-bit slots, whatever the widths of its
-    coefficients and columns; one at another width is re-packed for the
-    call.  When a bound reaches the width, the call is redone once with
-    every coefficient and column tightened to its true norms, and after
-    that at the width the bounds proved.
+    coefficients and columns; the coefficients at another width or stride
+    are re-packed for the call once, and so is each such column.  When a
+    bound reaches the width, the call is redone once with every coefficient
+    and column tightened to its true norms (the records' bounds are lowered
+    in place), and after that at the width the bounds proved.
 
     The stride is 2 unless a column or a multi-slot coefficient has stride
-    1.  Two stride-2 contributions to one output whose lo differ by an odd
-    amount do not share slots; the call is then redone at stride 1.
+    1.  A stride-1 column met at stride 2, or two stride-2 contributions to
+    one output whose lo differ by an odd amount, redo the call at stride 1.
     """
-    s = 2
-    for c, col, _, _ in terms:
-        if col.s == 1 or (c._s == 1 and not _one_slot(c)):
-            s = 1
-            break
+    s = 2 if s0 == 2 or all([rec[1].bit_length() < w0 for rec, _, _ in terms]) else 1
     w, tight = 32, False
     while True:
-        out = _column_sum(terms, keys, s, w)
+        out = _column_sum(terms, keys, w0, s0, s, w)
         if out is None:
             s = 1
         elif type(out) is dict:
-            return out
+            return out, w, s
         elif tight:
             w = _width_for(out)
         else:
             tight = True
-            for c in {id(c): c for c, _, _, _ in terms}.values():
-                c._tight()
-            for col in {id(col): col for _, col, _, _ in terms}.values():
+            for rec, _, _ in terms:
+                rec[3], rec[2] = _norms(_unpack(rec[1], w0))
+            for col in {id(hit[0]): hit[0] for _, _, hit in terms}.values():
                 if col.ps:
                     col.n1s, col.nis = map(tuple, zip(*[_norms(_unpack(p, col.w)) for p in col.ps]))
 
 
-def _column_sum(terms, keys, s: int, w: int) -> dict | int | None:
+def _column_sum(terms, keys, w0: int, s0: int, s: int, w: int) -> dict | int | None:
     """apply_columns at stride s and width w.
 
-    The outputs; None on a parity clash at s == 2; or, when a record's
-    bound reaches the width, the largest record bound.
+    The outputs; None on a stride-1 column or a parity clash at s == 2; or,
+    when a record's bound reaches the width, the largest record bound.
     """
-    # Each output's record: [lo, packed sum, sum of pair bounds].
+    if w0 != w or s0 != s:
+        terms = [(_record_at(rec, w0, s0, w, s), prefix, hit) for rec, prefix, hit in terms]
+    # Each output's record: [lo, packed sum, sum of pair bounds, ||.||_1 bound].
     acc: dict = {}
     get = acc.get
+    # The columns of this call re-packed at w and s, by id.
+    at: dict = {}
     # s - 1 masks an odd exponent gap at stride 2 and shifts a gap to slots.
     odd = s - 1
-    for c, col, prefix, los in terms:
-        lc, ci = c._lo, c._ni
-        # A coefficient or column too wide for w serves as it is: its pair
-        # bounds make the records reach the width, and the call is redone.
-        if (c._w == w and (c._s == s or c._p.bit_length() < w)) or ci.bit_length() >= w:
-            pc = c._p
-        else:
-            pc = _pack(_restride(c._digits(), c._s, s), w)
+    for (lc, pc, ci, c1), prefix, (col, outs, los) in terms:
         ps = col.ps
-        if (col.w != w or col.s != s) and max(col.nis, default=0).bit_length() < w:
-            ps = col._at(w, s)
+        if col.w != w or col.s != s:
+            if col.s < s:
+                return None
+            ps = at.get(id(col))
+            if ps is None:
+                # A column too wide for w serves as it is: its pair bounds
+                # make the records reach the width, and the call is redone.
+                fits = max(col.nis, default=0).bit_length() < w
+                ps = at[id(col)] = col._at(w, s) if fits else col.ps
         # The pair bound of a product is ci times its entry's side of the rule.
-        side = col.nis if c._n1 == ci else col.n1s
-        for k, lv, pv, e in zip(keys(prefix, col.outs), los, ps, side):
+        side = col.nis if c1 == ci else col.n1s
+        for k, lv, pv, e in zip(keys(prefix, outs), los, ps, side):
             rec = get(k)
             if rec is None:
-                acc[k] = [lc + lv, pc * pv, ci * e]
+                acc[k] = [lc + lv, pc * pv, ci * e, 0]
                 continue
             d = lc + lv - rec[0]
             if d & odd:
@@ -697,19 +757,24 @@ def _column_sum(terms, keys, s: int, w: int) -> dict | int | None:
                 rec[1] = pc * pv + (rec[1] << w * (-d >> odd))
                 rec[0] += d
             rec[2] += ci * e
-    out = {}
-    low = (1 << w) - 1
-    for k, (lo, p, ni) in acc.items():
-        if ni.bit_length() >= w:
+    low, half = (1 << w) - 1, 1 << (w - 1)
+    cancelled = False
+    for rec in acc.values():
+        _, p, ni, _ = rec
+        if ni >= half:
             return max([rec[2] for rec in acc.values()])
-        if p & low:
-            # The lowest slot is nonzero: canonical as it stands (_make inlined).
-            x = out[k] = _new(LaurentQ)
-            x._lo, x._p, x._w, x._ni, x._s = lo, p, w, ni, s
-            x._n1 = ni * (p.bit_length() // w + 1)
-        elif p:
-            out[k] = _strip_low(lo, p, w, ni * (p.bit_length() // w + 1), ni, s)
-    return out
+        rec[3] = ni * (p.bit_length() // w + 1)
+        if not p & low:
+            if not p:
+                cancelled = True
+                continue
+            # The lowest slots cancelled: strip them (canonical form).
+            tz = ((p & -p).bit_length() - 1) // w
+            rec[1] = p >> w * tz
+            rec[0] += tz * s
+    if cancelled:
+        return {k: rec for k, rec in acc.items() if rec[1]}
+    return acc
 
 
 # -- q-Pochhammer machinery ---------------------------------------------------

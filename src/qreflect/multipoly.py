@@ -23,7 +23,15 @@ from itertools import chain
 from operator import add, index, mul
 from typing import Iterable, Iterator, Sequence
 
-from .exactq import DomainError, LaurentQ, PackedColumn, accumulate, apply_columns
+from .exactq import (
+    DomainError,
+    LaurentQ,
+    PackedColumn,
+    accumulate,
+    apply_columns,
+    from_records,
+    to_records,
+)
 
 VARS3 = ("x", "y", "z")
 VARS4 = ("x", "y", "z", "w")
@@ -173,12 +181,16 @@ class MultiPolyQ:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
+        if not a:
+            return MultiPolyQ.zero(self.names)
         # The larger factor is the column, each term of the smaller one a
         # kernel term.
         column = PackedColumn(b.items())
-        terms = [(ca, column, ea, column.los) for ea, ca in a.items()]
-        out = apply_columns(terms, _exponent_keys)
-        return MultiPolyQ(self.names, out, _trusted=True)
+        hit = (column, column.outs, column.los)
+        recs, w, s = to_records(list(a.values()))
+        terms = [(rec, ea, hit) for ea, rec in zip(a, recs)]
+        out = apply_columns(terms, _exponent_keys, w, s)
+        return MultiPolyQ(self.names, from_records(*out), _trusted=True)
 
     __rmul__ = __mul__
 
@@ -328,7 +340,7 @@ def shift_sum(names: Sequence[str], terms: Iterable[tuple]) -> MultiPolyQ:
     """
     names = tuple(names)
     columns: dict[int, tuple[MultiPolyQ, PackedColumn]] = {}
-    kernel_terms = []
+    coeffs, kernel_terms = [], []
     for coeff, poly, shifts in terms:
         if coeff.names != names or poly.names != names:
             raise DomainError(f"variable mismatch: {names} vs {coeff.names}, {poly.names}")
@@ -340,8 +352,13 @@ def shift_sum(names: Sequence[str], terms: Iterable[tuple]) -> MultiPolyQ:
         los = column.los
         if any(shifts):
             los = tuple(lo + sum(map(mul, shifts, e)) for lo, e in zip(los, column.outs))
-        kernel_terms += [(c, column, e, los) for e, c in coeff._terms.items()]
-    return MultiPolyQ(names, apply_columns(kernel_terms, _exponent_keys), _trusted=True)
+        hit = (column, column.outs, los)
+        coeffs += coeff._terms.values()
+        kernel_terms += [(e, hit) for e in coeff._terms]
+    recs, w, s = to_records(coeffs)
+    kernel_terms = [(rec, e, hit) for rec, (e, hit) in zip(recs, kernel_terms)]
+    out = apply_columns(kernel_terms, _exponent_keys, w, s)
+    return MultiPolyQ(names, from_records(*out), _trusted=True)
 
 
 def _exponent_keys(prefix: tuple[int, ...], outs: tuple) -> Iterable[tuple[int, ...]]:

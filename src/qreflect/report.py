@@ -24,7 +24,7 @@ class VerificationReport:
     """Outcome of a verification run.
 
     passed is True iff first_failure is absent; checked counts the
-    individual identities/inputs examined.
+    individual identities/inputs examined, and failures those that failed.
     """
 
     name: str
@@ -32,11 +32,13 @@ class VerificationReport:
     checked: int = 0
     first_failure: Failure | None = None
     notes: list[str] = field(default_factory=list)
+    failures: int = 0
 
     def count(self, n: int = 1) -> None:
         self.checked += n
 
     def fail(self, location: str, lhs: str = "", rhs: str = "") -> None:
+        self.failures += 1
         if self.passed:
             self.passed = False
             self.first_failure = Failure(location, lhs, rhs)
@@ -61,6 +63,7 @@ class VerificationReport:
 
     def absorb(self, other: VerificationReport) -> None:
         self.checked += other.checked
+        self.failures += other.failures
         self.notes.extend(other.notes)
         if not other.passed and self.passed:
             self.passed = False
@@ -71,10 +74,14 @@ class VerificationReport:
         line = f"{self.name}: {self.checked} checked, {status}"
         if self.first_failure is not None:
             line += f" ({self.first_failure})"
+        if not self.passed:
+            line += f", {self.failures} failed"
         return line
 
     def to_json(self) -> dict:
         data: dict = {"name": self.name, "passed": self.passed, "checked": self.checked}
+        if not self.passed:
+            data["failures"] = self.failures
         if self.first_failure is not None:
             data["first_failure"] = {
                 "location": self.first_failure.location,

@@ -22,8 +22,14 @@ apply_local checks every column of a call against the width and first
 widens all codes to the largest field a column needs, so no field ever
 carries into the next.  The two equation verifiers start from the width of
 that bound carried through both words (_word_unit), and no factor then
-widens.  Decoding to tuples happens only at the edges: the terms view,
-str, generator actions, and the one basis state first_difference reports.
+widens.  A vector's coefficients are the packed records of
+exactq.apply_columns (lo, packed int and norm bounds at one slot width
+and stride for the whole vector), so the factors of a word pass them on
+as they are.  Decoding to tuples, and building LaurentQ values, happens
+only at the edges: the terms view, str, generator actions and vector
+sums, and the one basis state (and its two coefficients) first_difference
+reports.  first_difference and == compare records by (lo, packed int)
+when both vectors share width and stride.
 
 R and K are two LocalOperators (name, factor types, conserved weights,
 weight block enumerator, element function, memo table) applied by one
@@ -32,14 +38,15 @@ r_block_states and threedk's k_weights and k_block_states, the one place
 each weight block is written.  The memo table holds the nonzero column of
 each local input seen, packed (exactq.PackedColumn), and is the only cache
 of R and K elements; it sits in the package's one registry (memo), whose
-single clear is every module's clear_caches.  A column also keeps, in its
-keyed cache, its outputs' codes for each layout (field width and the
-shifts of op's sites) it has been applied at; the columns of one block
-with the same nonzero outputs share that cache.  apply_local clears op's
-fields of each input code once (base), so an output's code is base plus
-its out code, and exactq.apply_columns does the arithmetic: one int
-multiply, one shift-add and one int key per matrix element, and one
-LaurentQ per output.  One sweep, verify_blocks, checks either operator
+single clear is every module's clear_caches.  A second registered table
+per operator, its index, maps each layout (field width and the shifts of
+op's sites) and local input code to that column, its outputs' codes and
+its exponents, so a local input is decoded and looked up, and its out
+codes built, once per layout.  apply_local clears op's fields of each input
+code once (base), so an output's code is base plus its out code, and
+exactq.apply_columns does the arithmetic: one int multiply, one shift-add
+and one int key per matrix element, and one record per output.  One
+sweep, verify_blocks, checks either operator
 block by block: its weights, its element routes against each other
 (through the one cross-check, report.cross_check), its transpose symmetry
 up to the operator's norm, and op^2 = 1.  Vector sums, generator
@@ -67,7 +74,15 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import memo
-from .exactq import DomainError, LaurentQ, PackedColumn, accumulate, apply_columns
+from .exactq import (
+    DomainError,
+    LaurentQ,
+    PackedColumn,
+    accumulate,
+    apply_columns,
+    from_record,
+    to_records,
+)
 from .report import VerificationError, VerificationReport
 from .threedk import k_block_states, k_element, k_norm, k_weights
 from .threedr import r_block_states, r_element, r_norm, r_weights
@@ -97,14 +112,19 @@ _GENERATOR_TYPES = {
 class SparseVector:
     """Finite linear combination of basis states over one signature.
 
-    Held as one dict from int-coded basis states to nonzero coefficients,
-    and the field width of the code (see the module docstring); terms is
-    the same dict keyed by occupation tuples, a view that decodes its keys.
-    Built from (basis state, coefficient) pairs by exactq.accumulate: the
-    coefficients of equal states are added and cancelled states dropped.
+    Held as one dict from int-coded basis states to the packed records of
+    their nonzero coefficients, with the field width of the code (see the
+    module docstring) and the slot width w and stride s of every record.
+    A record is [lo, packed int, ||.||_inf bound, ||.||_1 bound]
+    (exactq.to_records), as exactq.apply_columns returns it, so a word's
+    factors pass their coefficients on without building a LaurentQ.  terms
+    is a view keyed by occupation tuples that decodes its keys and builds a
+    LaurentQ per value read.  Built from (basis state, coefficient) pairs by
+    exactq.accumulate: the coefficients of equal states are added and
+    cancelled states dropped.
     """
 
-    __slots__ = ("signature", "_codes", "_width")
+    __slots__ = ("signature", "_codes", "_width", "_w", "_s")
 
     def __init__(
         self,
@@ -119,17 +139,23 @@ class SparseVector:
                     f"basis state {occ} is not {len(signature)} nonnegative occupations"
                 )
             width = max(width, max(occ, default=0).bit_length())
-        self.signature = signature
-        self._codes = {_encode(occ, width): c for occ, c in terms.items()}
-        self._width = width
+        codes = {_encode(occ, width): c for occ, c in terms.items()}
+        self.signature, self._width = signature, width
+        self._codes, self._w, self._s = _packed(codes)
 
     @classmethod
     def _coded(
-        cls, signature: tuple[SpaceType, ...], codes: dict[int, LaurentQ], width: int
+        cls,
+        signature: tuple[SpaceType, ...],
+        codes: dict[int, list[int]],
+        width: int,
+        w: int,
+        s: int,
     ) -> SparseVector:
-        """Wrap summed coded terms, every coefficient nonzero, every field < 2^width."""
+        """Wrap summed coded records at slot width w and stride s, every one
+        nonzero, every field < 2^width."""
         vec = object.__new__(cls)
-        vec.signature, vec._codes, vec._width = signature, codes, width
+        vec.signature, vec._codes, vec._width, vec._w, vec._s = signature, codes, width, w, s
         return vec
 
     @staticmethod
@@ -144,6 +170,14 @@ class SparseVector:
     def is_zero(self) -> bool:
         return not self._codes
 
+    def _value(self, rec: list[int]) -> LaurentQ:
+        return from_record(rec, self._w, self._s)
+
+    def _values(self, codes: dict) -> Iterator[tuple[int, LaurentQ]]:
+        """(code, coefficient) pairs of codes, records of this vector."""
+        w, s = self._w, self._s
+        return ((code, from_record(rec, w, s)) for code, rec in codes.items())
+
     def _aligned(self, other: SparseVector) -> tuple[dict, dict, int]:
         """Both vectors' codes at the wider of their two field widths."""
         size, width = len(self.signature), max(self._width, other._width)
@@ -153,13 +187,35 @@ class SparseVector:
             width,
         )
 
+    def _differing(self, other: SparseVector) -> tuple[list[int], dict, dict, int]:
+        """The codes where the two vectors differ, both vectors' codes and their field width.
+
+        Records at one slot width and stride are equal values exactly when
+        their (lo, packed int) are equal; at two, the values are built and
+        compared.
+        """
+        mine, theirs, width = self._aligned(other)
+        if (self._w, self._s) == (other._w, other._s):
+            left = right = itemgetter(0, 1)
+        else:
+            left, right = self._value, other._value
+        get = theirs.get
+        diff, missing = [], 0
+        for code, rec in mine.items():
+            twin = get(code)
+            if twin is None:
+                missing += 1
+                diff.append(code)
+            elif left(rec) != right(twin):
+                diff.append(code)
+        if len(theirs) > len(mine) - missing:
+            diff += theirs.keys() - mine.keys()
+        return diff, mine, theirs, width
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseVector):
             return NotImplemented
-        if self.signature != other.signature:
-            return False
-        mine, theirs, _ = self._aligned(other)
-        return mine == theirs
+        return self.signature == other.signature and not self._differing(other)[0]
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -167,16 +223,16 @@ class SparseVector:
         if self.signature != other.signature:
             raise DomainError("adding vectors over different signatures")
         mine, theirs, width = self._aligned(other)
-        codes = accumulate(chain(mine.items(), theirs.items()))
-        return SparseVector._coded(self.signature, codes, width)
+        codes, w, s = _packed(accumulate(chain(self._values(mine), other._values(theirs))))
+        return SparseVector._coded(self.signature, codes, width, w, s)
 
     def __sub__(self, other: SparseVector) -> SparseVector:
         return self + other.scaled(LaurentQ.integer(-1))
 
     def scaled(self, scalar: LaurentQ) -> SparseVector:
-        terms = self._codes.items() if scalar else ()
-        codes = accumulate((code, c * scalar) for code, c in terms)
-        return SparseVector._coded(self.signature, codes, self._width)
+        terms = self._values(self._codes) if scalar else ()
+        codes, w, s = _packed(accumulate((code, c * scalar) for code, c in terms))
+        return SparseVector._coded(self.signature, codes, self._width, w, s)
 
     def first_difference(
         self, other: SparseVector
@@ -184,18 +240,20 @@ class SparseVector:
         """The smallest basis state where the two differ, and both coefficients.
 
         Codes order as their occupation tuples do, so the smallest differing
-        code is the first differing state; only that one is decoded.
+        code is the first differing state; only that one is decoded, and only
+        its two coefficients become LaurentQ values.
         """
-        mine, theirs, width = self._aligned(other)
-        if mine == theirs:
+        diff, mine, theirs, width = self._differing(other)
+        if not diff:
             return None
+        code = min(diff)
         zero = LaurentQ.zero()
-        code = min(
-            code for code in mine.keys() | theirs.keys()
-            if mine.get(code, zero) != theirs.get(code, zero)
+        left, right = mine.get(code), theirs.get(code)
+        return (
+            _decoder(len(self.signature), width)(code),
+            zero if left is None else self._value(left),
+            zero if right is None else other._value(right),
         )
-        occ = _decoder(len(self.signature), width)(code)
-        return occ, mine.get(code, zero), theirs.get(code, zero)
 
     def __str__(self) -> str:
         if not self._codes:
@@ -203,8 +261,14 @@ class SparseVector:
         decode = _decoder(len(self.signature), self._width)
         return " + ".join(
             f"({coeff})*|{','.join(map(str, decode(code)))}>"
-            for code, coeff in sorted(self._codes.items())
+            for code, coeff in sorted(self._values(self._codes))
         )
+
+
+def _packed(codes: dict[int, LaurentQ]) -> tuple[dict[int, list[int]], int, int]:
+    """Nonzero coefficients by code as records by code, with their width and stride."""
+    recs, w, s = to_records(list(codes.values()))
+    return dict(zip(codes, recs)), w, s
 
 
 class _Terms(Mapping):
@@ -231,7 +295,7 @@ class _Terms(Mapping):
         ):
             code = _encode(occ, vec._width)
             if code in vec._codes:
-                return vec._codes[code]
+                return vec._value(vec._codes[code])
         raise KeyError(occ)
 
 
@@ -317,9 +381,11 @@ class LocalOperator(NamedTuple):
     that block, element(*out, *inp, route=...) is one matrix element,
     route is the element route that cross-checks all the others, norm(*s)
     is the normalisation N with op[out,inp] N(out) = op[inp,out] N(inp),
-    and table holds the packed column (exactq.PackedColumn: the nonzero
+    table holds the packed column (exactq.PackedColumn: the nonzero
     entries, their width, stride and norm bounds) of each local input seen
-    so far.
+    so far, and index maps each layout (field width and the shifts of op's
+    sites) to a dict from a local code seen at that layout to its column,
+    the column's out codes there and its los.
     """
 
     name: str
@@ -330,6 +396,7 @@ class LocalOperator(NamedTuple):
     route: str
     norm: Callable[..., LaurentQ]
     table: dict
+    index: dict
 
 
 # The element functions are looked up at call time, so that a function
@@ -343,6 +410,7 @@ R_OPERATOR = LocalOperator(
     "all",
     r_norm,
     memo.table("R_local"),
+    memo.table("R_index"),
 )
 K_OPERATOR = LocalOperator(
     "K",
@@ -353,6 +421,7 @@ K_OPERATOR = LocalOperator(
     "both",
     k_norm,
     memo.table("K_local"),
+    memo.table("K_index"),
 )
 
 
@@ -365,10 +434,12 @@ def apply_local(
     """Apply op at the given positions; exactly finite by weight conservation.
 
     An element function given here replaces op.element (a negative control
-    passes a corrupted one); its columns are memoized for this call only,
-    so a corrupted column never reaches op.table.  When a column has an
-    output occupation too large for the vector's fields, every code is
-    first widened to the largest field the call's columns need.
+    passes a corrupted one); its columns and their index are kept for this
+    call only, so a corrupted column never reaches op.table or op.index.
+    When a column has an output occupation too large for the vector's
+    fields, every code is first widened to the largest field the call's
+    columns need.  The vector's records go to exactq.apply_columns as they
+    are, and its output records make the result: no LaurentQ is built.
     """
     got = itemgetter(*positions)(vec.signature)
     if got != op.signature:
@@ -376,66 +447,64 @@ def apply_local(
             f"signature at positions {tuple(positions)} is "
             f"{tuple(s.name for s in got)}, need {tuple(s.name for s in op.signature)}"
         )
-    table, element = (op.table, op.element) if element is None else ({}, element)
+    if element is None:
+        table, index, element = op.table, op.index, op.element
+    else:
+        table, index = {}, {}
     size = len(vec.signature)
     codes, width = vec._codes, vec._width
-    terms, need = _coded_terms(op, table, element, codes, size, width, positions)
+    terms, need = _coded_terms(op, table, index, element, codes, size, width, positions)
     if need > width:
         codes, width = _widened(codes, size, width, need), need
-        terms, need = _coded_terms(op, table, element, codes, size, width, positions)
+        terms, need = _coded_terms(op, table, index, element, codes, size, width, positions)
         if need > width:
             raise VerificationError(
                 f"{op.name} at {tuple(positions)} needs {need}-bit fields after widening to {width}"
             )
-    return SparseVector._coded(vec.signature, apply_columns(terms, _output_codes), width)
+    # A term's prefix is its base's int add, so its keys are map(prefix, outs).
+    out, w, s = apply_columns(terms, map, vec._w, vec._s)
+    return SparseVector._coded(vec.signature, out, width, w, s)
 
 
-def _coded_terms(op, table, element, codes, size, width, positions):
+def _coded_terms(op, table, index, element, codes, size, width, positions):
     """(apply_columns terms of op at positions on coded states, field width needed).
 
-    A term's prefix is (base, out codes): base is its state's code with
-    op's fields cleared, and an output's code is base + out code.  The out
-    codes of a column at one layout (field width, op's field shifts) are
-    built once, when every output occupation fits the width, and kept in
-    column.keyed.  A column that does not fit raises the width needed
-    above width, and the terms are then not usable.
+    A term is (record, base.__add__, hit): base is its state's code with
+    op's fields cleared, an output's code is base plus its out code, and
+    the hit is (column, out codes, column.los) of its local code.  index
+    keeps the hit of each local code per layout (field width, op's field
+    shifts), so a local code is decoded, looked up in table and given its
+    out codes once per layout, when every output occupation fits the
+    width.  A column that does not fit raises the width needed above
+    width, and the terms are then not usable.
     """
     field = (1 << width) - 1
     shifts = _shifts(size, width, positions)
     local = sum([field << s for s in shifts])
     layout = (width, *shifts)
+    hits = index.setdefault(layout, {})
     fields = _fields(shifts, field)
     need = width
-    seen: dict = {}
     terms = []
     append = terms.append
-    for code, coeff in codes.items():
+    for code, rec in codes.items():
         lc = code & local
-        hit = seen.get(lc)
+        hit = hits.get(lc)
         if hit is None:
             inp = fields(lc)
             column = table.get(inp)
             if column is None:
                 block = op.states(*op.weights(*inp))
-                pairs = [(o, element(*o, *inp)) for o in block]
-                column = table[inp] = PackedColumn(pairs)
-                # Out codes depend only on the outputs: columns of one block
-                # with the same nonzero outputs share one keyed cache.
-                twin = table.get(column.outs[0]) if column.outs else None
-                if twin is not None and twin.outs == column.outs:
-                    column.keyed = twin.keyed
-            outs = column.keyed.get(layout)
-            if outs is None:
-                top = max(map(max, column.outs), default=0).bit_length()
-                if top > need:
-                    need = top
-                if top <= width:
-                    outs = column.keyed[layout] = tuple(
-                        [sum([m << s for m, s in zip(out, shifts)]) for out in column.outs]
-                    )
-            hit = seen[lc] = (column, outs, column.los)
-        column, outs, los = hit
-        append((coeff, column, (code ^ lc, outs), los))
+                column = table[inp] = PackedColumn([(o, element(*o, *inp)) for o in block])
+            top = max(map(max, column.outs), default=0).bit_length()
+            if top > width:
+                # Not usable: the width needed is above width, and no hit is kept.
+                need = max(need, top)
+                hit = (column, (), column.los)
+            else:
+                outs = tuple([sum([m << s for m, s in zip(out, shifts)]) for out in column.outs])
+                hit = hits[lc] = (column, outs, column.los)
+        append((rec, (code ^ lc).__add__, hit))
     return terms, need
 
 
@@ -448,12 +517,6 @@ def _fields(shifts: tuple[int, ...], field: int) -> Callable[[int], tuple[int, .
         a, b, c, d = shifts
         return lambda x: (x >> a & field, x >> b & field, x >> c & field, x >> d & field)
     return lambda x: tuple([x >> s & field for s in shifts])
-
-
-def _output_codes(prefix: tuple[int, tuple[int, ...]], _outs) -> Iterator[int]:
-    """The output codes of one term: its base plus each out code."""
-    base, outs = prefix
-    return map(base.__add__, outs)
 
 
 def apply_R(
@@ -709,7 +772,7 @@ def _word_unit(signature, occupations: Sequence[int], *words) -> SparseVector:
                 bound[p] = top
         width = max(width, max(bound).bit_length())
     codes = _widened(vec._codes, len(signature), vec._width, width)
-    return SparseVector._coded(signature, codes, width)
+    return SparseVector._coded(signature, codes, width, vec._w, vec._s)
 
 
 def verify_tetrahedron(

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qreflect import memo
-from qreflect.exactq import DomainError, LaurentQ, _make, accumulate
+from qreflect import exactq, memo
+from qreflect.exactq import DomainError, LaurentQ, _make, accumulate, from_record
 from qreflect.report import VerificationReport
 from qreflect.tensorops import (
     INTERTWINER_RELATIONS,
@@ -253,7 +253,7 @@ class TestMemoRegistry:
         apply_R(SparseVector.unit(R_SIGNATURE, (0, 1, 0)), (0, 1, 2))
         apply_K(SparseVector.unit(K_SIGNATURE, (1, 0, 1, 0)), (0, 1, 2, 3))
         tables = memo.tables()
-        assert sorted(tables) == ["K_local", "P", "Q", "Q_dual", "R_local"]
+        assert sorted(tables) == ["K_index", "K_local", "P", "Q", "Q_dual", "R_index", "R_local"]
         assert all(tables.values())
 
         tensorops.clear_caches()
@@ -512,7 +512,9 @@ class TestPackedColumns:
         out = assert_matches_reference(R_OPERATOR, vec, (0, 1, 2))
         assert {v._w for v in out.terms.values()} == {32}
         assert R_OPERATOR.table[(1, 1, 1)].w == 32
-        assert (loose._n1, loose._ni) == (2, 1)
+        # The vector's record is tightened; the value it was built from is not.
+        ((_, _, ni, n1),) = vec._codes.values()
+        assert (n1, ni) == (2, 1)
 
 
     def test_fan_in_of_a_weight_block(self):
@@ -528,6 +530,166 @@ class TestPackedColumns:
         out = assert_matches_reference(R_OPERATOR, vec, (0, 1, 2), real_r)
         assert len(out.terms) == 16
         assert {v._w for v in out.terms.values()} == {32}
+
+
+# -- packed vectors through operator words ---------------------------------------
+#
+# A word's factors pass their coefficients on as packed records at the slot
+# width and stride of the call that made them; the reference composes
+# reference_terms factor by factor on LaurentQ values.
+
+WORD_SIGNATURE = K_SIGNATURE + (Q1, Q1)
+WORD_FACTORS = (
+    ("K", (0, 1, 2, 3)),
+    ("R", (1, 3, 4)),
+    ("R", (5, 4, 1)),
+    ("R", (3, 5, 1)),
+)
+
+
+def assert_vector_matches(vec, want):
+    """vec holds exactly the tuple-keyed terms want, every record valid at its width."""
+    assert dict(vec.terms.items()) == want
+    for rec in vec._codes.values():
+        assert_packed_invariants(from_record(rec, vec._w, vec._s))
+
+
+def apply_word_checked(word, vec):
+    """The word applied factor by factor, each factor checked against reference_terms."""
+    want = dict(vec.terms.items())
+    for kind, positions in reversed(word):
+        op, element = (R_OPERATOR, real_r) if kind == "R" else (K_OPERATOR, real_k)
+        vec = apply_local(op, vec, positions)
+        want = reference_terms(op, want, positions, element)
+        assert_vector_matches(vec, want)
+    return vec
+
+
+def narrow_records_of_a_wide_call():
+    """A vector of the records with ||.||_inf bound below 2^20 of a K call redone at 64-bit slots.
+
+    Input (1,1,1,1) has coefficient 2^31 - 1 and input (0,1,0,1), in
+    another weight block, 1 + q^2: the first block's outputs need 64-bit
+    slots, so the call is redone there and the second block's outputs are
+    small multi-slot records at width 64.
+    """
+    wide = SparseVector(
+        WORD_SIGNATURE,
+        [((1, 1, 1, 1, 0, 1), LaurentQ.integer(2**31 - 1)), ((0, 1, 0, 1, 1, 0), LaurentQ({0: 1, 2: 1}))],
+    )
+    out = apply_K(wide, (0, 1, 2, 3))
+    assert out._w == 64
+    codes = {code: rec for code, rec in out._codes.items() if rec[2] < 2**20}
+    assert any(rec[1].bit_length() >= 64 for rec in codes.values())
+    return SparseVector._coded(WORD_SIGNATURE, codes, out._width, out._w, out._s)
+
+
+@st.composite
+def packed_words(draw):
+    """(word, start vector): occupations <= 1, coefficients at one drawn stride."""
+    occs = draw(st.lists(st.tuples(*[st.integers(0, 1)] * 6), min_size=1, max_size=4, unique=True))
+    stride = draw(st.sampled_from((1, 2)))
+    vec = SparseVector(WORD_SIGNATURE, [(occ, draw(coefficients(stride))) for occ in occs])
+    word = draw(st.lists(st.sampled_from(WORD_FACTORS), min_size=1, max_size=4))
+    return word, vec
+
+
+class TestPackedVectors:
+    @given(case=packed_words())
+    @settings(max_examples=60, deadline=None)
+    def test_words_against_reference(self, case):
+        word, vec = case
+        apply_word_checked(word, vec)
+
+    def test_wide_records_feed_a_narrow_call(self):
+        # Records made at 64-bit slots are re-packed once for a 32-bit call.
+        vec = narrow_records_of_a_wide_call()
+        for factor in WORD_FACTORS:
+            out = apply_word_checked((factor,), vec)
+            assert out._w == 32
+
+    def test_stride_one_vector(self):
+        # Coefficients with both parities: the records are at stride 1.
+        vec = SparseVector(
+            WORD_SIGNATURE,
+            [((1, 0, 1, 1, 0, 1), LaurentQ({0: 3, 1: -2})), ((0, 1, 1, 0, 1, 1), LaurentQ({-1: 1, 2: 5}))],
+        )
+        assert vec._s == 1
+        out = apply_word_checked(WORD_FACTORS, vec)
+        assert out._s == 1
+
+    def test_equality_across_widths(self):
+        # The same values at 64- and at 32-bit slots are equal vectors.
+        wide = narrow_records_of_a_wide_call()
+        narrow = SparseVector(
+            WORD_SIGNATURE, [(occ, LaurentQ(dict(c.items()))) for occ, c in wide.terms.items()]
+        )
+        assert (wide._w, narrow._w) == (64, 32)
+        assert wide == narrow and narrow == wide
+        assert wide.first_difference(narrow) is None
+        # One coefficient changed above its lowest exponent, so lo stays equal.
+        occ = sorted(wide.terms)[1]
+        old = wide.terms[occ]
+        new = old + LaurentQ.monomial(old.max_exp() + 2)
+        changed = SparseVector(WORD_SIGNATURE, [*narrow.terms.items(), (occ, new - old)])
+        assert wide != changed and changed != narrow
+        assert wide.first_difference(changed) == (occ, old, new)
+        assert changed.first_difference(narrow) == (occ, new, old)
+
+    def test_same_width_difference_above_the_lowest_slot(self):
+        vec = apply_K(SparseVector.unit(K_SIGNATURE, (1, 1, 1, 1)), (0, 1, 2, 3))
+        occ = max(vec.terms)
+        old = vec.terms[occ]
+        new = old + LaurentQ.monomial(old.max_exp() + 2)
+        changed = vec + SparseVector(K_SIGNATURE, [(occ, new - old)])
+        assert (vec._w, vec._s) == (changed._w, changed._s)
+        assert vec != changed
+        assert vec.first_difference(changed) == (occ, old, new)
+
+    def test_override_fills_no_index(self, restore_tables):
+        # A corrupted element's columns stay out of the index, so the next
+        # call at the same layout reads the real ones.
+        memo.clear()
+        positions = (0, 1, 2, 3)
+        vec = SparseVector(K_SIGNATURE, [(occ, LaurentQ.one()) for occ in product(range(2), repeat=4)])
+        corrupted = zeroed_key(real_k, (1, 0, 0, 1, 0, 1, 0, 0))
+        bad = apply_K(vec, positions, element=corrupted)
+        assert not K_OPERATOR.index and not K_OPERATOR.table
+        assert bad != reference_apply(K_OPERATOR, vec, positions, real_k)
+        assert_matches_reference(K_OPERATOR, vec, positions)
+        assert K_OPERATOR.index
+
+
+class TestValuesAtTheEdges:
+    def test_warm_reflection_builds_no_intermediate_value(self, monkeypatch):
+        # A warm verify_reflection builds a LaurentQ only for the final
+        # vectors' terms and the two coefficients first_difference reports.
+        state = (0, 2, 0, 1, 2, 0, 2, 0, 1)
+        assert verify_reflection(state).passed
+        vec = _word_unit(REFLECTION_SIGNATURE, state, REFLECTION_LHS, REFLECTION_RHS)
+        finals = [_apply_operator_word(word, vec, None, None) for word in (REFLECTION_LHS, REFLECTION_RHS)]
+        built = []
+        new, init = exactq._new, LaurentQ.__init__
+
+        def counted_new(cls):
+            built.append(cls)
+            return new(cls)
+
+        def counted_init(self, *args):
+            built.append(type(self))
+            init(self, *args)
+
+        monkeypatch.setattr(exactq, "_new", counted_new)
+        monkeypatch.setattr(LaurentQ, "__init__", counted_init)
+        assert verify_reflection(state).passed
+        assert len(built) <= sum(len(v.terms) for v in finals) + 2
+        # A reported difference builds its two coefficients.
+        doubled = finals[0].scaled(LaurentQ.integer(2))
+        assert (doubled._w, doubled._s) == (finals[0]._w, finals[0]._s)
+        built.clear()
+        occ, left, right = finals[0].first_difference(doubled)
+        assert len(built) == 2
+        assert right == left * 2
 
 
 class TestTableIsolation:
@@ -570,6 +732,26 @@ class TestKInvolution:
             "K transpose at (0, 1, 0, 0, 1, 0, 0, 1)",
             "K^2 on (0, 1, 0, 0), first difference at |0,1,0,0>",
         )
+
+
+    def test_report_counts_every_failure(self, monkeypatch):
+        # With one K element zeroed the sweep fails the transpose check at one
+        # pair and K^2 = 1 at two unit vectors: three failures, one reported.
+        from qreflect import tensorops
+
+        key = (1, 0, 0, 1, 0, 1, 0, 0)
+        monkeypatch.setattr(tensorops, "k_element", zeroed_key(k_element, key))
+        rep = verify_blocks(K_OPERATOR, 3, 5)
+        assert rep.failures == 3
+        assert rep.summary().endswith(
+            "FAIL (K transpose at (0, 1, 0, 0, 1, 0, 0, 1): "
+            f"lhs={rep.first_failure.lhs} rhs={rep.first_failure.rhs}), 3 failed"
+        )
+        assert rep.to_json()["failures"] == 3
+        monkeypatch.undo()
+        rep = verify_blocks(K_OPERATOR, 3, 5)
+        assert rep.passed and rep.failures == 0
+        assert "failed" not in rep.summary() and "failures" not in rep.to_json()
 
 
 class TestVerifyBlocks:
