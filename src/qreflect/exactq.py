@@ -61,22 +61,23 @@ On top of LaurentQ the module provides
     multiply and one shift-add per product at one slot width for the whole
     call.  Every sum of products goes through it: R and K application,
     polynomial products and shift sums.  Its coefficients and outputs are
-    records [lo, p, ni, n1], the fields of a value as plain ints at one
+    records [lo, p, n1, ni], the fields of a value as plain ints at one
     width and stride for a whole operand (to_records); a LaurentQ is built
     from one only where a value is needed (from_record), so the factors of
     an operator word pass records from call to call.
-Those two are where cancelled terms are dropped.
-
-Values, records and PackedColumns are immutable after construction,
-except that a decode lowers norm bounds in place to the true norms.  Any
-bound written there is valid, so values and tables of columns (the R and
-K element caches) are safe to share between threads.
+Those two are where cancelled terms are dropped.  A norm pair is ||.||_1
+first everywhere: in a value, a record and a column.  Records and
+PackedColumns never change: a column is built once at its true norms, and
+a redone call tightens copies of its coefficient records.  Only
+LaurentQ._tight lowers a bound in place, so values, records and columns are
+safe to share between threads.
 """
 
 from __future__ import annotations
 
 import struct
 from functools import lru_cache
+from itertools import accumulate as prefix_sums
 from math import isqrt
 from operator import index
 from typing import Callable, Hashable, Iterable, Iterator
@@ -230,10 +231,10 @@ def _shared(
 _new = object.__new__
 
 
-def _make(lo: int, p: int, w: int, n1: int, ni: int, s: int) -> LaurentQ:
+def _make(lo: int, p: int, w: int, n1: int, ni: int, s: int, exact: bool = False) -> LaurentQ:
     """A LaurentQ from packed fields that already satisfy the invariants."""
     x = _new(LaurentQ)
-    x._lo, x._p, x._w, x._n1, x._ni, x._s = lo, p, w, n1, ni, s
+    x._lo, x._p, x._w, x._n1, x._ni, x._s, x._exact = lo, p, w, n1, ni, s, exact
     return x
 
 
@@ -267,22 +268,24 @@ class LaurentQ:
     The value is sum_i c_i q^(_lo + _s*i) for the signed digits c_i of _p.
     Fields: _lo the minimum exponent, _s the stride (1 or 2), _p the packed
     digits, _w the slot width (a multiple of 32), and the norm bounds
-    _n1 >= sum |c_i| and _ni >= max |c_i|, with _ni < 2^(_w - 1).  A value
-    whose odd-offset digits all vanish is built at stride 2; a one-slot
-    value (a monomial or an integer) combines as it is with either stride
-    and any width above its bound.
+    _n1 >= sum |c_i| and _ni >= max |c_i|, with _ni < 2^(_w - 1); _exact
+    says they are the true norms (a value built from its digits, or
+    decoded).  A value whose odd-offset digits all vanish is built at
+    stride 2; a one-slot value (a monomial or an integer) combines as it is
+    with either stride and any width above its bound.
 
     Every operation returns a new value; only the norm bounds are ever
     lowered in place, by _tight.  Equal values may be held at different
     widths and strides; equality and hashing look through both.
     """
 
-    __slots__ = ("_lo", "_p", "_w", "_n1", "_ni", "_s")
+    __slots__ = ("_lo", "_p", "_w", "_n1", "_ni", "_s", "_exact")
 
     def __init__(self, terms: dict[int, int] | None = None):
         # index() rejects a float or other non-integer instead of truncating it.
         pairs = [(index(e), index(c)) for e, c in (terms or {}).items()]
         terms = {e: c for e, c in pairs if c}
+        self._exact = True
         if not terms:
             self._lo, self._p, self._w, self._n1, self._ni, self._s = 0, 0, 32, 0, 0, 2
             return
@@ -310,7 +313,7 @@ class LaurentQ:
         if coeff == 0:
             return _ZERO
         size = abs(coeff)
-        return _make(exp, coeff, _width_for(size), size, size, 2)
+        return _make(exp, coeff, _width_for(size), size, size, 2, True)
 
     @staticmethod
     def integer(n: int) -> LaurentQ:
@@ -354,6 +357,7 @@ class LaurentQ:
         """
         digits = self._digits()
         self._n1, self._ni = _norms(digits)
+        self._exact = True
         return digits
 
     @property
@@ -422,7 +426,7 @@ class LaurentQ:
     # -- arithmetic ---------------------------------------------------------
 
     def __neg__(self) -> LaurentQ:
-        return _make(self._lo, -self._p, self._w, self._n1, self._ni, self._s)
+        return _make(self._lo, -self._p, self._w, self._n1, self._ni, self._s, self._exact)
 
     def __add__(self, other: LaurentQ | int) -> LaurentQ:
         """The two-term sum_shifted."""
@@ -479,7 +483,7 @@ class LaurentQ:
         """Multiply by q^k."""
         if k == 0 or not self._p:
             return self
-        return _make(self._lo + k, self._p, self._w, self._n1, self._ni, self._s)
+        return _make(self._lo + k, self._p, self._w, self._n1, self._ni, self._s, self._exact)
 
     def exact_div(self, den: LaurentQ) -> LaurentQ:
         """N / D in Z[q, q^-1] for N = self, D = den; raises if not exact.
@@ -517,7 +521,7 @@ class LaurentQ:
                 p, wq, n1, ni, sq = _encode(_unpack(quot, w), s)
                 if ni * den._n1 < 1 << (w - 1):
                     # Q D = N: both end digits of Q are nonzero.
-                    return _make(self._lo - den._lo, p, wq, n1, ni, sq)
+                    return _make(self._lo - den._lo, p, wq, n1, ni, sq, True)
         raise ExactDivisionError("no quotient in Z[q, q^-1]")
 
     # -- rendering -----------------------------------------------------------
@@ -580,11 +584,12 @@ class PackedColumn:
     """The nonzero entries of one column, packed at one width and stride.
 
     Entry j is q^los[j] times the packed int ps[j], at output outs[j], with
-    norm bounds n1s[j] and nis[j]: the fields of a record (to_records) held
-    as parallel tuples.  Every entry has slot width w and stride s.  Only
-    the norm bounds change after construction, lowered to the true norms by
-    apply_columns; a call at another width or stride re-packs the entries
-    for itself, once (_at).
+    true norms n1s[j] and nis[j]: the fields of a record (to_records) held
+    as parallel tuples, at the narrowest slot width w above every entry and
+    their joint stride s.  An entry is decoded at most once, here (not when
+    its value's _exact says its bounds are true), and once more if it is
+    re-packed narrower.  No field changes after construction: apply_columns
+    re-packs for itself.
     """
 
     __slots__ = ("outs", "los", "ps", "n1s", "nis", "w", "s")
@@ -592,47 +597,57 @@ class PackedColumn:
     def __init__(self, pairs: Iterable[tuple[Hashable, LaurentQ]]):
         pairs = [(out, v) for out, v in pairs if v._p]
         values = [v for _, v in pairs]
-        self.outs = tuple([out for out, _ in pairs])
-        self.los = tuple([v._lo for v in values])
-        ps, self.w, self.s = _shared(values, _widest)[:3] if values else ([], 32, 2)
-        self.ps = tuple(ps)
-        self.n1s = tuple([v._n1 for v in values])
-        self.nis = tuple([v._ni for v in values])
+        recs, w, s = to_records(values)
+        ps = [rec[1] for rec in recs]
+        n1s, nis = [v._n1 for v in values], [v._ni for v in values]
+        # Values whose bounds may be loose are decoded, in one pass (_true_norms).
+        loose = [j for j, v in enumerate(values) if not v._exact]
+        for j, n1, ni in zip(loose, *_true_norms([ps[j] for j in loose], w)):
+            n1s[j], nis[j] = n1, ni
+        self.w, self.s = _width_for(max(nis, default=0)), s
+        self.outs, self.los = tuple([out for out, _ in pairs]), tuple([rec[0] for rec in recs])
+        self.ps = tuple(ps if self.w == w else [_repack(p, w, s, self.w, s) for p in ps])
+        self.n1s, self.nis = tuple(n1s), tuple(nis)
 
-    def _at(self, w: int, s: int) -> tuple[int, ...]:
-        """The entries' packed ints re-packed at width w and stride s, for one call."""
-        return tuple(_pack(_restride(_unpack(p, self.w), self.s, s), w) for p in self.ps)
+
+def _true_norms(ps: list[int], w: int) -> tuple[list[int], list[int]]:
+    """The ||.||_1 and ||.||_inf of each nonzero packed int at width w, all decoded in one pass."""
+    code = _STRUCT_CODES.get(w)
+    if code is None:
+        norms = [_norms(_unpack(p, w)) for p in ps]
+        return [n1 for n1, _ in norms], [ni for _, ni in norms]
+    ns = [p.bit_length() // w + 1 for p in ps]
+    if max(ns, default=1) == 1:
+        return [list(map(abs, ps))] * 2
+    raw = b"".join([((p + h) ^ h).to_bytes(n * w // 8, "little") for p, n in zip(ps, ns) for h in [_offset(n, w)]])
+    sizes = list(map(abs, struct.unpack(f"<{len(raw) * 8 // w}{code}", raw)))
+    ends = list(prefix_sums(ns))
+    cuts = list(map(sizes.__getitem__, map(slice, [0, *ends], ends)))
+    return list(map(sum, cuts)), list(map(max, cuts))
 
 
 def to_records(values: list[LaurentQ]) -> tuple[list[list[int]], int, int]:
-    """Nonzero values as kernel records [lo, p, ni, n1] at one width and stride.
+    """Nonzero values as kernel records [lo, p, n1, ni], with their width and stride.
 
-    A record is a value's lowest exponent, packed int, ||.||_inf bound and
-    ||.||_1 bound.  The width is the widest value's and the stride the
-    values' joint stride; a multi-slot value at another width or stride is
-    re-packed there, and every value keeps its own norm bounds.  Returns
-    (records, width, stride).
+    A record is a value's lowest exponent, packed int and norm bounds, at
+    the widest value's width and the values' joint stride: a value at
+    another width or stride is re-packed there (_repack).
     """
-    w, s = 32, 2
-    for v in values:
-        if v._w > w:
-            w = v._w
-        if v._s == 1 and not _one_slot(v):
-            s = 1
+    w, s = max([v._w for v in values], default=32), _joint_stride(values)
     return [
-        [v._lo, v._p if v._w == w and v._s == s or _one_slot(v) else _repacked(v, w, s), v._ni, v._n1]
+        [v._lo, v._p if v._w == w and v._s == s else _repack(v._p, v._w, v._s, w, s), v._n1, v._ni]
         for v in values
     ], w, s
 
 
-def _repacked(v: LaurentQ, w: int, s: int) -> int:
-    return _pack(_restride(v._digits(), v._s, s), w)
+def _repack(p: int, w0: int, s0: int, w: int, s: int) -> int:
+    """p at width w0 and stride s0 re-packed at w and s (its digits fit w); one slot as it is."""
+    return p if p.bit_length() < w0 else _pack(_restride(_unpack(p, w0), s0, s), w)
 
 
 def from_record(rec: list[int], w: int, s: int) -> LaurentQ:
-    """The LaurentQ of a record at width w and stride s."""
-    lo, p, ni, n1 = rec
-    return _make(lo, p, w, n1, ni, s)
+    """The LaurentQ of a record [lo, p, n1, ni] at width w and stride s."""
+    return _make(rec[0], rec[1], w, rec[2], rec[3], s)
 
 
 def from_records(records: dict, w: int, s: int) -> dict:
@@ -641,21 +656,9 @@ def from_records(records: dict, w: int, s: int) -> dict:
     for key, rec in records.items():
         # _make inlined: this runs once per output of a polynomial product.
         x = out[key] = _new(LaurentQ)
-        x._lo, x._p, x._ni, x._n1 = rec
-        x._w, x._s = w, s
+        x._lo, x._p, x._n1, x._ni = rec
+        x._w, x._s, x._exact = w, s, False
     return out
-
-
-def _record_at(rec: list[int], w0: int, s0: int, w: int, s: int) -> list[int]:
-    """A record at width w0 and stride s0 re-packed at w and s, for one call.
-
-    A one-slot value is the same packed int at any width above its bound,
-    and one too wide for w serves as it is (apply_columns).
-    """
-    lo, p, ni, n1 = rec
-    if p.bit_length() < w0 or ni.bit_length() >= w:
-        return rec
-    return [lo, _pack(_restride(_unpack(p, w0), s0, s), w), ni, n1]
 
 
 def apply_columns(
@@ -673,8 +676,8 @@ def apply_columns(
     variables).  It lands at the j-th key of keys(prefix, outs), and the
     keys of one term are distinct.  Every product is one int multiply and
     every sum one shift-add, at one slot width w and stride s for the whole
-    call.  Returns (records by key, w, s): each output is one record
-    [lo, p, ni, n1] at w and s, in canonical form, and cancelled outputs
+    call.  Returns (records by key, w, s): each output is one new record
+    [lo, p, n1, ni] at w and s, in canonical form, and cancelled outputs
     are dropped.  This is the package's one packed multiply-accumulate: R
     and K application, polynomial products and shift sums all come here.
 
@@ -688,9 +691,9 @@ def apply_columns(
     times that.  A call runs at 32-bit slots, whatever the widths of its
     coefficients and columns; the coefficients at another width or stride
     are re-packed for the call once, and so is each such column.  When a
-    bound reaches the width, the call is redone once with every coefficient
-    and column tightened to its true norms (the records' bounds are lowered
-    in place), and after that at the width the bounds proved.
+    bound reaches the width, the call is redone once with copies of the
+    records at their true norms (a column's are true), then at the width
+    the bounds proved.  No call writes into a column or record.
 
     The stride is 2 unless a column or a multi-slot coefficient has stride
     1.  A stride-1 column met at stride 2, or two stride-2 contributions to
@@ -708,11 +711,8 @@ def apply_columns(
             w = _width_for(out)
         else:
             tight = True
-            for rec, _, _ in terms:
-                rec[3], rec[2] = _norms(_unpack(rec[1], w0))
-            for col in {id(hit[0]): hit[0] for _, _, hit in terms}.values():
-                if col.ps:
-                    col.n1s, col.nis = map(tuple, zip(*[_norms(_unpack(p, col.w)) for p in col.ps]))
+            terms = [([rec[0], rec[1], *_norms(_unpack(rec[1], w0))], prefix, hit)
+                     for rec, prefix, hit in terms]
 
 
 def _column_sum(terms, keys, w0: int, s0: int, s: int, w: int) -> dict | int | None:
@@ -722,31 +722,32 @@ def _column_sum(terms, keys, w0: int, s0: int, s: int, w: int) -> dict | int | N
     when a record's bound reaches the width, the largest record bound.
     """
     if w0 != w or s0 != s:
-        terms = [(_record_at(rec, w0, s0, w, s), prefix, hit) for rec, prefix, hit in terms]
-    # Each output's record: [lo, packed sum, sum of pair bounds, ||.||_1 bound].
+        # A record too wide for w serves as it is: its pair bounds reach the width.
+        terms = [(rec if rec[3].bit_length() >= w else [rec[0], _repack(rec[1], w0, s0, w, s), *rec[2:]],
+                  prefix, hit) for rec, prefix, hit in terms]
+    # Each output's record: [lo, packed sum, ||.||_1 bound, sum of pair bounds].
     acc: dict = {}
     get = acc.get
     # The columns of this call re-packed at w and s, by id.
     at: dict = {}
     # s - 1 masks an odd exponent gap at stride 2 and shifts a gap to slots.
     odd = s - 1
-    for (lc, pc, ci, c1), prefix, (col, outs, los) in terms:
+    for (lc, pc, c1, ci), prefix, (col, outs, los) in terms:
         ps = col.ps
         if col.w != w or col.s != s:
             if col.s < s:
                 return None
             ps = at.get(id(col))
             if ps is None:
-                # A column too wide for w serves as it is: its pair bounds
-                # make the records reach the width, and the call is redone.
-                fits = max(col.nis, default=0).bit_length() < w
-                ps = at[id(col)] = col._at(w, s) if fits else col.ps
+                # A column wider than w, at its true norms, makes the records reach w.
+                ps = col.ps if col.w > w else tuple([_repack(p, col.w, col.s, w, s) for p in col.ps])
+                at[id(col)] = ps
         # The pair bound of a product is ci times its entry's side of the rule.
         side = col.nis if c1 == ci else col.n1s
         for k, lv, pv, e in zip(keys(prefix, outs), los, ps, side):
             rec = get(k)
             if rec is None:
-                acc[k] = [lc + lv, pc * pv, ci * e, 0]
+                acc[k] = [lc + lv, pc * pv, 0, ci * e]
                 continue
             d = lc + lv - rec[0]
             if d & odd:
@@ -756,14 +757,14 @@ def _column_sum(terms, keys, w0: int, s0: int, s: int, w: int) -> dict | int | N
             else:
                 rec[1] = pc * pv + (rec[1] << w * (-d >> odd))
                 rec[0] += d
-            rec[2] += ci * e
+            rec[3] += ci * e
     low, half = (1 << w) - 1, 1 << (w - 1)
     cancelled = False
     for rec in acc.values():
-        _, p, ni, _ = rec
+        _, p, _, ni = rec
         if ni >= half:
-            return max([rec[2] for rec in acc.values()])
-        rec[3] = ni * (p.bit_length() // w + 1)
+            return max([rec[3] for rec in acc.values()])
+        rec[2] = ni * (p.bit_length() // w + 1)
         if not p & low:
             if not p:
                 cancelled = True

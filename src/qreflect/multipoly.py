@@ -11,10 +11,10 @@ of variables at powers of q (which collapses terms into a LaurentQ).
 Every recursion step and difference-equation residual is one shift_sum,
 sum of coeff * poly.shift_multi(shifts).  Products and shift_sum are sums
 of products and go through exactq.apply_columns, the package's one packed
-multiply-accumulate: a polynomial becomes a PackedColumn whose outputs are
-its exponent vectors, and each term of the other factor is one kernel
-term.  Sums, scalar multiples and partial evaluation only add, through
-exactq.accumulate.  Both drop the cancelled terms.
+multiply-accumulate: a polynomial is a PackedColumn whose outputs are its
+exponent vectors, built on first use and kept, and each term of the other
+factor is one kernel term.  Sums, scalar multiples and partial evaluation
+only add, through exactq.accumulate.  Both drop the cancelled terms.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ VARS4 = ("x", "y", "z", "w")
 class MultiPolyQ:
     """Sparse polynomial in named variables with LaurentQ coefficients."""
 
-    __slots__ = ("names", "_terms")
+    __slots__ = ("names", "_terms", "_column")
 
     def __init__(
         self,
@@ -50,6 +50,7 @@ class MultiPolyQ:
         _trusted: bool = False,
     ):
         self.names = tuple(names)
+        self._column = None
         if terms is None:
             self._terms: dict[tuple[int, ...], LaurentQ] = {}
         elif _trusted:
@@ -126,6 +127,12 @@ class MultiPolyQ:
 
     # -- arithmetic --------------------------------------------------------------
 
+    def _as_column(self) -> PackedColumn:
+        """The terms as one packed column keyed by exponent vector, built once and kept."""
+        if self._column is None:
+            self._column = PackedColumn(self._terms.items())
+        return self._column
+
     def _check_names(self, other: MultiPolyQ) -> None:
         if self.names != other.names:
             raise DomainError(f"variable mismatch: {self.names} vs {other.names}")
@@ -178,17 +185,15 @@ class MultiPolyQ:
         if not isinstance(other, MultiPolyQ):
             return NotImplemented
         self._check_names(other)
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
-        if not a:
-            return MultiPolyQ.zero(self.names)
         # The larger factor is the column, each term of the smaller one a
         # kernel term.
-        column = PackedColumn(b.items())
+        small, large = (other, self) if len(self._terms) > len(other._terms) else (self, other)
+        if not small:
+            return MultiPolyQ.zero(self.names)
+        column = large._as_column()
         hit = (column, column.outs, column.los)
-        recs, w, s = to_records(list(a.values()))
-        terms = [(rec, ea, hit) for ea, rec in zip(a, recs)]
+        recs, w, s = to_records(list(small._terms.values()))
+        terms = [(rec, ea, hit) for ea, rec in zip(small._terms, recs)]
         out = apply_columns(terms, _exponent_keys, w, s)
         return MultiPolyQ(self.names, from_records(*out), _trusted=True)
 
@@ -332,26 +337,23 @@ def shift_sum(names: Sequence[str], terms: Iterable[tuple]) -> MultiPolyQ:
     """The sum of coeff * poly.shift_multi(shifts) over (coeff, poly, shifts).
 
     All products go into one exactq.apply_columns call, so no partial sum
-    or shifted polynomial is built.  Each distinct poly is packed into one
-    column for the call; a group's shift only moves the exponents (los)
-    its kernel terms place the column's entries at, and the packed ints,
-    with their width and bound, are shared.  Each term of coeff is one
-    kernel term.
+    or shifted polynomial is built.  Each poly serves as its own column
+    (MultiPolyQ._as_column, built once per poly); a group's shift only
+    moves the exponents (los) its kernel terms place the column's entries
+    at, and the packed ints, with their width and norms, are shared.  Each
+    term of coeff is one kernel term.
     """
     names = tuple(names)
-    columns: dict[int, tuple[MultiPolyQ, PackedColumn]] = {}
     coeffs, kernel_terms = [], []
     for coeff, poly, shifts in terms:
         if coeff.names != names or poly.names != names:
             raise DomainError(f"variable mismatch: {names} vs {coeff.names}, {poly.names}")
-        held = columns.get(id(poly))
-        if held is None:
-            # The poly is held with its column, so that its id is not reused.
-            held = columns[id(poly)] = (poly, PackedColumn(poly._terms.items()))
-        column = held[1]
+        column = poly._as_column()
         los = column.los
         if any(shifts):
-            los = tuple(lo + sum(map(mul, shifts, e)) for lo, e in zip(los, column.outs))
+            for k, exps in zip(shifts, zip(*column.outs)):
+                if k:
+                    los = tuple(map(add, los, map(k.__mul__, exps)))
         hit = (column, column.outs, los)
         coeffs += coeff._terms.values()
         kernel_terms += [(e, hit) for e in coeff._terms]

@@ -45,16 +45,15 @@ its exponents, so a local input is decoded and looked up, and its out
 codes built, once per layout.  apply_local clears op's fields of each input
 code once (base), so an output's code is base plus its out code, and
 exactq.apply_columns does the arithmetic: one int multiply, one shift-add
-and one int key per matrix element, and one record per output.  One
-sweep, verify_blocks, checks either operator
-block by block: its weights, its element routes against each other
-(through the one cross-check, report.cross_check), its transpose symmetry
-up to the operator's norm, and op^2 = 1.  Vector sums, generator
-actions and the intertwiner combinations collect their terms through
-exactq.accumulate, and operator applications through
-exactq.apply_columns; both drop the cancelled ones.
-All three equation verifiers report through compare_words, which names the
-first basis state where the two sides differ.
+and one int key per matrix element, and one record per output.  One sweep,
+verify_blocks, checks either operator block by block: its weights, its
+element routes against each other (through the one cross-check,
+report.cross_check), its transpose symmetry up to the operator's norm, and
+op^2 = 1.  Vector sums, generator actions and the intertwiner combinations
+collect their terms through exactq.accumulate, and operator applications
+through exactq.apply_columns; both drop the cancelled ones.  All three
+equation verifiers report through compare_words, which names the first
+basis state where the two sides differ.
 
 The nine-space signature used by the reflection-equation verifier,
 (Q2,Q1,Q2,Q1,Q1,Q1,Q2,Q1,Q1), is the unique assignment making all three
@@ -70,7 +69,7 @@ import random
 from enum import Enum
 from collections.abc import Mapping
 from itertools import chain, combinations, product
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import memo
@@ -115,7 +114,7 @@ class SparseVector:
     Held as one dict from int-coded basis states to the packed records of
     their nonzero coefficients, with the field width of the code (see the
     module docstring) and the slot width w and stride s of every record.
-    A record is [lo, packed int, ||.||_inf bound, ||.||_1 bound]
+    A record is [lo, packed int, ||.||_1 bound, ||.||_inf bound]
     (exactq.to_records), as exactq.apply_columns returns it, so a word's
     factors pass their coefficients on without building a LaurentQ.  terms
     is a view keyed by occupation tuples that decodes its keys and builds a
@@ -131,7 +130,8 @@ class SparseVector:
         signature: tuple[SpaceType, ...],
         pairs: Iterable[tuple[tuple[int, ...], LaurentQ]] = (),
     ):
-        terms = accumulate(pairs)
+        # index() rejects a float or other non-integer occupation.
+        terms = accumulate((tuple(map(index, occ)), c) for occ, c in pairs)
         width = 0
         for occ in terms:
             if len(occ) != len(signature) or min(occ, default=0) < 0:
@@ -317,6 +317,15 @@ def _shifts(size: int, width: int, positions: Iterable[int]) -> tuple[int, ...]:
     return tuple([width * (size - 1 - p) for p in positions])
 
 
+def _sites(positions: Sequence[int], size: int, count: int) -> tuple[int, ...]:
+    """positions as count distinct int sites in range(size); DomainError if they are not."""
+    sites = tuple(positions) if isinstance(positions, (tuple, list, range)) else ()
+    valid = all([isinstance(p, int) and 0 <= p < size for p in sites])
+    if not valid or len(sites) != count or len(set(sites)) != count:
+        raise DomainError(f"need {count} distinct positions in range({size}), got {positions!r}")
+    return sites
+
+
 def _widened(codes: dict, size: int, width: int, new: int) -> dict:
     """codes re-encoded at fields of new >= width bits, in the same order."""
     if new == width:
@@ -349,6 +358,7 @@ def apply_generator(gen: str, vec: SparseVector, pos: int) -> SparseVector:
     required = _GENERATOR_TYPES.get(gen)
     if required is None and gen != "1":
         raise DomainError(f"unknown generator {gen!r}")
+    (pos,) = _sites((pos,), len(vec.signature), 1)
     space = vec.signature[pos]
     if required is not None and space is not required:
         raise DomainError(f"generator {gen!r} cannot act on a {space.name} factor")
@@ -382,7 +392,7 @@ class LocalOperator(NamedTuple):
     route is the element route that cross-checks all the others, norm(*s)
     is the normalisation N with op[out,inp] N(out) = op[inp,out] N(inp),
     table holds the packed column (exactq.PackedColumn: the nonzero
-    entries, their width, stride and norm bounds) of each local input seen
+    entries, their width, stride and true norms) of each local input seen
     so far, and index maps each layout (field width and the shifts of op's
     sites) to a dict from a local code seen at that layout to its column,
     the column's out codes there and its los.
@@ -441,6 +451,8 @@ def apply_local(
     columns need.  The vector's records go to exactq.apply_columns as they
     are, and its output records make the result: no LaurentQ is built.
     """
+    size = len(vec.signature)
+    positions = _sites(positions, size, len(op.signature))
     got = itemgetter(*positions)(vec.signature)
     if got != op.signature:
         raise DomainError(
@@ -451,7 +463,6 @@ def apply_local(
         table, index, element = op.table, op.index, op.element
     else:
         table, index = {}, {}
-    size = len(vec.signature)
     codes, width = vec._codes, vec._width
     terms, need = _coded_terms(op, table, index, element, codes, size, width, positions)
     if need > width:
@@ -764,7 +775,7 @@ def _word_unit(signature, occupations: Sequence[int], *words) -> SparseVector:
     vec = SparseVector.unit(signature, occupations)
     width = vec._width
     for word in words:
-        bound = list(occupations)
+        bound = list(map(index, occupations))
         for kind, positions in reversed(word):
             weights = (R_OPERATOR if kind == "R" else K_OPERATOR).weights
             top = max(weights(*[bound[p] for p in positions]))

@@ -3,8 +3,9 @@
 Everything here is transcribed independently of the package's own
 computation routes (built from explicit factored products), so equality
 tests against these are genuine cross-checks.  assert_zeroed_key_caught
-is the one negative control of the block sweep, shared by R and K, and
-assert_packed_invariants the one check of a packed value's form and bounds.
+is the one negative control of the block sweep, shared by R and K,
+assert_packed_invariants the one check of a packed value's form and
+bounds, and assert_true_column that of a packed column's norms.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from qreflect import memo, tensorops
-from qreflect.exactq import LaurentQ, qq_pochhammer
+from qreflect.exactq import LaurentQ, _norms, _unpack, _width_for, qq_pochhammer
 from qreflect.multipoly import MultiPolyQ, VARS4, q_power, variables
 
 X, Y, Z, W = variables(VARS4)
@@ -29,13 +30,25 @@ def laurent(pairs: dict[int, int]) -> LaurentQ:
 def assert_packed_invariants(value: LaurentQ) -> None:
     """Canonical form and valid norm bounds: the lowest digit is nonzero,
     the true ||.||_1 <= the carried one, and the true ||.||_inf <= the
-    carried one < 2^(w-1).  Zero is the packed int 0."""
+    carried one < 2^(w-1), with equality when _exact.  Zero is the packed
+    int 0."""
     if not value._p:
         return
     sizes = [abs(c) for c in value._digits()]
     assert sizes[0] != 0
     assert sum(sizes) <= value._n1
     assert max(sizes) <= value._ni < 2 ** (value._w - 1)
+    if value._exact:
+        assert (sum(sizes), max(sizes)) == (value._n1, value._ni)
+
+
+def assert_true_column(col) -> None:
+    """A packed column's norms are its entries' true norms, and its slot
+    width is the narrowest above them."""
+    assert [(n1, ni) for n1, ni in zip(col.n1s, col.nis)] == [
+        _norms(_unpack(p, col.w)) for p in col.ps
+    ]
+    assert col.w == _width_for(max(col.nis, default=0))
 
 
 # Fractions as unreduced (num, den) pairs of LaurentQ, for references that

@@ -7,12 +7,13 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qreflect.exactq import DomainError, LaurentQ, accumulate
+from qreflect.exactq import DomainError, LaurentQ, PackedColumn, accumulate
 from qreflect.multipoly import MultiPolyQ, VARS3, VARS4, shift_sum, variables
 from qreflect.qfamily import q_polynomial, q_polynomial_alt_route
+from qreflect.threedk import verify_e_all
 from qreflect.threedr import p_polynomial
 
-from conftest import assert_packed_invariants, qc, reference_q10
+from conftest import assert_packed_invariants, assert_true_column, qc, reference_q10
 
 X, Y, Z, W = variables(VARS4)
 
@@ -275,6 +276,9 @@ class TestPackedKernel:
             assert got == want
             assert sorted(got.monomial_exponents()) == sorted(want.monomial_exponents())
             assert_canonical(got)
+        for poly in (a, b):
+            if poly._column is not None:
+                assert_true_column(poly._column)
 
     @ARITIES
     @settings(max_examples=50, deadline=None)
@@ -346,12 +350,38 @@ class TestPackedKernel:
             shift_sum(VARS4, [(variables(coeff_names)[0], variables(poly_names)[1], (0,) * 4)])
 
     def test_recursions_keep_narrow_slots(self):
-        # Each step's bounds grow by the sums of its products; a call whose
-        # records reach the width decodes its coefficients and columns before
-        # it widens, so Q and P stay at the slot width of their digits.
+        # Each step's bounds grow by the sums of its products; a column holds
+        # its entries' true norms, and a call whose records reach the width
+        # tightens copies of its coefficients before it widens, so Q and P
+        # stay at the slot width of their digits.
         q = q_polynomial_alt_route(4, 4)
         assert {c._w for _, c in q.items()} == {32}
         assert {c._w for _, c in p_polynomial(16).items()} == {32}
+
+
+class TestColumnsBuiltOnce:
+    def test_warm_verify_e_builds_one_column_per_polynomial(self, monkeypatch):
+        # A polynomial builds its column on first use and keeps it: a warm
+        # verify_e pass builds at most one column per distinct polynomial
+        # it multiplies by, although it uses some of them several times.
+        verify_e_all(1, 1)
+        builds, used = [], []
+        init, as_column = PackedColumn.__init__, MultiPolyQ._as_column
+
+        def counted_init(self, pairs):
+            builds.append(self)
+            init(self, pairs)
+
+        def recorded(poly):
+            used.append(poly)
+            return as_column(poly)
+
+        monkeypatch.setattr(PackedColumn, "__init__", counted_init)
+        monkeypatch.setattr(MultiPolyQ, "_as_column", recorded)
+        assert verify_e_all(1, 1).passed
+        distinct = len({id(poly) for poly in used})
+        assert len(used) > distinct
+        assert len(builds) <= distinct
 
 
 class TestIntegerExponents:

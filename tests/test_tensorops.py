@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import operator
 import re
 from functools import lru_cache
 from itertools import product
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qreflect import exactq, memo
 from qreflect.exactq import DomainError, LaurentQ, _make, accumulate, from_record
+from qreflect.multipoly import VARS3, MultiPolyQ
 from qreflect.report import VerificationReport
 from qreflect.tensorops import (
     INTERTWINER_RELATIONS,
@@ -49,7 +51,7 @@ from qreflect.tensorops import (
 from qreflect.threedk import k_element
 from qreflect.threedr import r_element
 
-from conftest import assert_packed_invariants, assert_zeroed_key_caught
+from conftest import assert_packed_invariants, assert_true_column, assert_zeroed_key_caught
 
 
 def assert_first_difference(rep):
@@ -407,6 +409,15 @@ def restore_tables():
     memo.clear()
 
 
+COLUMN_FIELDS = attrgetter("outs", "los", "ps", "n1s", "nis", "w", "s")
+
+
+def assert_unchanged(col, fields):
+    """No field of the column was assigned since fields were read: each is
+    the same object (a field assigned an equal value is a write too)."""
+    assert all(map(operator.is_, COLUMN_FIELDS(col), fields))
+
+
 class TestPackedColumns:
     @pytest.mark.parametrize("variant", sorted(ELEMENTS))
     @given(case=cases())
@@ -423,22 +434,21 @@ class TestPackedColumns:
     )
     def test_shared_table_against_reference(self, case, restore_tables):
         # A call leaves every shared column it uses as it was, whatever its
-        # width: only a norm bound may drop.  The columns are built first,
-        # by a call with unit coefficients.
+        # width and however often it is redone: no field changes.  The
+        # columns are built first, by a call with unit coefficients, at
+        # their entries' true norms.
         op, vec, positions, _ = case
         gather = itemgetter(*positions)
         units = SparseVector(vec.signature, [(occ, LaurentQ.one()) for occ in vec.terms])
         apply_local(op, units, positions)
-        packed = attrgetter("outs", "los", "ps", "w", "s")
         columns = {gather(occ): op.table[gather(occ)] for occ in vec.terms}
-        before = {inp: (packed(col), col.n1s, col.nis) for inp, col in columns.items()}
+        before = {inp: COLUMN_FIELDS(col) for inp, col in columns.items()}
         assert_matches_reference(op, vec, positions)
-        for inp, (fields, n1s, nis) in before.items():
+        for inp, fields in before.items():
             col = op.table[inp]
             assert col is columns[inp]
-            assert packed(col) == fields
-            assert all(map(int.__le__, col.n1s, n1s)) and len(col.n1s) == len(n1s)
-            assert all(map(int.__le__, col.nis, nis)) and len(col.nis) == len(nis)
+            assert_unchanged(col, fields)
+            assert_true_column(col)
 
     def test_narrow_call_after_a_wide_one(self, restore_tables):
         # Coefficients 2^31 - 1 on a whole block need 64-bit slots; a unit
@@ -512,9 +522,66 @@ class TestPackedColumns:
         out = assert_matches_reference(R_OPERATOR, vec, (0, 1, 2))
         assert {v._w for v in out.terms.values()} == {32}
         assert R_OPERATOR.table[(1, 1, 1)].w == 32
-        # The vector's record is tightened; the value it was built from is not.
-        ((_, _, ni, n1),) = vec._codes.values()
-        assert (n1, ni) == (2, 1)
+        # The call tightens a copy: the vector's record and the value it was
+        # built from keep their bounds.
+        ((_, _, n1, ni),) = vec._codes.values()
+        assert (n1, ni) == (loose._n1, loose._ni) == (2**31, 2**30)
+
+    def test_values_built_from_digits_are_not_decoded(self, monkeypatch):
+        # A value built from its digits carries its true norms (_exact), so a
+        # column over such values decodes none of them; a product's carried
+        # bounds are decoded.
+        decoded = []
+        true_norms = exactq._true_norms
+        monkeypatch.setattr(exactq, "_true_norms", lambda ps, w: decoded.extend(ps) or true_norms(ps, w))
+        entry = LaurentQ({0: 1, 2: -1, 4: -1})
+        assert_true_column(exactq.PackedColumn([((0,), entry), ((1,), LaurentQ.monomial(3, -7))]))
+        assert decoded == []
+        product = entry * entry
+        assert not product._exact
+        assert_true_column(exactq.PackedColumn([((0,), product)]))
+        assert decoded == [product._p]
+
+    def test_redone_calls_write_into_no_operand(self, restore_tables):
+        # Two calls redone with tightened coefficients.  A polynomial
+        # product: a coefficient with loose bounds (2^31 and 2^30) times a
+        # column of loose values, whose pair bound reaches 2^31.  And a K
+        # call on a vector's records, one loose and the rest 2^31 - 1, on
+        # a whole weight block, which ends at 64-bit slots.  Neither the
+        # columns nor the records change, and no value loses its bounds.
+        def loose():
+            """1 + q^2 with the bounds 2^31 and 2^30."""
+            return _make(0, 1 + (1 << 32), 32, 2**31, 2**30, 2)
+
+        entry = LaurentQ({0: 1, 2: -1, 4: -1})
+        values = [loose(), loose(), loose()]
+        poly = MultiPolyQ(VARS3, {(1, 0, 0): values[0], (0, 1, 0): entry})
+        col = poly._as_column()
+        assert_true_column(col)
+        assert (col.n1s, col.nis, col.w) == ((2, 3), (1, 1), 32)
+        fields = COLUMN_FIELDS(col)
+        product = MultiPolyQ.constant(VARS3, values[1]) * poly
+        assert {v._w for _, v in product.items()} == {32}
+        one_q2 = LaurentQ({0: 1, 2: 1})
+        assert product == MultiPolyQ(VARS3, {(1, 0, 0): one_q2 * one_q2, (0, 1, 0): one_q2 * entry})
+        assert poly._as_column() is col
+        assert_unchanged(col, fields)
+
+        block = K_OPERATOR.states(3, 4)
+        positions = (0, 1, 2, 3)
+        apply_K(SparseVector(K_SIGNATURE, [(inp, LaurentQ.one()) for inp in block]), positions)
+        columns = {inp: K_OPERATOR.table[inp] for inp in block}
+        before = {inp: COLUMN_FIELDS(col) for inp, col in columns.items()}
+        pairs = [(block[0], values[2])] + [(inp, LaurentQ.integer(2**31 - 1)) for inp in block[1:]]
+        vec = SparseVector(K_SIGNATURE, pairs)
+        records = {code: list(rec) for code, rec in vec._codes.items()}
+        out = assert_matches_reference(K_OPERATOR, vec, positions)
+        assert out._w == 64
+        assert vec._codes == records
+        for inp, fields in before.items():
+            assert K_OPERATOR.table[inp] is columns[inp]
+            assert_unchanged(columns[inp], fields)
+        assert all((v._n1, v._ni) == (2**31, 2**30) for v in values)
 
 
     def test_fan_in_of_a_weight_block(self):
@@ -579,7 +646,7 @@ def narrow_records_of_a_wide_call():
     )
     out = apply_K(wide, (0, 1, 2, 3))
     assert out._w == 64
-    codes = {code: rec for code, rec in out._codes.items() if rec[2] < 2**20}
+    codes = {code: rec for code, rec in out._codes.items() if rec[3] < 2**20}
     assert any(rec[1].bit_length() >= 64 for rec in codes.values())
     return SparseVector._coded(WORD_SIGNATURE, codes, out._width, out._w, out._s)
 
@@ -690,6 +757,37 @@ class TestValuesAtTheEdges:
         occ, left, right = finals[0].first_difference(doubled)
         assert len(built) == 2
         assert right == left * 2
+
+
+class TestPositionsAndOccupations:
+    # Positions are distinct ints in range(len(signature)), one per site of
+    # the operator; occupations are read through operator.index.
+    unit = SparseVector.unit(TETRAHEDRON_SIGNATURE, (1, 0, 0, 0, 1, 1))
+
+    @pytest.mark.parametrize("positions", [(0, 0, 4), (-1, 4, 5), (0, 1, 6), (0,), (0, 1.0, 2)])
+    def test_bad_positions_are_a_domain_error(self, positions):
+        with pytest.raises(DomainError):
+            apply_R(self.unit, positions)
+
+    def test_negative_generator_position_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            apply_generator("a+", self.unit, -6)
+
+    def test_float_occupation_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            verify_reflection((1.0,) + (0,) * 8)
+
+    def test_occupations_are_read_through_index(self):
+        class Occupation:
+            def __init__(self, m):
+                self.m = m
+
+            def __index__(self):
+                return self.m
+
+        state = (0, 2, 0, 1, 2, 0, 2, 0, 1)
+        assert verify_reflection(tuple(map(Occupation, state))).passed
+        assert SparseVector.unit(R_SIGNATURE, (Occupation(2), 0, 1)) == SparseVector.unit(R_SIGNATURE, (2, 0, 1))
 
 
 class TestTableIsolation:
