@@ -77,7 +77,6 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from itertools import accumulate as prefix_sums
 from math import isqrt
 from operator import index
 from typing import Callable, Hashable, Iterable, Iterator
@@ -285,15 +284,14 @@ class LaurentQ:
         # index() rejects a float or other non-integer instead of truncating it.
         pairs = [(index(e), index(c)) for e, c in (terms or {}).items()]
         terms = {e: c for e, c in pairs if c}
-        self._exact = True
         if not terms:
-            self._lo, self._p, self._w, self._n1, self._ni, self._s = 0, 0, 32, 0, 0, 2
+            self._lo, self._p, self._w, self._n1, self._ni, self._s, self._exact = 0, 0, 32, 0, 0, 2, True
             return
         lo = min(terms)
         digits = [0] * (max(terms) - lo + 1)
         for e, c in terms.items():
             digits[e - lo] = c
-        self._lo = lo
+        self._lo, self._exact = lo, True
         self._p, self._w, self._n1, self._ni, self._s = _encode(digits)
 
     # -- constructors ------------------------------------------------------
@@ -584,12 +582,10 @@ class PackedColumn:
     """The nonzero entries of one column, packed at one width and stride.
 
     Entry j is q^los[j] times the packed int ps[j], at output outs[j], with
-    true norms n1s[j] and nis[j]: the fields of a record (to_records) held
-    as parallel tuples, at the narrowest slot width w above every entry and
-    their joint stride s.  An entry is decoded at most once, here (not when
-    its value's _exact says its bounds are true), and once more if it is
-    re-packed narrower.  No field changes after construction: apply_columns
-    re-packs for itself.
+    true norms n1s[j] and nis[j] (a record's fields, to_records, as parallel
+    tuples), at the narrowest slot width w above every entry and their joint
+    stride s.  Only an entry whose value is not _exact is decoded, once, to
+    find its norms.  No field changes after construction.
     """
 
     __slots__ = ("outs", "los", "ps", "n1s", "nis", "w", "s")
@@ -599,31 +595,11 @@ class PackedColumn:
         values = [v for _, v in pairs]
         recs, w, s = to_records(values)
         ps = [rec[1] for rec in recs]
-        n1s, nis = [v._n1 for v in values], [v._ni for v in values]
-        # Values whose bounds may be loose are decoded, in one pass (_true_norms).
-        loose = [j for j, v in enumerate(values) if not v._exact]
-        for j, n1, ni in zip(loose, *_true_norms([ps[j] for j in loose], w)):
-            n1s[j], nis[j] = n1, ni
-        self.w, self.s = _width_for(max(nis, default=0)), s
+        norms = [(v._n1, v._ni) if v._exact else _norms(_unpack(p, w)) for v, p in zip(values, ps)]
+        self.n1s, self.nis = tuple([n1 for n1, _ in norms]), tuple([ni for _, ni in norms])
+        self.w, self.s = _width_for(max(self.nis, default=0)), s
         self.outs, self.los = tuple([out for out, _ in pairs]), tuple([rec[0] for rec in recs])
         self.ps = tuple(ps if self.w == w else [_repack(p, w, s, self.w, s) for p in ps])
-        self.n1s, self.nis = tuple(n1s), tuple(nis)
-
-
-def _true_norms(ps: list[int], w: int) -> tuple[list[int], list[int]]:
-    """The ||.||_1 and ||.||_inf of each nonzero packed int at width w, all decoded in one pass."""
-    code = _STRUCT_CODES.get(w)
-    if code is None:
-        norms = [_norms(_unpack(p, w)) for p in ps]
-        return [n1 for n1, _ in norms], [ni for _, ni in norms]
-    ns = [p.bit_length() // w + 1 for p in ps]
-    if max(ns, default=1) == 1:
-        return [list(map(abs, ps))] * 2
-    raw = b"".join([((p + h) ^ h).to_bytes(n * w // 8, "little") for p, n in zip(ps, ns) for h in [_offset(n, w)]])
-    sizes = list(map(abs, struct.unpack(f"<{len(raw) * 8 // w}{code}", raw)))
-    ends = list(prefix_sums(ns))
-    cuts = list(map(sizes.__getitem__, map(slice, [0, *ends], ends)))
-    return list(map(sum, cuts)), list(map(max, cuts))
 
 
 def to_records(values: list[LaurentQ]) -> tuple[list[list[int]], int, int]:

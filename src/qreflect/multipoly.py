@@ -351,9 +351,7 @@ def shift_sum(names: Sequence[str], terms: Iterable[tuple]) -> MultiPolyQ:
         column = poly._as_column()
         los = column.los
         if any(shifts):
-            for k, exps in zip(shifts, zip(*column.outs)):
-                if k:
-                    los = tuple(map(add, los, map(k.__mul__, exps)))
+            los = tuple(lo + sum(map(mul, shifts, e)) for lo, e in zip(los, column.outs))
         hit = (column, column.outs, los)
         coeffs += coeff._terms.values()
         kernel_terms += [(e, hit) for e in coeff._terms]

@@ -69,7 +69,7 @@ import random
 from enum import Enum
 from collections.abc import Mapping
 from itertools import chain, combinations, product
-from operator import index, itemgetter
+from operator import index, is_, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import memo
@@ -99,6 +99,7 @@ K_SIGNATURE = (Q2, Q1, Q2, Q1)
 R_SIGNATURE = (Q1, Q1, Q1)
 TETRAHEDRON_SIGNATURE = (Q1,) * 6
 REFLECTION_SIGNATURE = (Q2, Q1, Q2, Q1, Q1, Q1, Q2, Q1, Q1)
+_CHECKED_SITES: dict = {}  # the int sites _sites returned, by (positions, size, count)
 
 # Generator names and the space type each one requires.
 _GENERATOR_TYPES = {
@@ -318,11 +319,22 @@ def _shifts(size: int, width: int, positions: Iterable[int]) -> tuple[int, ...]:
 
 
 def _sites(positions: Sequence[int], size: int, count: int) -> tuple[int, ...]:
-    """positions as count distinct int sites in range(size); DomainError if they are not."""
-    sites = tuple(positions) if isinstance(positions, (tuple, list, range)) else ()
-    valid = all([isinstance(p, int) and 0 <= p < size for p in sites])
-    if not valid or len(sites) != count or len(set(sites)) != count:
+    """positions as count distinct sites in range(size), each hashable, read
+    through operator.index and not a bool; DomainError if they are not.
+    Checked sites are kept, known again by identity (1.0 and True equal 1)."""
+    try:
+        given = tuple(positions)
+        sites = _CHECKED_SITES.get((given, size, count), ())
+        if sites and all(map(is_, sites, given)):
+            return sites
+        sites = tuple(map(index, given))
+    except TypeError:
+        given = sites = ()
+    if (len(sites) != count or len(set(sites)) != count or min(sites) < 0 or max(sites) >= size
+            or bool in map(type, given)):
         raise DomainError(f"need {count} distinct positions in range({size}), got {positions!r}")
+    if all(map(is_, sites, given)):
+        _CHECKED_SITES[given, size, count] = sites
     return sites
 
 

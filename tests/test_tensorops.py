@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import operator
 import re
+from collections import deque
 from functools import lru_cache
 from itertools import product
 from operator import attrgetter, itemgetter
@@ -531,16 +532,16 @@ class TestPackedColumns:
         # A value built from its digits carries its true norms (_exact), so a
         # column over such values decodes none of them; a product's carried
         # bounds are decoded.
-        decoded = []
-        true_norms = exactq._true_norms
-        monkeypatch.setattr(exactq, "_true_norms", lambda ps, w: decoded.extend(ps) or true_norms(ps, w))
         entry = LaurentQ({0: 1, 2: -1, 4: -1})
-        assert_true_column(exactq.PackedColumn([((0,), entry), ((1,), LaurentQ.monomial(3, -7))]))
-        assert decoded == []
         product = entry * entry
         assert not product._exact
+        decoded = []
+        norms = exactq._norms
+        monkeypatch.setattr(exactq, "_norms", lambda digits: decoded.append(digits) or norms(digits))
+        assert_true_column(exactq.PackedColumn([((0,), entry), ((1,), LaurentQ.monomial(3, -7))]))
+        assert decoded == []
         assert_true_column(exactq.PackedColumn([((0,), product)]))
-        assert decoded == [product._p]
+        assert decoded == [exactq._unpack(product._p, product._w)]
 
     def test_redone_calls_write_into_no_operand(self, restore_tables):
         # Two calls redone with tightened coefficients.  A polynomial
@@ -759,35 +760,51 @@ class TestValuesAtTheEdges:
         assert right == left * 2
 
 
+class Index:
+    """An int-like object read through __index__, as a position or occupation."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def __index__(self):
+        return self.m
+
+
 class TestPositionsAndOccupations:
     # Positions are distinct ints in range(len(signature)), one per site of
-    # the operator; occupations are read through operator.index.
+    # the operator, read through operator.index and none a bool; occupations
+    # are read through operator.index.
     unit = SparseVector.unit(TETRAHEDRON_SIGNATURE, (1, 0, 0, 0, 1, 1))
 
-    @pytest.mark.parametrize("positions", [(0, 0, 4), (-1, 4, 5), (0, 1, 6), (0,), (0, 1.0, 2)])
+    @pytest.mark.parametrize(
+        "positions", [(0, 0, 4), (-1, 4, 5), (0, 1, 6), (0,), (0, 1.0, 2), (True, 1, 2), (0, True, 2), 3]
+    )
     def test_bad_positions_are_a_domain_error(self, positions):
+        # A float or a bool equal to the ints of a layout checked before is still refused.
+        apply_R(self.unit, (0, 1, 2))
         with pytest.raises(DomainError):
             apply_R(self.unit, positions)
+
+    def test_positions_are_read_through_index(self):
+        expected = apply_R(self.unit, (0, 1, 2))
+        for positions in ((Index(0), 1, Index(2)), [0, 1, 2], deque([0, 1, 2]), range(3)):
+            assert apply_R(self.unit, positions) == expected
+        assert apply_generator("a+", self.unit, Index(5)) == apply_generator("a+", self.unit, 5)
 
     def test_negative_generator_position_is_a_domain_error(self):
         with pytest.raises(DomainError):
             apply_generator("a+", self.unit, -6)
+        with pytest.raises(DomainError):
+            apply_generator("a+", self.unit, True)
 
     def test_float_occupation_is_a_type_error(self):
         with pytest.raises(TypeError):
             verify_reflection((1.0,) + (0,) * 8)
 
     def test_occupations_are_read_through_index(self):
-        class Occupation:
-            def __init__(self, m):
-                self.m = m
-
-            def __index__(self):
-                return self.m
-
         state = (0, 2, 0, 1, 2, 0, 2, 0, 1)
-        assert verify_reflection(tuple(map(Occupation, state))).passed
-        assert SparseVector.unit(R_SIGNATURE, (Occupation(2), 0, 1)) == SparseVector.unit(R_SIGNATURE, (2, 0, 1))
+        assert verify_reflection(tuple(map(Index, state))).passed
+        assert SparseVector.unit(R_SIGNATURE, (Index(2), 0, 1)) == SparseVector.unit(R_SIGNATURE, (2, 0, 1))
 
 
 class TestTableIsolation:
