@@ -2,11 +2,14 @@
 
 Verbs: q (polynomial family), r and k (matrix elements, blocks as text,
 JSON or CSV tables, and one verify suite each), verify (identity suites,
-including the golden regression set).  Every answer is recomputed from
-the formulas; the CLI reads and writes no cache file.  Exit codes: 0
-success or verification pass, 1 verification failure, 2 usage or domain
-errors, 3 internal consistency error (an exact division left a remainder
-or a construction-time cross-check failed).
+including the golden regression set).  One helper (_add_local) builds the
+element and block commands of r and k over tensorops' R and K
+LocalOperators.  Each command keeps its handler as run in its parsed
+namespace, and main calls it.  Every answer is recomputed from the
+formulas; the CLI reads and writes no cache file.  Exit codes: 0 success
+or verification pass, 1 verification failure, 2 usage or domain errors, 3
+internal consistency error (an exact division left a remainder or a
+construction-time cross-check failed).
 """
 
 from __future__ import annotations
@@ -138,162 +141,146 @@ def golden_report() -> VerificationReport:
     return rep
 
 
+def _add_format(p, choices=("text", "json")):
+    p.add_argument("--format", choices=choices, default="text")
+
+
+def _add_local(verbs, op, routes, order, verify_help):
+    """op's verb with its commands in order: element and block, run through op,
+    and verify, whose arguments and handler the caller adds to the parser returned."""
+    verb = verbs.add_parser(op.name.lower(), help=f"3D {op.name} elements and blocks")
+    sub = verb.add_subparsers(dest="action", required=True)
+    outs, ins = "abcd"[: len(op.signature)], "ijkl"[: len(op.signature)]
+    element = f"one matrix element {op.name}^{{{','.join(outs)}}}_{{{','.join(ins)}}}"
+    helps = {"element": element, "verify": verify_help, "block": "full matrix on a weight block"}
+    p = {action: sub.add_parser(action, help=helps[action]) for action in order}
+    for name in outs + ins:
+        p["element"].add_argument(name, type=int)
+    p["element"].add_argument("--route", choices=(*routes, op.route), default=routes[0])
+    _add_format(p["element"])
+    p["element"].set_defaults(run=lambda a: _emit_value(
+        op.element(*map(vars(a).get, outs + ins), route=a.route), a.format
+    ))
+    p["block"].add_argument("m", type=int)
+    p["block"].add_argument("n", type=int)
+    _add_format(p["block"], ("text", "json", "csv"))
+    p["block"].set_defaults(run=lambda a: _emit_block(op.states(a.m, a.n), op.element, a.format))
+    return p["verify"]
+
+
+def _r_verify(args: argparse.Namespace) -> int:
+    rep = VerificationReport(f"R suite, b <= {args.max_b}")
+    for b in range(args.max_b + 1):
+        rep.absorb(threedr.verify_p_relations(b))
+        rep.attempt(threedr.hypergeometric_p, b)
+    rep.absorb(threedr.p_ring_report(args.max_b + 1))
+    rep.absorb(threedr.verify_mirror_pairs())
+    rep.absorb(tensorops.verify_blocks(tensorops.R_OPERATOR, 3, 3))
+    rep.absorb(threedr.verify_generating_series(1, 1, 1, min(args.max_b, 6)))
+    return _emit_report(rep, args.format)
+
+
+def _k_verify(args: argparse.Namespace) -> int:
+    rep = VerificationReport(f"K suite, b, c <= {args.max_bc}")
+    rep.absorb(threedk.verify_e_all(args.max_bc, args.max_bc))
+    rep.absorb(tensorops.verify_blocks(tensorops.K_OPERATOR, 3, 5))
+    # A key is trivial unless its input shares a block with (a,b,c,d+1).
+    for m in range(4):
+        for n in range(5):
+            for out in threedk.k_block_states(m, n):
+                for inp in threedk.k_block_states(m, n + 1):
+                    rep.absorb(threedk.verify_bridge_recursion(*out, *inp))
+    return _emit_report(rep, args.format)
+
+
+def _verify_tetrahedron(args: argparse.Namespace) -> int:
+    reps = [tensorops.verify_tetrahedron(occ) for occ in tensorops.states_up_to(6, args.max_occ)]
+    return _emit_suite(reps, args.format, "tetrahedron")
+
+
+def _verify_reflection(args: argparse.Namespace) -> int:
+    states = set(tensorops.unit_states(9, 2))
+    if args.sample:
+        states |= set(tensorops.sample_unit_states(9, args.sample, args.seed))
+    if args.max_occ > 1:
+        states |= set(tensorops.states_up_to(9, args.max_occ))
+    reps = [tensorops.verify_reflection(s) for s in sorted(states) if max(s) <= args.max_occ]
+    return _emit_suite(reps, args.format, "reflection")
+
+
+def _verify_intertwiner(args: argparse.Namespace) -> int:
+    every = args.relation == "all"
+    relations = sorted(tensorops.INTERTWINER_RELATIONS) if every else [args.relation]
+    states = tensorops.states_up_to(4, args.max_occ)
+    reps = [tensorops.verify_intertwiner(rel, occ) for rel in relations for occ in states]
+    return _emit_suite(reps, args.format, "intertwiner")
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser; each command's handler is its namespace's run(args)."""
     parser = argparse.ArgumentParser(
         prog="qreflect",
         description="Exact construction and verification of 3D R and K operators.",
     )
     verbs = parser.add_subparsers(dest="verb", required=True)
 
-    def add_format(p, choices=("text", "json")):
-        p.add_argument("--format", choices=choices, default="text")
-
     q = verbs.add_parser("q", help="the polynomial family Q_{b,c}")
     qsub = q.add_subparsers(dest="action", required=True)
     qc = qsub.add_parser("compute", help="print Q_{b,c}")
     qc.add_argument("b", type=int)
     qc.add_argument("c", type=int)
-    add_format(qc)
+    _add_format(qc)
+    qc.set_defaults(run=lambda a: _emit_value(qfamily.q_polynomial(a.b, a.c), a.format))
     qv = qsub.add_parser("verify", help="verify family properties")
     qv.add_argument("what", choices=("props",))
     qv.add_argument("--max-bc", type=nonnegative_int, default=3)
-    add_format(qv)
+    _add_format(qv)
+    qv.set_defaults(run=lambda a: _emit_report(qfamily.verify_properties(a.max_bc), a.format))
 
-    r = verbs.add_parser("r", help="3D R elements and blocks")
-    rsub = r.add_subparsers(dest="action", required=True)
-    re_ = rsub.add_parser("element", help="one matrix element R^{a,b,c}_{i,j,k}")
-    for name in ("a", "b", "c", "i", "j", "k"):
-        re_.add_argument(name, type=int)
-    re_.add_argument("--route", choices=(*threedr.R_ROUTES, "all"), default="poly")
-    add_format(re_)
-    rv = rsub.add_parser("verify", help="difference equations and route checks")
+    rv = _add_local(
+        verbs, tensorops.R_OPERATOR, threedr.R_ROUTES,
+        ("element", "verify", "block"), "difference equations and route checks",
+    )
     rv.add_argument("--max-b", type=nonnegative_int, default=3)
-    add_format(rv)
-    rb = rsub.add_parser("block", help="full matrix on a weight block")
-    rb.add_argument("m", type=int)
-    rb.add_argument("n", type=int)
-    add_format(rb, choices=("text", "json", "csv"))
-
-    k = verbs.add_parser("k", help="3D K elements and blocks")
-    ksub = k.add_subparsers(dest="action", required=True)
-    ke = ksub.add_parser("element", help="one matrix element K^{a,b,c,d}_{i,j,k,l}")
-    for name in ("a", "b", "c", "d", "i", "j", "k", "l"):
-        ke.add_argument(name, type=int)
-    ke.add_argument("--route", choices=(*threedk.K_ROUTES, "both"), default="primary")
-    add_format(ke)
-    kb = ksub.add_parser("block", help="full matrix on a weight block")
-    kb.add_argument("m", type=int)
-    kb.add_argument("n", type=int)
-    add_format(kb, choices=("text", "json", "csv"))
-    kv = ksub.add_parser("verify", help="difference equations and block checks")
+    _add_format(rv)
+    rv.set_defaults(run=_r_verify)
+    kv = _add_local(
+        verbs, tensorops.K_OPERATOR, threedk.K_ROUTES,
+        ("element", "block", "verify"), "difference equations and block checks",
+    )
     kv.add_argument("--max-bc", type=nonnegative_int, default=3)
-    add_format(kv)
+    _add_format(kv)
+    kv.set_defaults(run=_k_verify)
 
     verify = verbs.add_parser("verify", help="equation suites")
     vsub = verify.add_subparsers(dest="what", required=True)
     vt = vsub.add_parser("tetrahedron")
     vt.add_argument("--max-occ", type=nonnegative_int, default=1)
-    add_format(vt)
+    _add_format(vt)
+    vt.set_defaults(run=_verify_tetrahedron)
     vr = vsub.add_parser("reflection")
     vr.add_argument("--max-occ", type=nonnegative_int, default=1)
     vr.add_argument("--sample", type=nonnegative_int, default=64)
     vr.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    add_format(vr)
+    _add_format(vr)
+    vr.set_defaults(run=_verify_reflection)
     vi = vsub.add_parser("intertwiner")
     vi.add_argument("--relation", default="all")
     vi.add_argument("--max-occ", type=nonnegative_int, default=2)
-    add_format(vi)
+    _add_format(vi)
+    vi.set_defaults(run=_verify_intertwiner)
     vg = vsub.add_parser("golden")
-    add_format(vg)
+    _add_format(vg)
+    vg.set_defaults(run=lambda a: _emit_report(golden_report(), a.format))
 
     return parser
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.verb == "q":
-        if args.action == "compute":
-            return _emit_value(qfamily.q_polynomial(args.b, args.c), args.format)
-        if args.action == "verify":
-            rep = qfamily.verify_properties(args.max_bc)
-            return _emit_report(rep, args.format)
-    if args.verb == "r":
-        if args.action == "element":
-            value = threedr.r_element(
-                args.a, args.b, args.c, args.i, args.j, args.k, route=args.route
-            )
-            return _emit_value(value, args.format)
-        if args.action == "verify":
-            rep = VerificationReport(f"R suite, b <= {args.max_b}")
-            for b in range(args.max_b + 1):
-                rep.absorb(threedr.verify_p_relations(b))
-                rep.attempt(threedr.hypergeometric_p, b)
-            rep.absorb(threedr.p_ring_report(args.max_b + 1))
-            rep.absorb(threedr.verify_mirror_pairs())
-            rep.absorb(tensorops.verify_blocks(tensorops.R_OPERATOR, 3, 3))
-            rep.absorb(threedr.verify_generating_series(1, 1, 1, min(args.max_b, 6)))
-            return _emit_report(rep, args.format)
-        if args.action == "block":
-            states = threedr.r_block_states(args.m, args.n)
-            return _emit_block(states, threedr.r_element, args.format)
-    if args.verb == "k":
-        if args.action == "element":
-            value = threedk.k_element(
-                args.a, args.b, args.c, args.d,
-                args.i, args.j, args.k, args.l,
-                route=args.route,
-            )
-            return _emit_value(value, args.format)
-        if args.action == "block":
-            states = threedk.k_block_states(args.m, args.n)
-            return _emit_block(states, threedk.k_element, args.format)
-        if args.action == "verify":
-            rep = VerificationReport(f"K suite, b, c <= {args.max_bc}")
-            rep.absorb(threedk.verify_e_all(args.max_bc, args.max_bc))
-            rep.absorb(tensorops.verify_blocks(tensorops.K_OPERATOR, 3, 5))
-            # A key is trivial unless its input shares a block with (a,b,c,d+1).
-            for m in range(4):
-                for n in range(5):
-                    for out in threedk.k_block_states(m, n):
-                        for inp in threedk.k_block_states(m, n + 1):
-                            rep.absorb(threedk.verify_bridge_recursion(*out, *inp))
-            return _emit_report(rep, args.format)
-    if args.verb == "verify":
-        if args.what == "tetrahedron":
-            reps = [
-                tensorops.verify_tetrahedron(occ)
-                for occ in tensorops.states_up_to(6, args.max_occ)
-            ]
-            return _emit_suite(reps, args.format, "tetrahedron")
-        if args.what == "reflection":
-            states = set(tensorops.unit_states(9, 2))
-            if args.sample:
-                states |= set(tensorops.sample_unit_states(9, args.sample, args.seed))
-            if args.max_occ > 1:
-                states |= set(tensorops.states_up_to(9, args.max_occ))
-            states = sorted(s for s in states if max(s) <= args.max_occ)
-            reps = [tensorops.verify_reflection(occ) for occ in states]
-            return _emit_suite(reps, args.format, "reflection")
-        if args.what == "intertwiner":
-            if args.relation == "all":
-                relations = sorted(tensorops.INTERTWINER_RELATIONS)
-            else:
-                relations = [args.relation]
-            reps = [
-                tensorops.verify_intertwiner(rel, occ)
-                for rel in relations
-                for occ in tensorops.states_up_to(4, args.max_occ)
-            ]
-            return _emit_suite(reps, args.format, "intertwiner")
-        if args.what == "golden":
-            return _emit_report(golden_report(), args.format)
-    raise DomainError(f"unhandled command {args.verb!r}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.run(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -628,13 +628,7 @@ def from_record(rec: list[int], w: int, s: int) -> LaurentQ:
 
 def from_records(records: dict, w: int, s: int) -> dict:
     """from_record of every record of a dict, by key."""
-    out = {}
-    for key, rec in records.items():
-        # _make inlined: this runs once per output of a polynomial product.
-        x = out[key] = _new(LaurentQ)
-        x._lo, x._p, x._n1, x._ni = rec
-        x._w, x._s, x._exact = w, s, False
-    return out
+    return {key: _make(lo, p, w, n1, ni, s) for key, (lo, p, n1, ni) in records.items()}
 
 
 def apply_columns(

@@ -49,11 +49,12 @@ and one int key per matrix element, and one record per output.  One sweep,
 verify_blocks, checks either operator block by block: its weights, its
 element routes against each other (through the one cross-check,
 report.cross_check), its transpose symmetry up to the operator's norm, and
-op^2 = 1.  Vector sums, generator actions and the intertwiner combinations
-collect their terms through exactq.accumulate, and operator applications
-through exactq.apply_columns; both drop the cancelled ones.  All three
-equation verifiers report through compare_words, which names the first
-basis state where the two sides differ.
+op^2 = 1.  Vector sums, scalar multiples and generator actions collect
+their terms through exactq.accumulate, and operator applications through
+exactq.apply_columns; both drop the cancelled ones.  An intertwiner
+combination is a sum of scaled vectors.  Positions are checked on every
+call (_sites).  All three equation verifiers report through compare_words,
+which names the first basis state where the two sides differ.
 
 The nine-space signature used by the reflection-equation verifier,
 (Q2,Q1,Q2,Q1,Q1,Q1,Q2,Q1,Q1), is the unique assignment making all three
@@ -69,7 +70,7 @@ import random
 from enum import Enum
 from collections.abc import Mapping
 from itertools import chain, combinations, product
-from operator import index, is_, itemgetter
+from operator import index, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import memo
@@ -99,7 +100,6 @@ K_SIGNATURE = (Q2, Q1, Q2, Q1)
 R_SIGNATURE = (Q1, Q1, Q1)
 TETRAHEDRON_SIGNATURE = (Q1,) * 6
 REFLECTION_SIGNATURE = (Q2, Q1, Q2, Q1, Q1, Q1, Q2, Q1, Q1)
-_CHECKED_SITES: dict = {}  # the int sites _sites returned, by (positions, size, count)
 
 # Generator names and the space type each one requires.
 _GENERATOR_TYPES = {
@@ -319,22 +319,16 @@ def _shifts(size: int, width: int, positions: Iterable[int]) -> tuple[int, ...]:
 
 
 def _sites(positions: Sequence[int], size: int, count: int) -> tuple[int, ...]:
-    """positions as count distinct sites in range(size), each hashable, read
-    through operator.index and not a bool; DomainError if they are not.
-    Checked sites are kept, known again by identity (1.0 and True equal 1)."""
+    """positions as count distinct sites in range(size), each read through
+    operator.index and not a bool; DomainError if they are not."""
     try:
         given = tuple(positions)
-        sites = _CHECKED_SITES.get((given, size, count), ())
-        if sites and all(map(is_, sites, given)):
-            return sites
         sites = tuple(map(index, given))
     except TypeError:
         given = sites = ()
     if (len(sites) != count or len(set(sites)) != count or min(sites) < 0 or max(sites) >= size
             or bool in map(type, given)):
         raise DomainError(f"need {count} distinct positions in range({size}), got {positions!r}")
-    if all(map(is_, sites, given)):
-        _CHECKED_SITES[given, size, count] = sites
     return sites
 
 
@@ -383,7 +377,9 @@ def apply_generator(gen: str, vec: SparseVector, pos: int) -> SparseVector:
 
 
 def apply_word(gens: Sequence[str], vec: SparseVector, positions: Sequence[int]) -> SparseVector:
-    """Apply a tensor product of generators at the given positions."""
+    """Apply a tensor product of generators at the given positions, one each."""
+    if len(gens) != len(positions):
+        raise DomainError(f"{len(gens)} generators at {len(positions)} positions")
     for gen, pos in zip(gens, positions):
         if gen != "1":
             vec = apply_generator(gen, vec, pos)
@@ -532,13 +528,7 @@ def _coded_terms(op, table, index, element, codes, size, width, positions):
 
 
 def _fields(shifts: tuple[int, ...], field: int) -> Callable[[int], tuple[int, ...]]:
-    """The function from a code to its fields at shifts; unrolled for R and K."""
-    if len(shifts) == 3:
-        a, b, c = shifts
-        return lambda x: (x >> a & field, x >> b & field, x >> c & field)
-    if len(shifts) == 4:
-        a, b, c, d = shifts
-        return lambda x: (x >> a & field, x >> b & field, x >> c & field, x >> d & field)
+    """The function from a code to its fields at shifts."""
     return lambda x: tuple([x >> s & field for s in shifts])
 
 
@@ -677,10 +667,7 @@ def verify_intertwiner(relation: str, occupations: Sequence[int]) -> Verificatio
 
 def _combination(terms: list[tuple[LaurentQ, SparseVector]]) -> SparseVector:
     """The sum of scalar * vector over (scalar, vector) pairs on K's quartet."""
-    return SparseVector(
-        K_SIGNATURE,
-        ((occ, c * scalar) for scalar, vec in terms for occ, c in vec.terms.items()),
-    )
+    return sum((vec.scaled(scalar) for scalar, vec in terms), SparseVector(K_SIGNATURE))
 
 
 def verify_intertwiners_all(max_occ: int) -> VerificationReport:

@@ -2,7 +2,9 @@
 
 P_0 = 1 and P_{b+1}(x,y,z) = (1-z) P_b(x,y,q^{-2}z)
                              - q^{-2b} x (1 - q^{-2b} y z) P_b(x,y,z)
-is the fixed computation route.  Thirteen further q-difference equations
+is the fixed computation route: difference equation 45 solved for
+P_{b+1}, so p_polynomial sums that equation's own terms in P_b
+(p_relation_terms("45", b)).  Thirteen further q-difference equations
 (and the x<->z symmetry) hold for every b and are checked as exact
 polynomial identities.  Matrix elements
 
@@ -48,7 +50,8 @@ def _q3(exp: int, coeff: int = 1) -> MultiPolyQ:
 
 
 def p_polynomial(b: int) -> MultiPolyQ:
-    """P_b(x,y,z), memoized; the zero polynomial for b < 0."""
+    """P_b(x,y,z), memoized; the zero polynomial for b < 0.  Entries above the
+    longest held run P_0..P_n are filled upwards by equation 45 (module docstring)."""
     if b < 0:
         return _ZERO3
     if b in _P_CACHE:
@@ -57,14 +60,9 @@ def p_polynomial(b: int) -> MultiPolyQ:
     while start + 1 in _P_CACHE:
         start += 1
     for n in range(start, b):
-        prev = _P_CACHE[n]
-        _P_CACHE[n + 1] = shift_sum(
-            VARS3,
-            (
-                (1 - _Z, prev, (0, 0, -2)),
-                (-(_X * _q3(-2 * n) - _X * _Y * _Z * _q3(-4 * n)), prev, (0, 0, 0)),
-            ),
-        )
+        # Equation 45 at n, less its one term in P_{n+1} (coefficient -1).
+        terms = [(c, _P_CACHE[n], shift) for c, db, shift in p_relation_terms("45", n) if db == 0]
+        _P_CACHE[n + 1] = shift_sum(VARS3, terms)
     return _P_CACHE[b]
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import operator
+import pkgutil
 import re
 from collections import deque
 from functools import lru_cache
@@ -14,7 +16,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qreflect import exactq, memo
+import qreflect
+from qreflect import exactq, memo, tensorops
 from qreflect.exactq import DomainError, LaurentQ, _make, accumulate, from_record
 from qreflect.multipoly import VARS3, MultiPolyQ
 from qreflect.report import VerificationReport
@@ -37,6 +40,7 @@ from qreflect.tensorops import (
     _word_unit,
     apply_generator,
     apply_local,
+    apply_word,
     apply_K,
     apply_R,
     oscillator_relations_report,
@@ -95,6 +99,14 @@ class TestGenerators:
     def test_oscillator_relations(self):
         rep = oscillator_relations_report(10)
         assert rep.passed, rep.summary()
+
+    def test_word_and_positions_of_two_lengths_are_a_domain_error(self):
+        # One generator per position: none is dropped, and none acts twice.
+        vacuum = SparseVector.unit(K_SIGNATURE, (0, 0, 0, 0))
+        assert apply_word(("A+", "a+"), vacuum, (0, 1)) == SparseVector.unit(K_SIGNATURE, (1, 1, 0, 0))
+        for gens, positions in ((("A+", "a+"), (0,)), (("A+",), (0, 1))):
+            with pytest.raises(DomainError):
+                apply_word(gens, vacuum, positions)
 
     def test_vector_minus_itself_is_zero(self):
         v = apply_K(SparseVector.unit(K_SIGNATURE, (1, 1, 1, 1)), (0, 1, 2, 3))
@@ -262,6 +274,29 @@ class TestMemoRegistry:
         tensorops.clear_caches()
         assert threedr._P_CACHE == {0: MultiPolyQ.one(VARS3)}
         assert all(not table for name, table in tables.items() if name != "P")
+
+
+    def test_every_cache_a_verifier_fills_is_a_registered_table(self):
+        # A module-level dict that grows during a verification is a memo
+        # table, so the one clear_caches empties it back to its seed.
+        modules = [
+            importlib.import_module(f"qreflect.{m.name}") for m in pkgutil.iter_modules(qreflect.__path__)
+        ]
+        memo.clear()
+        dicts = {
+            f"{module.__name__}.{name}": (value, len(value))
+            for module in modules
+            for name, value in vars(module).items()
+            if isinstance(value, dict)
+        }
+        assert verify_reflection((0, 1, 0, 1, 1, 0, 1, 0, 1)).passed
+        assert verify_tetrahedron((1, 0, 1, 1, 0, 1)).passed
+        grown = {name: (d, size) for name, (d, size) in dicts.items() if len(d) > size}
+        assert {"qreflect.qfamily._Q_CACHE", "qreflect.threedr._P_CACHE"} <= set(grown)
+        registered = list(map(id, memo.tables().values()))
+        assert [name for name, (d, _) in grown.items() if id(d) not in registered] == []
+        tensorops.clear_caches()
+        assert [name for name, (d, size) in grown.items() if len(d) != size] == []
 
 
 # -- packed columns against the term-by-term reference --------------------------------
