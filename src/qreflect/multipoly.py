@@ -9,12 +9,13 @@ The two substitutions the difference equations need are q-shifts
 (variable v -> q^k * v, which only rescales coefficients) and evaluation
 of variables at powers of q (which collapses terms into a LaurentQ).
 Every recursion step and difference-equation residual is one shift_sum,
-sum of coeff * poly.shift_multi(shifts).  Products and shift_sum are sums
-of products and go through exactq.apply_columns, the package's one packed
-multiply-accumulate: a polynomial is a PackedColumn whose outputs are its
-exponent vectors, built on first use and kept, and each term of the other
-factor is one kernel term.  Sums, scalar multiples and partial evaluation
-only add, through exactq.accumulate.  Both drop the cancelled terms.
+sum of coeff * poly.shift_multi(shifts).  A product is a shift_sum of one
+unshifted term, and shift_sum goes through exactq.apply_columns, the
+package's one packed multiply-accumulate: a polynomial is a PackedColumn
+whose outputs are its exponent vectors, built on first use and kept, and
+each term of the other factor is one kernel term.  Sums, scalar multiples
+and partial evaluation only add, through exactq.accumulate.  Both drop the
+cancelled terms.
 """
 
 from __future__ import annotations
@@ -184,18 +185,10 @@ class MultiPolyQ:
             )
         if not isinstance(other, MultiPolyQ):
             return NotImplemented
-        self._check_names(other)
         # The larger factor is the column, each term of the smaller one a
-        # kernel term.
+        # kernel term; shift_sum checks the names.
         small, large = (other, self) if len(self._terms) > len(other._terms) else (self, other)
-        if not small:
-            return MultiPolyQ.zero(self.names)
-        column = large._as_column()
-        hit = (column, column.outs, column.los)
-        recs, w, s = to_records(list(small._terms.values()))
-        terms = [(rec, ea, hit) for ea, rec in zip(small._terms, recs)]
-        out = apply_columns(terms, _exponent_keys, w, s)
-        return MultiPolyQ(self.names, from_records(*out), _trusted=True)
+        return shift_sum(self.names, ((small, large, (0,) * len(self.names)),))
 
     __rmul__ = __mul__
 
@@ -344,7 +337,7 @@ def shift_sum(names: Sequence[str], terms: Iterable[tuple]) -> MultiPolyQ:
     term of coeff is one kernel term.
     """
     names = tuple(names)
-    coeffs, kernel_terms = [], []
+    coeffs, prefixes, hits = [], [], []
     for coeff, poly, shifts in terms:
         if coeff.names != names or poly.names != names:
             raise DomainError(f"variable mismatch: {names} vs {coeff.names}, {poly.names}")
@@ -352,12 +345,11 @@ def shift_sum(names: Sequence[str], terms: Iterable[tuple]) -> MultiPolyQ:
         los = column.los
         if any(shifts):
             los = tuple(lo + sum(map(mul, shifts, e)) for lo, e in zip(los, column.outs))
-        hit = (column, column.outs, los)
         coeffs += coeff._terms.values()
-        kernel_terms += [(e, hit) for e in coeff._terms]
+        prefixes += coeff._terms
+        hits += [(column, column.outs, los)] * len(coeff._terms)
     recs, w, s = to_records(coeffs)
-    kernel_terms = [(rec, e, hit) for rec, (e, hit) in zip(recs, kernel_terms)]
-    out = apply_columns(kernel_terms, _exponent_keys, w, s)
+    out = apply_columns(list(zip(recs, prefixes, hits)), _exponent_keys, w, s)
     return MultiPolyQ(names, from_records(*out), _trusted=True)
 
 

@@ -26,35 +26,37 @@ widens.  A vector's coefficients are the packed records of
 exactq.apply_columns (lo, packed int and norm bounds at one slot width
 and stride for the whole vector), so the factors of a word pass them on
 as they are.  Decoding to tuples, and building LaurentQ values, happens
-only at the edges: the terms view, str, generator actions and vector
-sums, and the one basis state (and its two coefficients) first_difference
-reports.  first_difference and == compare records by (lo, packed int)
-when both vectors share width and stride.
+only at the edges: the terms view, str and vector sums, and the one basis
+state (and its two coefficients) first_difference reports.
+first_difference and == compare records by (lo, packed int) when both
+vectors share width and stride.
 
-R and K are two LocalOperators (name, factor types, conserved weights,
-weight block enumerator, element function, memo table) applied by one
-engine, apply_local.  The weights and blocks are threedr's r_weights and
-r_block_states and threedk's k_weights and k_block_states, the one place
-each weight block is written.  The memo table holds the nonzero column of
-each local input seen, packed (exactq.PackedColumn), and is the only cache
-of R and K elements; it sits in the package's one registry (memo), whose
-single clear is every module's clear_caches.  A second registered table
-per operator, its index, maps each layout (field width and the shifts of
-op's sites) and local input code to that column, its outputs' codes and
-its exponents, so a local input is decoded and looked up, and its out
-codes built, once per layout.  apply_local clears op's fields of each input
-code once (base), so an output's code is base plus its out code, and
-exactq.apply_columns does the arithmetic: one int multiply, one shift-add
-and one int key per matrix element, and one record per output.  One sweep,
-verify_blocks, checks either operator block by block: its weights, its
-element routes against each other (through the one cross-check,
-report.cross_check), its transpose symmetry up to the operator's norm, and
-op^2 = 1.  Vector sums, scalar multiples and generator actions collect
-their terms through exactq.accumulate, and operator applications through
-exactq.apply_columns; both drop the cancelled ones.  An intertwiner
-combination is a sum of scaled vectors.  Positions are checked on every
-call (_sites).  All three equation verifiers report through compare_words,
-which names the first basis state where the two sides differ.
+R, K and the six q-oscillator generators (GENERATORS, one site each) are
+LocalOperators (name, factor types, block map, block enumerator, element
+function, memo table) applied by one engine, apply_local.  R's and K's
+blocks are threedr's r_weights and r_block_states and threedk's k_weights
+and k_block_states, the one place each weight block is written; a
+generator's block is the one state it maps its input to.  The memo table
+holds the nonzero column of each local input seen, packed
+(exactq.PackedColumn), and is the only cache of an operator's elements; it
+sits in the package's one registry (memo), whose single clear is every
+module's clear_caches.  A second registered table per operator, its
+index, maps each layout (field width and the shifts of op's sites) and
+local input code to that column, its outputs' codes and its exponents, so
+a local input is decoded and looked up, and its out codes built, once per
+layout.  apply_local clears op's fields of each input code once (base), so
+an output's code is base plus its out code, and exactq.apply_columns does
+the arithmetic: one int multiply, one shift-add and one int key per matrix
+element, and one record per output.  One sweep, verify_blocks, checks R or
+K block by block: its weights, its element routes against each other
+(through the one cross-check, report.cross_check), its transpose symmetry
+up to the operator's norm, and op^2 = 1.  Vector sums and scalar
+multiples collect their terms through exactq.accumulate, and operator
+applications, generators included, through exactq.apply_columns; both
+drop the cancelled ones.  An intertwiner combination is a sum of scaled
+vectors.  Positions are checked on every call (_sites).  All three
+equation verifiers report through compare_words, which names the first
+basis state where the two sides differ.
 
 The nine-space signature used by the reflection-equation verifier,
 (Q2,Q1,Q2,Q1,Q1,Q1,Q2,Q1,Q1), is the unique assignment making all three
@@ -100,14 +102,6 @@ K_SIGNATURE = (Q2, Q1, Q2, Q1)
 R_SIGNATURE = (Q1, Q1, Q1)
 TETRAHEDRON_SIGNATURE = (Q1,) * 6
 REFLECTION_SIGNATURE = (Q2, Q1, Q2, Q1, Q1, Q1, Q2, Q1, Q1)
-
-# Generator names and the space type each one requires.
-_GENERATOR_TYPES = {
-    "a+": Q1, "a-": Q1, "k": Q1,
-    "A+": Q2, "A-": Q2, "K": Q2,
-    "1": None,
-}
-
 
 class SparseVector:
     """Finite linear combination of basis states over one signature.
@@ -193,8 +187,10 @@ class SparseVector:
 
         Records at one slot width and stride are equal values exactly when
         their (lo, packed int) are equal; at two, the values are built and
-        compared.
+        compared.  Vectors over different signatures are a DomainError.
         """
+        if self.signature != other.signature:
+            raise DomainError("comparing vectors over different signatures")
         mine, theirs, width = self._aligned(other)
         if (self._w, self._s) == (other._w, other._s):
             left = right = itemgetter(0, 1)
@@ -221,6 +217,8 @@ class SparseVector:
     __hash__ = None  # type: ignore[assignment]
 
     def __add__(self, other: SparseVector) -> SparseVector:
+        if not isinstance(other, SparseVector):
+            return NotImplemented
         if self.signature != other.signature:
             raise DomainError("adding vectors over different signatures")
         mine, theirs, width = self._aligned(other)
@@ -228,6 +226,8 @@ class SparseVector:
         return SparseVector._coded(self.signature, codes, width, w, s)
 
     def __sub__(self, other: SparseVector) -> SparseVector:
+        if not isinstance(other, SparseVector):
+            return NotImplemented
         return self + other.scaled(LaurentQ.integer(-1))
 
     def scaled(self, scalar: LaurentQ) -> SparseVector:
@@ -340,79 +340,37 @@ def _widened(codes: dict, size: int, width: int, new: int) -> dict:
     return {_encode(decode(code), new): c for code, c in codes.items()}
 
 
-# -- generator actions -----------------------------------------------------------
-
-
-def _generator_action(gen: str, m: int, space: SpaceType) -> tuple[tuple[int, LaurentQ], ...]:
-    """The (new occupation, coefficient) of gen acting on |m>; none if it kills it."""
-    step = 1 if space is Q1 else 2
-    if gen == "1":
-        return ((m, LaurentQ.one()),)
-    if gen in ("k", "K"):
-        return ((m, LaurentQ.monomial(step * m)),)
-    if gen in ("a+", "A+"):
-        return ((m + 1, LaurentQ.one()),)
-    # a-|0> = 0 via the vanishing coefficient (1 - q^0).
-    coeff = 1 - LaurentQ.monomial(2 * step * m)
-    if coeff.is_zero:
-        return ()
-    return ((m - 1, coeff),)
-
-
-def apply_generator(gen: str, vec: SparseVector, pos: int) -> SparseVector:
-    """Apply one q-oscillator generator at one tensor position; exact."""
-    required = _GENERATOR_TYPES.get(gen)
-    if required is None and gen != "1":
-        raise DomainError(f"unknown generator {gen!r}")
-    (pos,) = _sites((pos,), len(vec.signature), 1)
-    space = vec.signature[pos]
-    if required is not None and space is not required:
-        raise DomainError(f"generator {gen!r} cannot act on a {space.name} factor")
-    pairs = (
-        (occ[:pos] + (new_m,) + occ[pos + 1 :], coeff * factor)
-        for occ, coeff in vec.terms.items()
-        for new_m, factor in _generator_action(gen, occ[pos], space)
-    )
-    return SparseVector(vec.signature, pairs)
-
-
-def apply_word(gens: Sequence[str], vec: SparseVector, positions: Sequence[int]) -> SparseVector:
-    """Apply a tensor product of generators at the given positions, one each."""
-    if len(gens) != len(positions):
-        raise DomainError(f"{len(gens)} generators at {len(positions)} positions")
-    for gen, pos in zip(gens, positions):
-        if gen != "1":
-            vec = apply_generator(gen, vec, pos)
-    return vec
-
-
-# -- R and K application -----------------------------------------------------------
+# -- local operators: R, K and the generators ------------------------------------------
 
 # A matrix element function: element(*out, *inp).
 ElementFn = Callable[..., LaurentQ]
 
 
 class LocalOperator(NamedTuple):
-    """An operator on a few tensor factors, finite on each weight block.
+    """An operator on a few tensor factors, finite on each block.
 
-    weights maps local occupations to the block they lie in, states lists
-    that block, element(*out, *inp, route=...) is one matrix element,
-    route is the element route that cross-checks all the others, norm(*s)
-    is the normalisation N with op[out,inp] N(out) = op[inp,out] N(inp),
-    table holds the packed column (exactq.PackedColumn: the nonzero
-    entries, their width, stride and true norms) of each local input seen
-    so far, and index maps each layout (field width and the shifts of op's
-    sites) to a dict from a local code seen at that layout to its column,
-    the column's out codes there and its los.
+    weights(*inp) names the block that op maps the local occupations inp
+    into: for R and K the input's own weight block, since they conserve
+    it, and for a generator the one state it maps inp to.  states(*block)
+    lists that block, element(*out, *inp, route=...) is one matrix
+    element, table holds the packed column (exactq.PackedColumn: the
+    nonzero entries, their width, stride and true norms) of each local
+    input seen so far, and index maps each layout (field width and the
+    shifts of op's sites) to a dict from a local code seen at that layout
+    to its column, the column's out codes there and its los.  route and
+    norm serve verify_blocks, which sweeps R and K only: route is the
+    element route that cross-checks all the others, and norm(*s) the
+    normalisation N with op[out,inp] N(out) = op[inp,out] N(inp).  A
+    generator has route "" and norm None.
     """
 
     name: str
     signature: tuple[SpaceType, ...]
-    weights: Callable[..., tuple[int, int]]
-    states: Callable[[int, int], list[tuple[int, ...]]]
+    weights: Callable[..., tuple[int, ...]]
+    states: Callable[..., list[tuple[int, ...]]]
     element: ElementFn
     route: str
-    norm: Callable[..., LaurentQ]
+    norm: Callable[..., LaurentQ] | None
     table: dict
     index: dict
 
@@ -443,13 +401,34 @@ K_OPERATOR = LocalOperator(
 )
 
 
+def _generator(name: str, space: SpaceType, delta: int, coeff: Callable[[int], LaurentQ]):
+    """The q-oscillator generator |m> -> coeff(m) |m + delta> on one site of type space."""
+    return LocalOperator(
+        name, (space,), lambda m: (m + delta,), lambda n: [(n,)] if n >= 0 else [],
+        lambda out, m: coeff(m), "", None,
+        memo.table(f"gen_{name}_local"), memo.table(f"gen_{name}_index"),
+    )
+
+
+# a+, a-, k on Q1 (step 1) and A+, A-, K on Q2 (step 2): a-|m> has the
+# coefficient 1 - q^(2 step m), and a-|0> an empty column.
+GENERATORS = {op.name: op for op in (
+    _generator("a+", Q1, 1, lambda m: LaurentQ.one()),
+    _generator("a-", Q1, -1, lambda m: 1 - LaurentQ.monomial(2 * m)),
+    _generator("k", Q1, 0, LaurentQ.monomial),
+    _generator("A+", Q2, 1, lambda m: LaurentQ.one()),
+    _generator("A-", Q2, -1, lambda m: 1 - LaurentQ.monomial(4 * m)),
+    _generator("K", Q2, 0, lambda m: LaurentQ.monomial(2 * m)),
+)}
+
+
 def apply_local(
     op: LocalOperator,
     vec: SparseVector,
     positions: Sequence[int],
     element: ElementFn | None = None,
 ) -> SparseVector:
-    """Apply op at the given positions; exactly finite by weight conservation.
+    """Apply op at the given positions; exactly finite, as each input's column is one block.
 
     An element function given here replaces op.element (a negative control
     passes a corrupted one); its columns and their index are kept for this
@@ -459,9 +438,10 @@ def apply_local(
     columns need.  The vector's records go to exactq.apply_columns as they
     are, and its output records make the result: no LaurentQ is built.
     """
-    size = len(vec.signature)
+    size, sig = len(vec.signature), vec.signature
     positions = _sites(positions, size, len(op.signature))
-    got = itemgetter(*positions)(vec.signature)
+    # itemgetter of one position returns the bare element, not a tuple.
+    got = itemgetter(*positions)(sig) if len(positions) > 1 else (sig[positions[0]],)
     if got != op.signature:
         raise DomainError(
             f"signature at positions {tuple(positions)} is "
@@ -544,6 +524,30 @@ def apply_K(
 ) -> SparseVector:
     """Apply K at a (Q2,Q1,Q2,Q1) quartet of positions; exactly finite."""
     return apply_local(K_OPERATOR, vec, positions, element)
+
+
+def apply_generator(gen: str, vec: SparseVector, pos: int) -> SparseVector:
+    """Apply one q-oscillator generator (GENERATORS, or "1") at one tensor position; exact."""
+    op = GENERATORS.get(gen)
+    if op is None and gen != "1":
+        raise DomainError(f"unknown generator {gen!r}")
+    (pos,) = _sites((pos,), len(vec.signature), 1)
+    if op is None:
+        return vec
+    space = vec.signature[pos]
+    if (space,) != op.signature:
+        raise DomainError(f"generator {gen!r} cannot act on a {space.name} factor")
+    return apply_local(op, vec, (pos,))
+
+
+def apply_word(gens: Sequence[str], vec: SparseVector, positions: Sequence[int]) -> SparseVector:
+    """Apply a tensor product of generators at the given positions, one each."""
+    if len(gens) != len(positions):
+        raise DomainError(f"{len(gens)} generators at {len(positions)} positions")
+    for gen, pos in zip(gens, positions):
+        if gen != "1":
+            vec = apply_generator(gen, vec, pos)
+    return vec
 
 
 def zeroed_key(fn: ElementFn, key: tuple[int, ...]) -> ElementFn:

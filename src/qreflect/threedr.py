@@ -42,7 +42,7 @@ _ZERO3 = MultiPolyQ.zero(VARS3)
 _ONE3 = MultiPolyQ.one(VARS3)
 _X, _Y, _Z = variables(VARS3)
 
-_P_CACHE: dict[int, MultiPolyQ] = memo.table("P", {0: _ONE3})
+_P_CACHE: dict[int, MultiPolyQ] = memo.table("P")
 
 
 def _q3(exp: int, coeff: int = 1) -> MultiPolyQ:
@@ -50,12 +50,14 @@ def _q3(exp: int, coeff: int = 1) -> MultiPolyQ:
 
 
 def p_polynomial(b: int) -> MultiPolyQ:
-    """P_b(x,y,z), memoized; the zero polynomial for b < 0.  Entries above the
-    longest held run P_0..P_n are filled upwards by equation 45 (module docstring)."""
+    """P_b(x,y,z), memoized; the zero polynomial for b < 0.  P_0 = 1 is put in
+    the table first, and entries above the longest held run P_0..P_n are filled
+    upwards by equation 45 (module docstring)."""
     if b < 0:
         return _ZERO3
     if b in _P_CACHE:
         return _P_CACHE[b]
+    _P_CACHE.setdefault(0, _ONE3)
     start = 0
     while start + 1 in _P_CACHE:
         start += 1

@@ -43,6 +43,7 @@ from qreflect.tensorops import (
     apply_word,
     apply_K,
     apply_R,
+    compare_words,
     oscillator_relations_report,
     sample_unit_states,
     states_up_to,
@@ -107,6 +108,27 @@ class TestGenerators:
         for gens, positions in ((("A+", "a+"), (0,)), (("A+",), (0, 1))):
             with pytest.raises(DomainError):
                 apply_word(gens, vacuum, positions)
+
+    def test_vectors_over_two_signatures_do_not_compare(self):
+        # Each code is decoded at its own signature's size: a 4-site code is
+        # no 3-site state, so no first difference exists to report.
+        r_unit = SparseVector.unit(R_SIGNATURE, (1, 0, 0))
+        k_unit = SparseVector.unit(K_SIGNATURE, (1, 0, 0, 0))
+        assert r_unit != k_unit
+        with pytest.raises(DomainError):
+            r_unit.first_difference(k_unit)
+        with pytest.raises(DomainError):
+            compare_words("two signatures", r_unit, k_unit)
+
+    def test_a_vector_plus_a_non_vector_is_a_type_error(self):
+        v = SparseVector.unit(K_SIGNATURE, (1, 0, 0, 0))
+        for other in (1, LaurentQ.one(), None):
+            with pytest.raises(TypeError):
+                v + other
+            with pytest.raises(TypeError):
+                v - other
+            with pytest.raises(TypeError):
+                other + v
 
     def test_vector_minus_itself_is_zero(self):
         v = apply_K(SparseVector.unit(K_SIGNATURE, (1, 1, 1, 1)), (0, 1, 2, 3))
@@ -267,13 +289,28 @@ class TestMemoRegistry:
         threedr.p_polynomial(2)
         apply_R(SparseVector.unit(R_SIGNATURE, (0, 1, 0)), (0, 1, 2))
         apply_K(SparseVector.unit(K_SIGNATURE, (1, 0, 1, 0)), (0, 1, 2, 3))
+        apply_word(("a+", "A+"), SparseVector.unit((Q1, Q2), (1, 1)), (0, 1))
+        apply_word(("a-", "A-"), SparseVector.unit((Q1, Q2), (1, 1)), (0, 1))
+        apply_word(("k", "K"), SparseVector.unit((Q1, Q2), (1, 1)), (0, 1))
         tables = memo.tables()
-        assert sorted(tables) == ["K_index", "K_local", "P", "Q", "Q_dual", "R_index", "R_local"]
+        generators = [f"gen_{gen}_{kind}" for gen in ("A+", "A-", "K", "a+", "a-", "k") for kind in ("index", "local")]
+        assert sorted(tables) == ["K_index", "K_local", "P", "Q", "Q_dual", "R_index", "R_local"] + generators
         assert all(tables.values())
 
         tensorops.clear_caches()
-        assert threedr._P_CACHE == {0: MultiPolyQ.one(VARS3)}
-        assert all(not table for name, table in tables.items() if name != "P")
+        assert threedr._P_CACHE == {}
+        assert all(not table for table in tables.values())
+        assert threedr.p_polynomial(0) == MultiPolyQ.one(VARS3)
+
+    def test_a_name_registers_once(self):
+        # A second table under a taken name would replace the first one's
+        # registry entry, and clear would no longer empty the first.
+        for name in ("R_local", "K_local", "K_index", "P"):
+            with pytest.raises(ValueError):
+                memo.table(name)
+        tables = memo.tables()
+        assert tables["K_local"] is K_OPERATOR.table and tables["K_index"] is K_OPERATOR.index
+        assert tables["gen_K_local"] is tensorops.GENERATORS["K"].table
 
 
     def test_every_cache_a_verifier_fills_is_a_registered_table(self):
@@ -633,6 +670,89 @@ class TestPackedColumns:
         out = assert_matches_reference(R_OPERATOR, vec, (0, 1, 2), real_r)
         assert len(out.terms) == 16
         assert {v._w for v in out.terms.values()} == {32}
+
+
+# -- generators against the tuple-level reference --------------------------------
+#
+# The reference acts on occupation tuples and LaurentQ values, one term at
+# a time, and re-encodes the result; apply_local acts on coded records.
+
+GENERATOR_SPACES = {"a+": Q1, "a-": Q1, "k": Q1, "A+": Q2, "A-": Q2, "K": Q2}
+
+
+def generator_action(gen, m, space):
+    """The (new occupation, coefficient) of gen acting on |m>; none if it kills it."""
+    step = 1 if space is Q1 else 2
+    if gen in ("k", "K"):
+        return ((m, LaurentQ.monomial(step * m)),)
+    if gen in ("a+", "A+"):
+        return ((m + 1, LaurentQ.one()),)
+    # a-|0> = 0 via the vanishing coefficient (1 - q^0).
+    coeff = 1 - LaurentQ.monomial(2 * step * m)
+    if coeff.is_zero:
+        return ()
+    return ((m - 1, coeff),)
+
+
+def reference_generator(gen, vec, pos):
+    """gen at pos, term by term on the vector's tuple-keyed terms."""
+    pairs = (
+        (occ[:pos] + (new_m,) + occ[pos + 1 :], coeff * factor)
+        for occ, coeff in vec.terms.items()
+        for new_m, factor in generator_action(gen, occ[pos], vec.signature[pos])
+    )
+    return SparseVector(vec.signature, pairs)
+
+
+@st.composite
+def generator_cases(draw):
+    """(generator, vector, position): K's quartet or a mixed signature of 1 to 5
+    sites, occupations up to 2^k - 1 (the top of a k-bit field, so that a+
+    widens) with zeros (so that a- kills), coefficients at one drawn stride."""
+    mixed = st.lists(st.sampled_from((Q1, Q2)), min_size=1, max_size=5).map(tuple)
+    signature = draw(st.one_of(st.just(K_SIGNATURE), mixed))
+    top = 2 ** draw(st.integers(1, 5)) - 1
+    occupations = st.tuples(*[st.sampled_from((0, 1, top - 1, top))] * len(signature))
+    occs = draw(st.lists(occupations, min_size=1, max_size=6, unique=True))
+    stride = draw(st.sampled_from((1, 2)))
+    vec = SparseVector(signature, [(occ, draw(coefficients(stride))) for occ in occs])
+    pos = draw(st.integers(0, len(signature) - 1))
+    gen = draw(st.sampled_from([g for g, space in GENERATOR_SPACES.items() if space is signature[pos]]))
+    return gen, vec, pos
+
+
+@pytest.mark.usefixtures("restore_tables")
+class TestGeneratorsAgainstReference:
+    def test_the_six_generators_are_local_operators(self):
+        assert sorted(tensorops.GENERATORS) == sorted(GENERATOR_SPACES)
+        for gen, op in tensorops.GENERATORS.items():
+            assert op.signature == (GENERATOR_SPACES[gen],)
+
+    @given(case=generator_cases())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_apply_local_equals_the_reference(self, case):
+        gen, vec, pos = case
+        want = reference_generator(gen, vec, pos)
+        for out in (apply_local(tensorops.GENERATORS[gen], vec, (pos,)), apply_generator(gen, vec, pos)):
+            assert out == want
+            assert list(out.terms) == list(want.terms)
+            for value in out.terms.values():
+                assert_packed_invariants(value)
+
+    @pytest.mark.parametrize("signature, gen_up, gen_down", [((Q2,), "A+", "A-"), (K_SIGNATURE, "a+", "a-")])
+    def test_edges(self, signature, gen_up, gen_down):
+        # a- at 0 is zero; a+ at the top of the field width widens the fields.
+        pos = len(signature) - 1
+        vacuum = SparseVector.unit(signature, (0,) * len(signature))
+        assert apply_generator(gen_down, vacuum, pos).is_zero
+        top = SparseVector.unit(signature, (0,) * pos + (7,))
+        up = apply_generator(gen_up, top, pos)
+        assert (top._width, up._width) == (3, 4)
+        assert up == reference_generator(gen_up, top, pos) == SparseVector.unit(signature, (0,) * pos + (8,))
+        coeff = LaurentQ({0: 1, 1: -3})
+        odd = SparseVector(signature, [((0,) * pos + (5,), coeff), ((0,) * pos + (7,), coeff)])
+        assert odd._s == 1
+        assert apply_generator(gen_up, odd, pos) == reference_generator(gen_up, odd, pos)
 
 
 # -- packed vectors through operator words ---------------------------------------
