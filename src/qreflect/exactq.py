@@ -53,18 +53,19 @@ On top of LaurentQ the module provides
   * euler_product, a product of Euler factors (a*u; q^2)_inf^{+-1} to a
     fixed order in u, as the numerators of its u^k coefficients over
     (q^2;q^2)_k;
-  * accumulate, the sparse sum of (key, LaurentQ) pairs.  It only adds:
-    sums without products (polynomial and vector sums, scalar multiples)
-    go through it;
+  * accumulate, the sparse sum of (key, LaurentQ) pairs.  It only adds,
+    and serves sums that start from values: polynomial sums, partial
+    evaluation and vectors built from (state, value) pairs;
   * apply_columns, the sparse sum of coefficient times packed column
     (PackedColumn: an operator column, or a polynomial's terms), one int
     multiply and one shift-add per product at one slot width for the whole
     call.  Every sum of products goes through it: R and K application,
-    polynomial products and shift sums.  Its coefficients and outputs are
-    records [lo, p, n1, ni], the fields of a value as plain ints at one
-    width and stride for a whole operand (to_records); a LaurentQ is built
-    from one only where a value is needed (from_record), so the factors of
-    an operator word pass records from call to call.
+    polynomial products and shift sums, and sums of scaled vectors.  Its
+    coefficients and outputs are records [lo, p, n1, ni], the fields of a
+    value as plain ints at one width and stride for a whole operand
+    (to_records); a LaurentQ is built from one only where a value is
+    needed (from_record), so the factors of an operator word pass records
+    from call to call.
 Those two are where cancelled terms are dropped.  A norm pair is ||.||_1
 first everywhere: in a value, a record and a column.  Records and
 PackedColumns never change: a column is built once at its true norms, and
@@ -561,9 +562,10 @@ _ONE = LaurentQ.monomial(0)
 def accumulate(pairs: Iterable[tuple[Hashable, LaurentQ]]) -> dict:
     """The sparse sum of (key, value) pairs: the values of equal keys added.
 
-    Sums of products go through apply_columns instead.  With it, one of
-    the two places where the package drops cancelled terms: once, at the
-    end, and in place, so that no surviving (tuple) key is hashed again.
+    For sums that start from values: polynomial sums, partial evaluation
+    and vectors built from values.  With apply_columns, one of the two
+    places where the package drops cancelled terms: once, at the end, and
+    in place, so that no surviving (tuple) key is hashed again.
     """
     out: dict = {}
     get = out.get
@@ -649,7 +651,7 @@ def apply_columns(
     call.  Returns (records by key, w, s): each output is one new record
     [lo, p, n1, ni] at w and s, in canonical form, and cancelled outputs
     are dropped.  This is the package's one packed multiply-accumulate: R
-    and K application, polynomial products and shift sums all come here.
+    and K application, polynomial products, shift sums and vector sums.
 
     The width follows the module's one rule, with one side of the product
     rule per term: a product of coefficient c and entry e has the pair

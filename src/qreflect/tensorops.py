@@ -24,10 +24,10 @@ carries into the next.  The two equation verifiers start from the width of
 that bound carried through both words (_word_unit), and no factor then
 widens.  A vector's coefficients are the packed records of
 exactq.apply_columns (lo, packed int and norm bounds at one slot width
-and stride for the whole vector), so the factors of a word pass them on
-as they are.  Decoding to tuples, and building LaurentQ values, happens
-only at the edges: the terms view, str and vector sums, and the one basis
-state (and its two coefficients) first_difference reports.
+and stride for the whole vector), so the factors of a word, and the sums
+of vectors, pass them on as they are.  Decoding to tuples, and building
+LaurentQ values, happens only at the edges: the terms view, str, and the
+one basis state (and its two coefficients) first_difference reports.
 first_difference and == compare records by (lo, packed int) when both
 vectors share width and stride.
 
@@ -50,13 +50,13 @@ the arithmetic: one int multiply, one shift-add and one int key per matrix
 element, and one record per output.  One sweep, verify_blocks, checks R or
 K block by block: its weights, its element routes against each other
 (through the one cross-check, report.cross_check), its transpose symmetry
-up to the operator's norm, and op^2 = 1.  Vector sums and scalar
-multiples collect their terms through exactq.accumulate, and operator
-applications, generators included, through exactq.apply_columns; both
-drop the cancelled ones.  An intertwiner combination is a sum of scaled
-vectors.  Positions are checked on every call (_sites).  All three
-equation verifiers report through compare_words, which names the first
-basis state where the two sides differ.
+up to the operator's norm, and op^2 = 1.  Operator applications,
+generators included, and sums of scaled vectors (combination: every +, -,
+scaled and each side of an intertwiner relation) are each one
+exactq.apply_columns call, which drops the cancelled terms; a scalar is a
+one-entry column there.  Positions are checked once on every call
+(_sites).  All three equation verifiers report through compare_words,
+which names the first basis state where the two sides differ.
 
 The nine-space signature used by the reflection-equation verifier,
 (Q2,Q1,Q2,Q1,Q1,Q1,Q2,Q1,Q1), is the unique assignment making all three
@@ -71,7 +71,7 @@ from __future__ import annotations
 import random
 from enum import Enum
 from collections.abc import Mapping
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from operator import index, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -80,6 +80,7 @@ from .exactq import (
     DomainError,
     LaurentQ,
     PackedColumn,
+    _repack,
     accumulate,
     apply_columns,
     from_record,
@@ -111,9 +112,10 @@ class SparseVector:
     module docstring) and the slot width w and stride s of every record.
     A record is [lo, packed int, ||.||_1 bound, ||.||_inf bound]
     (exactq.to_records), as exactq.apply_columns returns it, so a word's
-    factors pass their coefficients on without building a LaurentQ.  terms
-    is a view keyed by occupation tuples that decodes its keys and builds a
-    LaurentQ per value read.  Built from (basis state, coefficient) pairs by
+    factors pass their coefficients on without building a LaurentQ, and so
+    do +, - and scaled (one combination call each).  terms is a view keyed
+    by occupation tuples that decodes its keys and builds a LaurentQ per
+    value read.  Built from (basis state, coefficient) pairs by
     exactq.accumulate: the coefficients of equal states are added and
     cancelled states dropped.
     """
@@ -134,9 +136,9 @@ class SparseVector:
                     f"basis state {occ} is not {len(signature)} nonnegative occupations"
                 )
             width = max(width, max(occ, default=0).bit_length())
-        codes = {_encode(occ, width): c for occ, c in terms.items()}
+        recs, self._w, self._s = to_records(list(terms.values()))
         self.signature, self._width = signature, width
-        self._codes, self._w, self._s = _packed(codes)
+        self._codes = {_encode(occ, width): rec for occ, rec in zip(terms, recs)}
 
     @classmethod
     def _coded(
@@ -168,20 +170,6 @@ class SparseVector:
     def _value(self, rec: list[int]) -> LaurentQ:
         return from_record(rec, self._w, self._s)
 
-    def _values(self, codes: dict) -> Iterator[tuple[int, LaurentQ]]:
-        """(code, coefficient) pairs of codes, records of this vector."""
-        w, s = self._w, self._s
-        return ((code, from_record(rec, w, s)) for code, rec in codes.items())
-
-    def _aligned(self, other: SparseVector) -> tuple[dict, dict, int]:
-        """Both vectors' codes at the wider of their two field widths."""
-        size, width = len(self.signature), max(self._width, other._width)
-        return (
-            _widened(self._codes, size, self._width, width),
-            _widened(other._codes, size, other._width, width),
-            width,
-        )
-
     def _differing(self, other: SparseVector) -> tuple[list[int], dict, dict, int]:
         """The codes where the two vectors differ, both vectors' codes and their field width.
 
@@ -191,7 +179,9 @@ class SparseVector:
         """
         if self.signature != other.signature:
             raise DomainError("comparing vectors over different signatures")
-        mine, theirs, width = self._aligned(other)
+        size, width = len(self.signature), max(self._width, other._width)
+        mine = _widened(self._codes, size, self._width, width)
+        theirs = _widened(other._codes, size, other._width, width)
         if (self._w, self._s) == (other._w, other._s):
             left = right = itemgetter(0, 1)
         else:
@@ -219,21 +209,15 @@ class SparseVector:
     def __add__(self, other: SparseVector) -> SparseVector:
         if not isinstance(other, SparseVector):
             return NotImplemented
-        if self.signature != other.signature:
-            raise DomainError("adding vectors over different signatures")
-        mine, theirs, width = self._aligned(other)
-        codes, w, s = _packed(accumulate(chain(self._values(mine), other._values(theirs))))
-        return SparseVector._coded(self.signature, codes, width, w, s)
+        return combination([(LaurentQ.one(), self), (LaurentQ.one(), other)])
 
     def __sub__(self, other: SparseVector) -> SparseVector:
         if not isinstance(other, SparseVector):
             return NotImplemented
-        return self + other.scaled(LaurentQ.integer(-1))
+        return combination([(LaurentQ.one(), self), (LaurentQ.integer(-1), other)])
 
     def scaled(self, scalar: LaurentQ) -> SparseVector:
-        terms = self._values(self._codes) if scalar else ()
-        codes, w, s = _packed(accumulate((code, c * scalar) for code, c in terms))
-        return SparseVector._coded(self.signature, codes, self._width, w, s)
+        return combination([(scalar, self)])
 
     def first_difference(
         self, other: SparseVector
@@ -261,15 +245,37 @@ class SparseVector:
             return "0"
         decode = _decoder(len(self.signature), self._width)
         return " + ".join(
-            f"({coeff})*|{','.join(map(str, decode(code)))}>"
-            for code, coeff in sorted(self._values(self._codes))
+            f"({self._value(rec)})*|{','.join(map(str, decode(code)))}>"
+            for code, rec in sorted(self._codes.items())
         )
 
 
-def _packed(codes: dict[int, LaurentQ]) -> tuple[dict[int, list[int]], int, int]:
-    """Nonzero coefficients by code as records by code, with their width and stride."""
-    recs, w, s = to_records(list(codes.values()))
-    return dict(zip(codes, recs)), w, s
+def combination(terms: Sequence[tuple[LaurentQ, SparseVector]]) -> SparseVector:
+    """The sum of scalar * vector over (scalar, vector) pairs of one signature.
+
+    One exactq.apply_columns call: each scalar is a one-entry PackedColumn
+    at local code 0, and each record one term keyed by its code, at the
+    widest field width, the widest slot width and the joint stride (so no
+    coefficient becomes a LaurentQ).  An empty list, or vectors over two
+    signatures, are a DomainError.
+    """
+    if not terms:
+        raise DomainError("a combination of no vectors")
+    signature = terms[0][1].signature
+    if any([vec.signature != signature for _, vec in terms]):
+        raise DomainError("adding vectors over different signatures")
+    width = max([vec._width for _, vec in terms])
+    w, s = max([vec._w for _, vec in terms]), min([vec._s for _, vec in terms])
+    kernel = []
+    for scalar, vec in terms:
+        column = PackedColumn([(0, scalar)])
+        hit, w0, s0 = (column, (0,), column.los), vec._w, vec._s
+        for code, rec in _widened(vec._codes, len(signature), vec._width, width).items():
+            if (w0, s0) != (w, s):
+                rec = [rec[0], _repack(rec[1], w0, s0, w, s), *rec[2:]]
+            kernel.append((rec, code.__add__, hit))
+    out, w, s = apply_columns(kernel, map, w, s)
+    return SparseVector._coded(signature, out, width, w, s)
 
 
 class _Terms(Mapping):
@@ -527,17 +533,16 @@ def apply_K(
 
 
 def apply_generator(gen: str, vec: SparseVector, pos: int) -> SparseVector:
-    """Apply one q-oscillator generator (GENERATORS, or "1") at one tensor position; exact."""
+    """Apply one q-oscillator generator (GENERATORS, or "1") at one tensor position; exact.
+
+    apply_local checks a generator's position and factor type; "1" checks its position."""
     op = GENERATORS.get(gen)
-    if op is None and gen != "1":
+    if op is not None:
+        return apply_local(op, vec, (pos,))
+    if gen != "1":
         raise DomainError(f"unknown generator {gen!r}")
-    (pos,) = _sites((pos,), len(vec.signature), 1)
-    if op is None:
-        return vec
-    space = vec.signature[pos]
-    if (space,) != op.signature:
-        raise DomainError(f"generator {gen!r} cannot act on a {space.name} factor")
-    return apply_local(op, vec, (pos,))
+    _sites((pos,), len(vec.signature), 1)
+    return vec
 
 
 def apply_word(gens: Sequence[str], vec: SparseVector, positions: Sequence[int]) -> SparseVector:
@@ -545,8 +550,7 @@ def apply_word(gens: Sequence[str], vec: SparseVector, positions: Sequence[int])
     if len(gens) != len(positions):
         raise DomainError(f"{len(gens)} generators at {len(positions)} positions")
     for gen, pos in zip(gens, positions):
-        if gen != "1":
-            vec = apply_generator(gen, vec, pos)
+        vec = apply_generator(gen, vec, pos)
     return vec
 
 
@@ -659,19 +663,12 @@ def verify_intertwiner(relation: str, occupations: Sequence[int]) -> Verificatio
     vec = SparseVector.unit(K_SIGNATURE, occupations)
     positions = (0, 1, 2, 3)
     kvec = apply_K(vec, positions)
-    lhs = [(scalar, apply_word(gens, kvec, positions)) for scalar, gens in lhs_terms]
-    rhs = [
+    lhs = combination([(scalar, apply_word(gens, kvec, positions)) for scalar, gens in lhs_terms])
+    rhs = combination([
         (scalar, apply_K(apply_word(gens, vec, positions), positions))
         for scalar, gens in rhs_terms
-    ]
-    return compare_words(
-        f"<{relation}> on {tuple(occupations)}", _combination(lhs), _combination(rhs)
-    )
-
-
-def _combination(terms: list[tuple[LaurentQ, SparseVector]]) -> SparseVector:
-    """The sum of scalar * vector over (scalar, vector) pairs on K's quartet."""
-    return sum((vec.scaled(scalar) for scalar, vec in terms), SparseVector(K_SIGNATURE))
+    ])
+    return compare_words(f"<{relation}> on {tuple(occupations)}", lhs, rhs)
 
 
 def verify_intertwiners_all(max_occ: int) -> VerificationReport:

@@ -37,12 +37,14 @@ from qreflect.tensorops import (
     TETRAHEDRON_SIGNATURE,
     SparseVector,
     _apply_operator_word,
+    _decoder,
     _word_unit,
     apply_generator,
     apply_local,
     apply_word,
     apply_K,
     apply_R,
+    combination,
     compare_words,
     oscillator_relations_report,
     sample_unit_states,
@@ -96,6 +98,32 @@ class TestGenerators:
         w = SparseVector.unit((Q2,), (1,))
         with pytest.raises(DomainError):
             apply_generator("k", w, 0)
+
+    def test_unknown_generator_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="unknown generator 'b\\+'"):
+            apply_generator("b+", SparseVector.unit((Q1,), (1,)), 0)
+
+    def test_a_generator_checks_its_position_once(self, monkeypatch):
+        # apply_local's check is the only one a real generator makes.
+        calls = []
+        sites = tensorops._sites
+        monkeypatch.setattr(tensorops, "_sites", lambda *args: calls.append(args) or sites(*args))
+        vec = SparseVector.unit(K_SIGNATURE, (1, 0, 0, 0))
+        apply_generator("a+", vec, 1)
+        assert len(calls) == 1
+        with pytest.raises(DomainError):
+            apply_generator("a+", vec, 0)
+        assert len(calls) == 2
+
+    def test_a_one_checks_its_position(self):
+        # "1" is the identity at a checked position, in a word as alone.
+        vec = SparseVector.unit(K_SIGNATURE, (1, 0, 0, 0))
+        assert apply_word(("1",), vec, (3,)) == apply_generator("1", vec, 3) == vec
+        for pos in (99, -1, True, 1.0):
+            with pytest.raises(DomainError):
+                apply_generator("1", vec, pos)
+            with pytest.raises(DomainError):
+                apply_word(("1",), vec, (pos,))
 
     def test_oscillator_relations(self):
         rep = oscillator_relations_report(10)
@@ -881,6 +909,120 @@ class TestPackedVectors:
         assert bad != reference_apply(K_OPERATOR, vec, positions, real_k)
         assert_matches_reference(K_OPERATOR, vec, positions)
         assert K_OPERATOR.index
+
+
+# -- sums of scaled vectors ------------------------------------------------------
+#
+# combination sums scalar * vector over its terms in one kernel call; the
+# reference decodes every record with from_record and sums the products
+# with accumulate, in the order the terms list them.
+
+COMBINATION_SCALARS = (
+    LaurentQ.zero(),
+    LaurentQ.one(),
+    LaurentQ.integer(-1),
+    LaurentQ.monomial(1),
+    LaurentQ.monomial(1, -1),
+    LaurentQ.monomial(2),
+    LaurentQ.monomial(2, -1),
+    LaurentQ({0: 1, 2: -1}),
+)
+
+
+def reference_combination(terms):
+    """The tuple-keyed terms of sum scalar * vector, summed as LaurentQ values."""
+    pairs = []
+    for scalar, vec in terms:
+        decode = _decoder(len(vec.signature), vec._width)
+        if scalar:
+            pairs += [(decode(code), from_record(rec, vec._w, vec._s) * scalar) for code, rec in vec._codes.items()]
+    return accumulate(pairs)
+
+
+@st.composite
+def combination_terms(draw):
+    """(scalar, vector) pairs over K's quartet: fields of 1 to 5 bits, states
+    that the vectors share, records at 32 bits and wider (2^40 and more),
+    stride 1 or 2 per vector, and now and then a term negated so that the
+    sum cancels there."""
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        top = 2 ** draw(st.integers(1, 5)) - 1
+        occs = st.tuples(*[st.sampled_from((0, 1, top))] * 4)
+        stride = draw(st.sampled_from((1, 2)))
+        pairs = [(occ, draw(coefficients(stride))) for occ in draw(st.lists(occs, min_size=1, max_size=5))]
+        scalar = draw(st.sampled_from(COMBINATION_SCALARS))
+        terms.append((scalar, SparseVector(K_SIGNATURE, pairs)))
+        if draw(st.integers(0, 3)) == 0:
+            scalar, vec = draw(st.sampled_from(terms))
+            terms.append((-scalar, vec))
+    return terms
+
+
+def assert_combination(terms):
+    out = combination(terms)
+    want = reference_combination(terms)
+    assert_vector_matches(out, want)
+    assert list(out.terms) == list(want)
+    assert out._width == max(vec._width for _, vec in terms)
+    return out
+
+
+class TestCombination:
+    @given(terms=combination_terms())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_against_reference(self, terms):
+        assert_combination(terms)
+
+    def test_edges(self):
+        small = SparseVector(K_SIGNATURE, [((1, 0, 1, 0), LaurentQ({0: 1, 2: 3})), ((0, 0, 0, 1), LaurentQ.one())])
+        wide = SparseVector(K_SIGNATURE, [((1, 0, 1, 0), LaurentQ({1: 2**40})), ((31, 0, 0, 0), LaurentQ({0: 1, 1: 1}))])
+        assert (small._w, small._s, small._width) == (32, 2, 1)
+        assert (wide._w, wide._s, wide._width) == (64, 1, 5)
+        # Records at two widths, strides and field widths in one call.
+        mixed = assert_combination([(LaurentQ({0: 1, 2: -1}), small), (LaurentQ.monomial(1, -1), wide)])
+        assert mixed._s == 1
+        # A one-slot coefficient at an odd exponent: two parities at one stride-2 output.
+        odd = SparseVector(K_SIGNATURE, [((1, 0, 1, 0), LaurentQ.monomial(1))])
+        assert assert_combination([(LaurentQ.one(), small), (LaurentQ.one(), odd)])._s == 1
+        # A multi-slot stride-1 scalar, and a zero one.
+        assert_combination([(LaurentQ({0: 1, 1: 1}), small), (LaurentQ.zero(), wide)])
+        # Cancelled terms are dropped, and a sum that cancels is the zero vector.
+        assert (small - small).is_zero and (wide - wide).terms == {}
+        assert combination([(LaurentQ.monomial(2), wide), (LaurentQ.monomial(2, -1), wide)]).is_zero
+        assert combination([(LaurentQ.zero(), small)]).is_zero
+
+    def test_signatures_and_empty_lists_are_domain_errors(self):
+        r_unit = SparseVector.unit(R_SIGNATURE, (1, 0, 0))
+        k_unit = SparseVector.unit(K_SIGNATURE, (1, 0, 0, 0))
+        for terms in ([], [(LaurentQ.one(), k_unit), (LaurentQ.one(), r_unit)]):
+            with pytest.raises(DomainError):
+                combination(terms)
+        with pytest.raises(DomainError):
+            k_unit + r_unit
+        with pytest.raises(DomainError):
+            r_unit - k_unit
+
+    def test_sums_decode_no_record(self, monkeypatch):
+        # Sums, differences, scalar multiples and a passing intertwiner
+        # check pass records from call to call: none is decoded.
+        v = apply_K(SparseVector.unit(K_SIGNATURE, (1, 1, 1, 1)), (0, 1, 2, 3))
+        w = apply_K(SparseVector.unit(K_SIGNATURE, (2, 1, 0, 1)), (0, 1, 2, 3))
+        c = LaurentQ({0: 1, 2: -1})
+
+        def no_decode(*args):
+            raise AssertionError("a record was decoded")
+
+        monkeypatch.setattr(tensorops, "from_record", no_decode)
+        total, difference, multiple = v + w, v - w, v.scaled(c)
+        assert verify_intertwiner("34", (2, 1, 2, 0)).passed
+        monkeypatch.undo()
+        for out, terms in (
+            (total, [(LaurentQ.one(), v), (LaurentQ.one(), w)]),
+            (difference, [(LaurentQ.one(), v), (LaurentQ.integer(-1), w)]),
+            (multiple, [(c, v)]),
+        ):
+            assert_vector_matches(out, reference_combination(terms))
 
 
 class TestValuesAtTheEdges:
