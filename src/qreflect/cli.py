@@ -2,8 +2,10 @@
 
 Verbs: q (polynomial family), r and k (matrix elements, blocks as text,
 JSON or CSV tables, and one verify suite each), verify (identity suites,
-including the golden regression set).  One helper (_add_local) builds the
-element and block commands of r and k over tensorops' R and K
+including the golden regression set).  The tetrahedron, reflection and
+intertwiner suites check every basis state with occupations <= --max-occ;
+no suite samples.  One helper (_add_local) builds the element, block and
+verify commands of r and k, in that order, over tensorops' R and K
 LocalOperators.  Each command keeps its handler as run in its parsed
 namespace, and main calls it.  Every answer is recomputed from the
 formulas; the CLI reads and writes no cache file.  Exit codes: 0 success
@@ -31,11 +33,9 @@ from ._golden import (
 from .exactq import DomainError, ExactDivisionError, LaurentQ
 from .report import VerificationError, VerificationReport
 
-DEFAULT_SEED = 20260809
-
 
 def nonnegative_int(text: str) -> int:
-    """argparse type of every bound and sample size: an int >= 0."""
+    """argparse type of every bound: an int >= 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -145,15 +145,15 @@ def _add_format(p, choices=("text", "json")):
     p.add_argument("--format", choices=choices, default="text")
 
 
-def _add_local(verbs, op, routes, order, verify_help):
-    """op's verb with its commands in order: element and block, run through op,
-    and verify, whose arguments and handler the caller adds to the parser returned."""
+def _add_local(verbs, op, routes, verify_help):
+    """op's verb with its commands element and block, run through op, and
+    verify, whose arguments and handler the caller adds to the parser returned."""
     verb = verbs.add_parser(op.name.lower(), help=f"3D {op.name} elements and blocks")
     sub = verb.add_subparsers(dest="action", required=True)
     outs, ins = "abcd"[: len(op.signature)], "ijkl"[: len(op.signature)]
     element = f"one matrix element {op.name}^{{{','.join(outs)}}}_{{{','.join(ins)}}}"
-    helps = {"element": element, "verify": verify_help, "block": "full matrix on a weight block"}
-    p = {action: sub.add_parser(action, help=helps[action]) for action in order}
+    helps = {"element": element, "block": "full matrix on a weight block", "verify": verify_help}
+    p = {action: sub.add_parser(action, help=text) for action, text in helps.items()}
     for name in outs + ins:
         p["element"].add_argument(name, type=int)
     p["element"].add_argument("--route", choices=(*routes, op.route), default=routes[0])
@@ -193,19 +193,12 @@ def _k_verify(args: argparse.Namespace) -> int:
     return _emit_report(rep, args.format)
 
 
-def _verify_tetrahedron(args: argparse.Namespace) -> int:
-    reps = [tensorops.verify_tetrahedron(occ) for occ in tensorops.states_up_to(6, args.max_occ)]
-    return _emit_suite(reps, args.format, "tetrahedron")
-
-
-def _verify_reflection(args: argparse.Namespace) -> int:
-    states = set(tensorops.unit_states(9, 2))
-    if args.sample:
-        states |= set(tensorops.sample_unit_states(9, args.sample, args.seed))
-    if args.max_occ > 1:
-        states |= set(tensorops.states_up_to(9, args.max_occ))
-    reps = [tensorops.verify_reflection(s) for s in sorted(states) if max(s) <= args.max_occ]
-    return _emit_suite(reps, args.format, "reflection")
+def _verify_equation(args: argparse.Namespace) -> int:
+    """The tetrahedron (6 spaces) or reflection (9 spaces) suite on every state
+    with occupations <= max_occ."""
+    verify = getattr(tensorops, f"verify_{args.what}")
+    states = tensorops.states_up_to(args.arity, args.max_occ)
+    return _emit_suite([verify(occ) for occ in states], args.format, args.what)
 
 
 def _verify_intertwiner(args: argparse.Namespace) -> int:
@@ -232,21 +225,18 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format(qc)
     qc.set_defaults(run=lambda a: _emit_value(qfamily.q_polynomial(a.b, a.c), a.format))
     qv = qsub.add_parser("verify", help="verify family properties")
-    qv.add_argument("what", choices=("props",))
     qv.add_argument("--max-bc", type=nonnegative_int, default=3)
     _add_format(qv)
     qv.set_defaults(run=lambda a: _emit_report(qfamily.verify_properties(a.max_bc), a.format))
 
     rv = _add_local(
-        verbs, tensorops.R_OPERATOR, threedr.R_ROUTES,
-        ("element", "verify", "block"), "difference equations and route checks",
+        verbs, tensorops.R_OPERATOR, threedr.R_ROUTES, "difference equations and route checks"
     )
     rv.add_argument("--max-b", type=nonnegative_int, default=3)
     _add_format(rv)
     rv.set_defaults(run=_r_verify)
     kv = _add_local(
-        verbs, tensorops.K_OPERATOR, threedk.K_ROUTES,
-        ("element", "block", "verify"), "difference equations and block checks",
+        verbs, tensorops.K_OPERATOR, threedk.K_ROUTES, "difference equations and block checks"
     )
     kv.add_argument("--max-bc", type=nonnegative_int, default=3)
     _add_format(kv)
@@ -254,16 +244,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = verbs.add_parser("verify", help="equation suites")
     vsub = verify.add_subparsers(dest="what", required=True)
-    vt = vsub.add_parser("tetrahedron")
-    vt.add_argument("--max-occ", type=nonnegative_int, default=1)
-    _add_format(vt)
-    vt.set_defaults(run=_verify_tetrahedron)
-    vr = vsub.add_parser("reflection")
-    vr.add_argument("--max-occ", type=nonnegative_int, default=1)
-    vr.add_argument("--sample", type=nonnegative_int, default=64)
-    vr.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_format(vr)
-    vr.set_defaults(run=_verify_reflection)
+    for what, arity in (("tetrahedron", 6), ("reflection", 9)):
+        ve = vsub.add_parser(what)
+        ve.add_argument("--max-occ", type=nonnegative_int, default=1)
+        _add_format(ve)
+        ve.set_defaults(run=_verify_equation, arity=arity)
     vi = vsub.add_parser("intertwiner")
     vi.add_argument("--relation", default="all")
     vi.add_argument("--max-occ", type=nonnegative_int, default=2)

@@ -34,8 +34,8 @@ class VerificationReport:
     notes: list[str] = field(default_factory=list)
     failures: int = 0
 
-    def count(self, n: int = 1) -> None:
-        self.checked += n
+    def count(self) -> None:
+        self.checked += 1
 
     def fail(self, location: str, lhs: str = "", rhs: str = "") -> None:
         self.failures += 1

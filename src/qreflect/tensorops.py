@@ -68,7 +68,6 @@ placement lands on the Q1 positions so determined.
 
 from __future__ import annotations
 
-import random
 from enum import Enum
 from collections.abc import Mapping
 from itertools import combinations, product
@@ -812,24 +811,6 @@ def verify_reflection(
 def states_up_to(arity: int, max_occ: int) -> list[tuple[int, ...]]:
     """All occupation tuples with every entry <= max_occ, lexicographic."""
     return sorted(product(range(max_occ + 1), repeat=arity))
-
-
-def unit_states(arity: int, max_units: int) -> list[tuple[int, ...]]:
-    """All 0/1 tuples with at most max_units ones, lexicographic."""
-    out = []
-    for count in range(max_units + 1):
-        for ones in combinations(range(arity), count):
-            occ = [0] * arity
-            for p in ones:
-                occ[p] = 1
-            out.append(tuple(occ))
-    return sorted(out)
-
-
-def sample_unit_states(arity: int, count: int, seed: int) -> list[tuple[int, ...]]:
-    """Seeded sample of 0/1 occupation tuples (occupations <= 1)."""
-    rng = random.Random(seed)
-    return [tuple(rng.randint(0, 1) for _ in range(arity)) for _ in range(count)]
 
 
 def oscillator_relations_report(max_m: int) -> VerificationReport:

@@ -73,23 +73,21 @@ class TestCommands:
         assert "pass" in out
 
     def test_verify_reflection_small(self, capsys):
-        code, out = run(capsys, "verify", "reflection", "--max-occ", "1",
-                        "--sample", "4", "--seed", "11")
+        code, out = run(capsys, "verify", "reflection", "--max-occ", "1")
         assert code == 0
+        assert out == "reflection: 512/512 pass\n"
 
     def test_verify_reflection_max_occ_zero(self, capsys):
         # Only the zero state has every occupation <= 0.
-        code, out = run(capsys, "verify", "reflection", "--max-occ", "0",
-                        "--sample", "4")
+        code, out = run(capsys, "verify", "reflection", "--max-occ", "0")
         assert code == 0
         assert out == "reflection: 1/1 pass\n"
 
     def test_verify_reflection_counts_each_state_once(self, capsys):
-        # The default seeded sample repeats some states of unit_states(9, 2):
-        # 110 states listed, 102 distinct.
+        # The default bound is 1: each of the 2^9 states with occupations <= 1, once.
         code, out = run(capsys, "verify", "reflection")
         assert code == 0
-        assert out == "reflection: 102/102 pass\n"
+        assert out == "reflection: 512/512 pass\n"
 
     def test_export_block_csv(self, capsys):
         code, out = run(capsys, "r", "block", "1", "1", "--format", "csv")
@@ -183,8 +181,7 @@ class TestCommands:
             "verify tetrahedron --max-occ -1",
             "verify intertwiner --max-occ -1",
             "verify reflection --max-occ -1",
-            "verify reflection --sample -3",
-            "q verify props --max-bc -1",
+            "q verify --max-bc -1",
             "k verify --max-bc -1",
             "r verify --max-b -1",
         ],
@@ -196,6 +193,18 @@ class TestCommands:
         assert exc.value.code == 2
         assert captured.out == ""
         assert "must be >= 0" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["verify reflection --sample 4", "verify reflection --seed 3", "q verify props"],
+    )
+    def test_removed_options_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: qreflect")
 
     def test_verbs_and_global_options(self):
         parser = _build_parser()
@@ -267,6 +276,7 @@ README_OUTPUTS = {
     "q compute 1 0": "w*x*y^2*z - w - x*y + 1",
     "r element 0 1 0 1 0 1 --route all": "1 - q^2",
     "verify tetrahedron --max-occ 1": "tetrahedron: 64/64 pass",
+    "verify reflection --max-occ 1": "reflection: 512/512 pass",
 }
 
 

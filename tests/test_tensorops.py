@@ -47,9 +47,7 @@ from qreflect.tensorops import (
     combination,
     compare_words,
     oscillator_relations_report,
-    sample_unit_states,
     states_up_to,
-    unit_states,
     verify_blocks,
     verify_intertwiner,
     verify_reflection,
@@ -287,19 +285,19 @@ class TestReflection:
         assert rep.passed
 
     def test_two_unit_states(self):
-        for occ in unit_states(9, 2)[:20]:
+        for occ in [occ for occ in states_up_to(9, 1) if sum(occ) <= 2][:20]:
             rep = verify_reflection(occ)
             assert rep.passed, rep.summary()
-
-    def test_seeded_sample_is_deterministic(self):
-        assert sample_unit_states(9, 5, seed=7) == sample_unit_states(9, 5, seed=7)
-        assert sample_unit_states(9, 5, seed=7) != sample_unit_states(9, 5, seed=8)
 
     def test_negative_control(self):
         corrupted = zeroed_key(k_element, (1, 0, 0, 1, 0, 1, 0, 0))
         failures = [
             rep
-            for rep in (verify_reflection(occ, k_fn=corrupted) for occ in unit_states(9, 1))
+            for rep in (
+                verify_reflection(occ, k_fn=corrupted)
+                for occ in states_up_to(9, 1)
+                if sum(occ) <= 1
+            )
             if not rep.passed
         ]
         assert failures

@@ -126,6 +126,10 @@ class TestEEquations:
         rep = verify_e("E35", 0, 1)
         assert rep.passed, rep.summary()
 
+    def test_unknown_relation_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="unknown relation 'E99'"):
+            verify_e("E99", 1, 0)
+
     def test_perturbed_relation_fails(self, monkeypatch):
         # Negative control: one changed coefficient of E22.
         original = threedk.e_relation_terms
