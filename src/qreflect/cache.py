@@ -1,12 +1,21 @@
 """Schema-versioned JSON persistence for the Q and P polynomial caches.
 
 A library round trip: the CLI never reads or writes these files.  The
-file layout is {"schema_version": N, "q": {"b,c": <poly>}, "p":
-{"b": <poly>}} with polynomials in the MultiPolyQ JSON schema.  A version
-mismatch triggers a rebuild (the file is ignored) and is never silently
-reused; a file that cannot be read or parsed is ignored the same way, with
-a warning on stderr.  A file that parses is trusted: its polynomials are
-installed as they are.
+file layout is {"schema_version": 2, "q": {"b,c": <poly>}, "p": {"b":
+<poly>}}, and a polynomial is {"vars": [...], "terms": [row, ...]} with
+one row per term,
+
+    [e_1, ..., e_n, lo, s, "c_0 c_1 ... c_t"],
+
+its exponent vector, then its coefficient sum_i c_i q^(lo + s*i) as
+LaurentQ.to_digits gives it: the lowest q-exponent, the stride (1 or 2)
+and the digits as one space-separated decimal string, both end digits
+nonzero.  A version mismatch triggers a rebuild (the file is ignored) and
+is never silently reused, so a file in an older layout (schema 1 wrote a
+[exponent, "coefficient"] pair per q-power) is a silent rebuild; a file
+that cannot be read or parsed is ignored the same way, with a warning on
+stderr.  A file that parses is trusted: its polynomials are installed as
+they are.
 """
 
 from __future__ import annotations
@@ -19,9 +28,10 @@ import tempfile
 from pathlib import Path
 
 from . import qfamily, threedr
+from .exactq import LaurentQ
 from .multipoly import VARS3, VARS4, MultiPolyQ
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def export_cache(path: str | Path) -> int:
@@ -30,8 +40,8 @@ def export_cache(path: str | Path) -> int:
     p_entries = threedr.p_cache_snapshot()
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "q": {f"{b},{c}": poly.to_json() for (b, c), poly in sorted(q_entries.items())},
-        "p": {str(b): poly.to_json() for b, poly in sorted(p_entries.items())},
+        "q": {f"{b},{c}": _poly_data(poly) for (b, c), poly in sorted(q_entries.items())},
+        "p": {str(b): _poly_data(poly) for b, poly in sorted(p_entries.items())},
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -100,8 +110,28 @@ def _entries(payload: dict, section: str, parse_key, names: tuple[str, ...]) -> 
     """One section's polynomials by parsed key; raises on any malformed entry."""
     entries = {}
     for key, data in payload.get(section, {}).items():
-        poly = MultiPolyQ.from_json(data)
-        if poly.names != names:
-            raise ValueError(f"{section} entry {key!r} is over {poly.names}, need {names}")
-        entries[parse_key(key)] = poly
+        if tuple(data["vars"]) != names:
+            raise ValueError(f"{section} entry {key!r} is over {data['vars']}, need {names}")
+        entries[parse_key(key)] = _poly(data["terms"], names)
     return entries
+
+
+def _poly_data(poly: MultiPolyQ) -> dict:
+    """A polynomial in the file layout: one row per term, exponents first."""
+    rows = []
+    for exps in sorted(poly.monomial_exponents()):
+        lo, s, digits = poly.coeff(exps).to_digits()
+        rows.append([*exps, lo, s, " ".join(map(str, digits))])
+    return {"vars": list(poly.names), "terms": rows}
+
+
+def _poly(rows: list, names: tuple[str, ...]) -> MultiPolyQ:
+    """Inverse of _poly_data; raises on a malformed row."""
+    n = len(names)
+    terms = {}
+    for row in rows:
+        if len(row) != n + 3:
+            raise ValueError(f"term row {row!r} does not have {n + 3} fields")
+        lo, s, digits = row[n:]
+        terms[tuple(row[:n])] = LaurentQ.from_digits(lo, s, list(map(int, digits.split())))
+    return MultiPolyQ(names, terms)

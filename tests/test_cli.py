@@ -18,7 +18,7 @@ from qreflect import cache as cachemod
 from qreflect import qfamily, tensorops, threedk, threedr
 from qreflect.cli import _build_parser, golden_report, main
 from qreflect.exactq import LaurentQ
-from qreflect.multipoly import MultiPolyQ
+from qreflect.multipoly import VARS4, MultiPolyQ
 from qreflect.report import VerificationReport
 
 BLOCKS = {
@@ -71,11 +71,6 @@ class TestCommands:
         code, out = run(capsys, "verify", "golden")
         assert code == 0
         assert "pass" in out
-
-    def test_verify_reflection_small(self, capsys):
-        code, out = run(capsys, "verify", "reflection", "--max-occ", "1")
-        assert code == 0
-        assert out == "reflection: 512/512 pass\n"
 
     def test_verify_reflection_max_occ_zero(self, capsys):
         # Only the zero state has every occupation <= 0.
@@ -366,18 +361,40 @@ class TestCache:
     def test_missing_file(self, tmp_path):
         assert cachemod.import_cache(tmp_path / "absent.json") == 0
 
+    def test_families_round_trip_equals_computed(self, tmp_path, clean_caches):
+        path = tmp_path / "cache.json"
+        tensorops.clear_caches()
+        qfamily.q_polynomial(3, 3)
+        threedr.p_polynomial(12)
+        q_entries, p_entries = qfamily.cache_snapshot(), threedr.p_cache_snapshot()
+        assert cachemod.export_cache(path) == len(q_entries) + len(p_entries)
+
+        qfamily.clear_caches()
+        threedr.clear_caches()
+        assert cachemod.import_cache(path) == len(q_entries) + len(p_entries)
+        assert qfamily.cache_snapshot() == q_entries
+        assert threedr.p_cache_snapshot() == p_entries
+
     @pytest.mark.parametrize(
         "text",
         [
-            '{"schema_version": 1, "q": {"x,0": {"vars": ["x", "y", "z", "w"], "terms": []}}}',
-            '{"schema_version": 1, "q": {"1,0": {"vars": ["x", "y", "z", "w"]}}}',
-            '{"schema_version": 1, "p": {"1": {"vars": ["x", "y", "z", "w"], "terms": []}}}',
-            '{"schema_version": 1, "q": ',
+            '{"schema_version": 2, "q": {"x,0": {"vars": ["x", "y", "z", "w"], "terms": []}}}',
+            '{"schema_version": 2, "q": {"1,0": {"vars": ["x", "y", "z", "w"]}}}',
+            '{"schema_version": 2, "p": {"1": {"vars": ["x", "y", "z", "w"], "terms": []}}}',
+            '{"schema_version": 2, "q": ',
             "[1]",
-            '{"schema_version": 1, "q": {"1,0": {"vars": ["x", "y", "z", "w"], "terms": '
-            '[{"exp": [0, 0, 0, 0], "coeff": {"q": [[0, 2.7]]}}]}}}',
-            '{"schema_version": 1, "q": {"1,0": {"vars": ["x", "y", "z", "w"], "terms": '
-            '[{"exp": [1.5, 0, 0, 0], "coeff": {"q": [[0, "1"]]}}]}}}',
+            '{"schema_version": 2, "q": {"1,0": {"vars": ["x", "y", "z", "w"], "terms": '
+            "[[0, 0, 0, 0, 0, 2, 2.7]]}}}",
+            '{"schema_version": 2, "q": {"1,0": {"vars": ["x", "y", "z", "w"], "terms": '
+            '[[1.5, 0, 0, 0, 0, 2, "1"]]}}}',
+            '{"schema_version": 2, "q": {"1,0": {"vars": ["x", "y", "z", "w"], "terms": '
+            '[[0, 0, 0, 0, 0, 3, "1"]]}}}',
+            '{"schema_version": 2, "q": {"1,0": {"vars": ["x", "y", "z", "w"], "terms": '
+            '[[0, 0, 0, 0, 0, 2, "1 0"]]}}}',
+            '{"schema_version": 2, "q": {"1,0": {"vars": ["x", "y", "z", "w"], "terms": '
+            '[[0, 0, 0, 0, 0, 2, "1 2.5 1"]]}}}',
+            '{"schema_version": 2, "q": {"1,0": {"vars": ["x", "y", "z", "w"], "terms": '
+            '[[0, 0, 0, 0, 2, "1"]]}}}',
         ],
         ids=[
             "bad-key",
@@ -387,15 +404,32 @@ class TestCache:
             "not-an-object",
             "float-coefficient",
             "float-exponent",
+            "bad-stride",
+            "zero-end-digit",
+            "non-integer-digit",
+            "short-row",
         ],
     )
     def test_malformed_file_is_a_warned_miss(self, tmp_path, capsys, text, clean_caches):
         path = tmp_path / "malformed.json"
         path.write_text(text)
         qfamily.clear_caches()
+        threedr.clear_caches()
         assert cachemod.import_cache(path) == 0
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("warning: ")
+        assert qfamily.cache_snapshot() == {}
+        assert threedr.p_cache_snapshot() == {}
+
+    def test_schema_1_file_is_a_silent_miss(self, tmp_path, capsys, clean_caches):
+        path = tmp_path / "schema1.json"
+        path.write_text(
+            '{"schema_version": 1, "q": {"1,0": {"vars": ["x", "y", "z", "w"], "terms": '
+            '[{"exp": [0, 0, 0, 0], "coeff": {"q": [[0, "1"]]}}]}}}'
+        )
+        qfamily.clear_caches()
+        assert cachemod.import_cache(path) == 0
+        assert capsys.readouterr().err == ""
         assert qfamily.cache_snapshot() == {}
 
     def test_failed_export_keeps_existing_file(self, tmp_path, monkeypatch):
@@ -405,11 +439,11 @@ class TestCache:
         before = path.read_bytes()
 
         class Unserialisable:
-            def to_json(self):
-                return {"vars": ["x"], "terms": [object()]}
+            def to_digits(self):
+                return object(), 2, [1]
 
         snapshot = qfamily.cache_snapshot()
-        snapshot[(99, 99)] = Unserialisable()
+        snapshot[(99, 99)] = MultiPolyQ(VARS4, {(0, 0, 0, 0): Unserialisable()}, _trusted=True)
         monkeypatch.setattr(qfamily, "cache_snapshot", lambda: snapshot)
         with pytest.raises(TypeError):
             cachemod.export_cache(path)
