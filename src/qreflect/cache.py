@@ -1,21 +1,14 @@
-"""Schema-versioned JSON persistence for the Q and P polynomial caches.
+"""Schema-versioned JSON persistence for the keys of the Q and P memo tables.
 
 A library round trip: the CLI never reads or writes these files.  The
-file layout is {"schema_version": 2, "q": {"b,c": <poly>}, "p": {"b":
-<poly>}}, and a polynomial is {"vars": [...], "terms": [row, ...]} with
-one row per term,
-
-    [e_1, ..., e_n, lo, s, "c_0 c_1 ... c_t"],
-
-its exponent vector, then its coefficient sum_i c_i q^(lo + s*i) as
-LaurentQ.to_digits gives it: the lowest q-exponent, the stride (1 or 2)
-and the digits as one space-separated decimal string, both end digits
-nonzero.  A version mismatch triggers a rebuild (the file is ignored) and
-is never silently reused, so a file in an older layout (schema 1 wrote a
-[exponent, "coefficient"] pair per q-power) is a silent rebuild; a file
-that cannot be read or parsed is ignored the same way, with a warning on
-stderr.  A file that parses is trusted: its polynomials are installed as
-they are.
+file layout is {"schema_version": 3, "q": [[b, c], ...], "p": [b, ...]}:
+the sorted keys of the Q_{b,c} and P_b tables, and no polynomial.
+Importing rebuilds each listed entry by its own recursion, so a file can
+cost time but never change an answer.  A version mismatch triggers a
+rebuild (the file is ignored) and is never silently reused, so a file in
+an older layout (schema 2 held every coefficient) is a silent miss; a file
+that cannot be read or parsed, or lists a key that is not an int >= 0, is
+ignored the same way, with a warning on stderr.
 """
 
 from __future__ import annotations
@@ -28,21 +21,15 @@ import tempfile
 from pathlib import Path
 
 from . import qfamily, threedr
-from .exactq import LaurentQ
-from .multipoly import VARS3, VARS4, MultiPolyQ
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def export_cache(path: str | Path) -> int:
-    """Write the in-memory Q and P caches to path; returns entry count."""
-    q_entries = qfamily.cache_snapshot()
-    p_entries = threedr.p_cache_snapshot()
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "q": {f"{b},{c}": _poly_data(poly) for (b, c), poly in sorted(q_entries.items())},
-        "p": {str(b): _poly_data(poly) for b, poly in sorted(p_entries.items())},
-    }
+    """Write the keys of the in-memory Q and P tables to path; returns entry count."""
+    q_keys = sorted(qfamily.cache_snapshot())
+    p_keys = sorted(threedr.p_cache_snapshot())
+    payload = {"schema_version": SCHEMA_VERSION, "q": q_keys, "p": p_keys}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # Write a sibling temp file and rename it over the target, so that a
@@ -58,7 +45,7 @@ def export_cache(path: str | Path) -> int:
     except BaseException:
         os.unlink(tmp)
         raise
-    return len(q_entries) + len(p_entries)
+    return len(q_keys) + len(p_keys)
 
 
 def _file_mode(path: Path) -> int:
@@ -72,14 +59,15 @@ def _file_mode(path: Path) -> int:
 
 
 def import_cache(path: str | Path) -> int:
-    """Load a cache file into memory; returns entries accepted.
+    """Rebuild the entries a cache file lists; returns the number of keys listed.
 
-    The entries are installed without checking them: a wrong polynomial in
-    a well-formed file becomes the memoized value.  Returns 0 (and loads
-    nothing) when the file is missing or carries a different schema
-    version.  A file that cannot be read or parsed (bad JSON, a bad key or
-    polynomial) is a miss as well: it loads nothing and prints one warning
-    line on stderr.
+    Each listed Q_{b,c} and P_b is computed by qfamily.q_polynomial and
+    threedr.p_polynomial, so no value is read from the file.  Returns 0
+    (and builds nothing) when the file is missing or carries a different
+    schema version.  A file that cannot be read or parsed (bad JSON, a
+    missing section, a key that is not a non-bool int >= 0 or a Q key that
+    is not a pair) is a miss as well: it builds nothing and prints one
+    warning line on stderr.
     """
     path = Path(path)
     if not path.exists():
@@ -88,50 +76,24 @@ def import_cache(path: str | Path) -> int:
         payload = json.loads(path.read_text(encoding="utf-8"))
         if payload.get("schema_version") != SCHEMA_VERSION:
             return 0
-        q_entries = _entries(payload, "q", _q_key, VARS4)
-        p_entries = _entries(payload, "p", int, VARS3)
+        q_keys = {(_index(b), _index(c)) for b, c in payload["q"]}
+        p_keys = {_index(b) for b in payload["p"]}
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         print(
             f"warning: ignoring cache file {path}: {type(exc).__name__}: {exc}",
             file=sys.stderr,
         )
         return 0
-    qfamily.cache_install(q_entries)
-    threedr.p_cache_install(p_entries)
-    return len(q_entries) + len(p_entries)
+    # Build each packed column too, or the first E checks after an import pay for it.
+    for b, c in sorted(q_keys):
+        qfamily.q_polynomial(b, c)._as_column()
+    for b in sorted(p_keys):
+        threedr.p_polynomial(b)._as_column()
+    return len(q_keys) + len(p_keys)
 
 
-def _q_key(key: str) -> tuple[int, int]:
-    b, c = key.split(",")
-    return int(b), int(c)
-
-
-def _entries(payload: dict, section: str, parse_key, names: tuple[str, ...]) -> dict:
-    """One section's polynomials by parsed key; raises on any malformed entry."""
-    entries = {}
-    for key, data in payload.get(section, {}).items():
-        if tuple(data["vars"]) != names:
-            raise ValueError(f"{section} entry {key!r} is over {data['vars']}, need {names}")
-        entries[parse_key(key)] = _poly(data["terms"], names)
-    return entries
-
-
-def _poly_data(poly: MultiPolyQ) -> dict:
-    """A polynomial in the file layout: one row per term, exponents first."""
-    rows = []
-    for exps in sorted(poly.monomial_exponents()):
-        lo, s, digits = poly.coeff(exps).to_digits()
-        rows.append([*exps, lo, s, " ".join(map(str, digits))])
-    return {"vars": list(poly.names), "terms": rows}
-
-
-def _poly(rows: list, names: tuple[str, ...]) -> MultiPolyQ:
-    """Inverse of _poly_data; raises on a malformed row."""
-    n = len(names)
-    terms = {}
-    for row in rows:
-        if len(row) != n + 3:
-            raise ValueError(f"term row {row!r} does not have {n + 3} fields")
-        lo, s, digits = row[n:]
-        terms[tuple(row[:n])] = LaurentQ.from_digits(lo, s, list(map(int, digits.split())))
-    return MultiPolyQ(names, terms)
+def _index(value) -> int:
+    """value as a table index; ValueError unless it is an int >= 0 (bools excluded)."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"cache key {value!r} is not an int >= 0")
+    return value

@@ -554,37 +554,6 @@ class LaurentQ:
             raise TypeError("LaurentQ coefficients must be decimal strings")
         return LaurentQ({e: int(c) for e, c in data["q"]})
 
-    def to_digits(self) -> tuple[int, int, list[int]]:
-        """(lo, s, digits) of a nonzero value, which is sum_i digits[i] q^(lo + s*i).
-
-        The digits run from q^lo to the top exponent at the value's own
-        stride s (1 or 2), zeros included, and both end digits are nonzero.
-        Raises DomainError for zero, which has no digits.  from_digits is
-        the inverse; cache files hold coefficients in this form.
-        """
-        if not self._p:
-            raise DomainError("zero polynomial has no digits")
-        return self._lo, self._s, self._digits()
-
-    @staticmethod
-    def from_digits(lo: int, s: int, digits: list[int]) -> LaurentQ:
-        """Inverse of to_digits: sum_i digits[i] q^(lo + s*i).
-
-        Raises DomainError unless s is 1 or 2 and the digits are nonempty
-        with both end digits nonzero, and TypeError for a non-integer.  The
-        value is encoded as LaurentQ(terms) builds it: canonical, at its
-        narrowest width, at stride 2 when its odd-offset digits vanish, and
-        _exact with its true norms.
-        """
-        # index() rejects a float or other non-integer instead of truncating it.
-        lo, s, digits = index(lo), index(s), [index(c) for c in digits]
-        if s not in (1, 2):
-            raise DomainError(f"stride {s} is not 1 or 2")
-        if not digits or not digits[0] or not digits[-1]:
-            raise DomainError("digits must be nonempty, with nonzero end digits")
-        p, w, n1, ni, s = _encode(digits, s)
-        return _make(lo, p, w, n1, ni, s, True)
-
 
 _ZERO = LaurentQ()
 _ONE = LaurentQ.monomial(0)

@@ -329,7 +329,3 @@ clear_caches = memo.clear
 
 def p_cache_snapshot() -> dict[int, MultiPolyQ]:
     return dict(_P_CACHE)
-
-
-def p_cache_install(entries: dict[int, MultiPolyQ]) -> None:
-    _P_CACHE.update(entries)

@@ -18,7 +18,7 @@ from qreflect import cache as cachemod
 from qreflect import qfamily, tensorops, threedk, threedr
 from qreflect.cli import _build_parser, golden_report, main
 from qreflect.exactq import LaurentQ
-from qreflect.multipoly import VARS4, MultiPolyQ
+from qreflect.multipoly import MultiPolyQ
 from qreflect.report import VerificationReport
 
 BLOCKS = {
@@ -375,39 +375,51 @@ class TestCache:
         assert qfamily.cache_snapshot() == q_entries
         assert threedr.p_cache_snapshot() == p_entries
 
+    def test_imported_file_cannot_change_an_answer(self, tmp_path, flipped_q10):
+        # The file lists keys only, so a corrupted entry in the run that
+        # wrote it is rebuilt correctly on import.
+        path = tmp_path / "cache.json"
+        cachemod.export_cache(path)
+        qfamily.clear_caches()
+        threedr.clear_caches()
+        assert cachemod.import_cache(path) > 0
+        assert str(qfamily.q_polynomial(1, 0)) == "w*x*y^2*z - w - x*y + 1"
+        assert golden_report().passed
+
+    def test_import_builds_the_columns(self, tmp_path, clean_caches):
+        path = tmp_path / "cache.json"
+        qfamily.q_polynomial(1, 1)
+        threedr.p_polynomial(2)
+        cachemod.export_cache(path)
+        qfamily.clear_caches()
+        threedr.clear_caches()
+        cachemod.import_cache(path)
+        tables = [qfamily.cache_snapshot(), threedr.p_cache_snapshot()]
+        assert all(poly._column is not None for table in tables for poly in table.values())
+
     @pytest.mark.parametrize(
         "text",
         [
-            '{"schema_version": 2, "q": {"x,0": {"vars": ["x", "y", "z", "w"], "terms": []}}}',
-            '{"schema_version": 2, "q": {"1,0": {"vars": ["x", "y", "z", "w"]}}}',
-            '{"schema_version": 2, "p": {"1": {"vars": ["x", "y", "z", "w"], "terms": []}}}',
-            '{"schema_version": 2, "q": ',
+            '{"schema_version": 3, "q": ',
             "[1]",
-            '{"schema_version": 2, "q": {"1,0": {"vars": ["x", "y", "z", "w"], "terms": '
-            "[[0, 0, 0, 0, 0, 2, 2.7]]}}}",
-            '{"schema_version": 2, "q": {"1,0": {"vars": ["x", "y", "z", "w"], "terms": '
-            '[[1.5, 0, 0, 0, 0, 2, "1"]]}}}',
-            '{"schema_version": 2, "q": {"1,0": {"vars": ["x", "y", "z", "w"], "terms": '
-            '[[0, 0, 0, 0, 0, 3, "1"]]}}}',
-            '{"schema_version": 2, "q": {"1,0": {"vars": ["x", "y", "z", "w"], "terms": '
-            '[[0, 0, 0, 0, 0, 2, "1 0"]]}}}',
-            '{"schema_version": 2, "q": {"1,0": {"vars": ["x", "y", "z", "w"], "terms": '
-            '[[0, 0, 0, 0, 0, 2, "1 2.5 1"]]}}}',
-            '{"schema_version": 2, "q": {"1,0": {"vars": ["x", "y", "z", "w"], "terms": '
-            '[[0, 0, 0, 0, 2, "1"]]}}}',
+            '{"schema_version": 3, "p": [0]}',
+            '{"schema_version": 3, "q": [[0, 0]]}',
+            '{"schema_version": 3, "q": [[1, -1]], "p": [0]}',
+            '{"schema_version": 3, "q": [[1, 0]], "p": [1.0]}',
+            '{"schema_version": 3, "q": [[true, 0]], "p": [0]}',
+            '{"schema_version": 3, "q": [[1, 0]], "p": ["1"]}',
+            '{"schema_version": 3, "q": [[1, 0, 0]], "p": [0]}',
         ],
         ids=[
-            "bad-key",
-            "bad-polynomial",
-            "wrong-variables",
             "bad-json",
             "not-an-object",
-            "float-coefficient",
-            "float-exponent",
-            "bad-stride",
-            "zero-end-digit",
-            "non-integer-digit",
-            "short-row",
+            "missing-q",
+            "missing-p",
+            "negative-key",
+            "float-key",
+            "bool-key",
+            "bad-key",
+            "q-key-not-a-pair",
         ],
     )
     def test_malformed_file_is_a_warned_miss(self, tmp_path, capsys, text, clean_caches):
@@ -421,11 +433,11 @@ class TestCache:
         assert qfamily.cache_snapshot() == {}
         assert threedr.p_cache_snapshot() == {}
 
-    def test_schema_1_file_is_a_silent_miss(self, tmp_path, capsys, clean_caches):
-        path = tmp_path / "schema1.json"
+    def test_schema_2_file_is_a_silent_miss(self, tmp_path, capsys, clean_caches):
+        path = tmp_path / "schema2.json"
         path.write_text(
-            '{"schema_version": 1, "q": {"1,0": {"vars": ["x", "y", "z", "w"], "terms": '
-            '[{"exp": [0, 0, 0, 0], "coeff": {"q": [[0, "1"]]}}]}}}'
+            '{"schema_version": 2, "q": {"1,0": {"vars": ["x", "y", "z", "w"], "terms": '
+            '[[0, 0, 0, 0, 0, 2, "1"]]}}, "p": {}}'
         )
         qfamily.clear_caches()
         assert cachemod.import_cache(path) == 0
@@ -438,13 +450,10 @@ class TestCache:
         cachemod.export_cache(path)
         before = path.read_bytes()
 
-        class Unserialisable:
-            def to_digits(self):
-                return object(), 2, [1]
+        def unserialisable(payload):
+            raise TypeError("payload is not serialisable")
 
-        snapshot = qfamily.cache_snapshot()
-        snapshot[(99, 99)] = MultiPolyQ(VARS4, {(0, 0, 0, 0): Unserialisable()}, _trusted=True)
-        monkeypatch.setattr(qfamily, "cache_snapshot", lambda: snapshot)
+        monkeypatch.setattr(cachemod.json, "dumps", unserialisable)
         with pytest.raises(TypeError):
             cachemod.export_cache(path)
         assert path.read_bytes() == before
