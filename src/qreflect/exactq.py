@@ -322,9 +322,11 @@ class LaurentQ:
     def sum_shifted(terms: Iterable[tuple[LaurentQ, int]]) -> LaurentQ:
         """The sum of c * q^k over the (c, k) pairs, as one packed sum.
 
-        The package's one packed sum: every LaurentQ addition is one.  The
+        The packed sum of values: every LaurentQ addition is one.  The
         norms of the values add, and each value lands at its exponent with
-        one shift and one add.
+        one shift and one add.  MultiPolyQ.evaluate_at_q_powers sums the
+        entries of a polynomial's kept column the same way, without
+        building a value per term.
         """
         values, los = [], []
         for c, k in terms:

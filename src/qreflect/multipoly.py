@@ -13,9 +13,12 @@ sum of coeff * poly.shift_multi(shifts).  A product is a shift_sum of one
 unshifted term, and shift_sum goes through exactq.apply_columns, the
 package's one packed multiply-accumulate: a polynomial is a PackedColumn
 whose outputs are its exponent vectors, built on first use and kept, and
-each term of the other factor is one kernel term.  Sums, scalar multiples
-and partial evaluation only add, through exactq.accumulate.  Both drop the
-cancelled terms.
+each term of the other factor is one kernel term.  Evaluation at q-powers
+(Q_{b,c} and P_b at the points of every K and R element) reads the same
+kept column: one shift-add per entry at a width proven from the entries'
+summed norms, with what it needs beyond the column kept on the evaluated
+polynomial.  Sums, scalar multiples and partial evaluation only add,
+through exactq.accumulate.  Both drop the cancelled terms.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from .exactq import (
     DomainError,
     LaurentQ,
     PackedColumn,
+    _repack,
+    _strip_low,
+    _width_for,
     accumulate,
     apply_columns,
     from_records,
@@ -41,7 +47,7 @@ VARS4 = ("x", "y", "z", "w")
 class MultiPolyQ:
     """Sparse polynomial in named variables with LaurentQ coefficients."""
 
-    __slots__ = ("names", "_terms", "_column")
+    __slots__ = ("names", "_terms", "_column", "_evaluation")
 
     def __init__(
         self,
@@ -51,7 +57,7 @@ class MultiPolyQ:
         _trusted: bool = False,
     ):
         self.names = tuple(names)
-        self._column = None
+        self._column = self._evaluation = None
         if terms is None:
             self._terms: dict[tuple[int, ...], LaurentQ] = {}
         elif _trusted:
@@ -216,12 +222,43 @@ class MultiPolyQ:
         )
 
     def evaluate_at_q_powers(self, exps: Sequence[int]) -> LaurentQ:
-        """Substitute variable v by q^{exps[v]} for every v; exact LaurentQ."""
-        if len(exps) != self.arity:
+        """Substitute variable v by q^{exps[v]} for every v; exact LaurentQ.
+
+        One packed sum over the kept column (_as_column): entry j lands at
+        q^(los[j] + exps . outs[j]).  Slot t of the sum adds at most one
+        digit of each entry, so |slot| <= sum_j ||e_j||_inf, and the sum
+        runs at the width of that bound (_width_for), at stride 2 when the
+        column has stride 2 and every entry lands at one parity.  The
+        polynomial keeps what this needs (_evaluation), built on first
+        evaluation: the column's exponents by variable, the sums of its
+        entries' ||.||_1 and ||.||_inf, the width of the latter and, by
+        stride, the column's ints at that width and stride (its own ints
+        where both match, else re-packed once).
+        """
+        # index() rejects a float or other non-integer before any shift.
+        point = tuple(map(index, exps))
+        if len(point) != self.arity:
             raise DomainError("evaluation point has wrong arity")
-        return LaurentQ.sum_shifted(
-            (coeff, sum(map(mul, exps, e))) for e, coeff in self._terms.items()
-        )
+        if not self._terms:
+            return LaurentQ.zero()
+        column = self._as_column()
+        if self._evaluation is None:
+            ni = sum(column.nis)
+            self._evaluation = (tuple(zip(*column.outs)), sum(column.n1s), ni, _width_for(ni), {})
+        by_var, n1, ni, w, packed = self._evaluation
+        los = column.los
+        for k, var_exps in zip(point, by_var):
+            if k:
+                los = list(map(add, los, map(k.__mul__, var_exps)))
+        s = 2 if column.s == 2 and len({lo & 1 for lo in los}) == 1 else 1
+        ps = packed.get(s)
+        if ps is None:
+            ps = packed[s] = column.ps if (column.w, column.s) == (w, s) else tuple(
+                [_repack(p, column.w, column.s, w, s) for p in column.ps]
+            )
+        base, odd = min(los), s - 1
+        total = sum([p << w * ((lo - base) >> odd) for lo, p in zip(los, ps)])
+        return _strip_low(base, total, w, n1, ni, s)
 
     def partial_eval_q_power(self, var: int, k: int) -> MultiPolyQ:
         """Substitute variable var by q^k, keeping the other variables."""

@@ -54,9 +54,11 @@ up to the operator's norm, and op^2 = 1.  Operator applications,
 generators included, and sums of scaled vectors (combination: every +, -,
 scaled and each side of an intertwiner relation) are each one
 exactq.apply_columns call, which drops the cancelled terms; a scalar is a
-one-entry column there.  Positions are checked once on every call
-(_sites).  All three equation verifiers report through compare_words,
-which names the first basis state where the two sides differ.
+one-entry column there (scalar_column), and those of +, - and the
+intertwiner relations are built once, at import.  Positions are checked
+once on every call (_sites).  All three equation verifiers report through
+compare_words, which names the first basis state where the two sides
+differ.
 
 The nine-space signature used by the reflection-equation verifier,
 (Q2,Q1,Q2,Q1,Q1,Q1,Q2,Q1,Q1), is the unique assignment making all three
@@ -208,12 +210,12 @@ class SparseVector:
     def __add__(self, other: SparseVector) -> SparseVector:
         if not isinstance(other, SparseVector):
             return NotImplemented
-        return combination([(LaurentQ.one(), self), (LaurentQ.one(), other)])
+        return combination([(_PLUS_ONE, self), (_PLUS_ONE, other)])
 
     def __sub__(self, other: SparseVector) -> SparseVector:
         if not isinstance(other, SparseVector):
             return NotImplemented
-        return combination([(LaurentQ.one(), self), (LaurentQ.integer(-1), other)])
+        return combination([(_PLUS_ONE, self), (_MINUS_ONE, other)])
 
     def scaled(self, scalar: LaurentQ) -> SparseVector:
         return combination([(scalar, self)])
@@ -249,14 +251,24 @@ class SparseVector:
         )
 
 
-def combination(terms: Sequence[tuple[LaurentQ, SparseVector]]) -> SparseVector:
+def scalar_column(scalar: LaurentQ) -> PackedColumn:
+    """A scalar as combination multiplies by it: a one-entry PackedColumn at local code 0."""
+    return PackedColumn([(0, scalar)])
+
+
+# The scalars of + and -, their columns built once.
+_PLUS_ONE, _MINUS_ONE = scalar_column(LaurentQ.one()), scalar_column(LaurentQ.integer(-1))
+
+
+def combination(terms: Sequence[tuple[LaurentQ | PackedColumn, SparseVector]]) -> SparseVector:
     """The sum of scalar * vector over (scalar, vector) pairs of one signature.
 
     One exactq.apply_columns call: each scalar is a one-entry PackedColumn
-    at local code 0, and each record one term keyed by its code, at the
-    widest field width, the widest slot width and the joint stride (so no
-    coefficient becomes a LaurentQ).  An empty list, or vectors over two
-    signatures, are a DomainError.
+    at local code 0 (a scalar given as a LaurentQ is built into one, and a
+    scalar_column serves as it is), and each record one term keyed by its
+    code, at the widest field width, the widest slot width and the joint
+    stride (so no coefficient becomes a LaurentQ).  An empty list, or
+    vectors over two signatures, are a DomainError.
     """
     if not terms:
         raise DomainError("a combination of no vectors")
@@ -267,7 +279,7 @@ def combination(terms: Sequence[tuple[LaurentQ, SparseVector]]) -> SparseVector:
     w, s = max([vec._w for _, vec in terms]), min([vec._s for _, vec in terms])
     kernel = []
     for scalar, vec in terms:
-        column = PackedColumn([(0, scalar)])
+        column = scalar if type(scalar) is PackedColumn else scalar_column(scalar)
         hit, w0, s0 = (column, (0,), column.los), vec._w, vec._s
         for code, rec in _widened(vec._codes, len(signature), vec._width, width).items():
             if (w0, s0) != (w, s):
@@ -569,15 +581,16 @@ def zeroed_key(fn: ElementFn, key: tuple[int, ...]) -> ElementFn:
 #
 # Each relation <ij> states (sum of scalar * generator words) K
 #                        = K (sum of scalar * generator words),
-# with words given per tensor slot 1..4.  The five commutators have the
+# with words given per tensor slot 1..4 and each scalar held as its column
+# (scalar_column), built once here.  The five commutators have the
 # same word list on both sides, and each remaining <ji> is <ij> with its
 # two sides exchanged.
 
-_Q1_ = LaurentQ.one()
-_MQ1 = LaurentQ.monomial(1, -1)   # -q
-_MQ2 = LaurentQ.monomial(2, -1)   # -q^2
+_Q1_ = _PLUS_ONE
+_MQ1 = scalar_column(LaurentQ.monomial(1, -1))   # -q
+_MQ2 = scalar_column(LaurentQ.monomial(2, -1))   # -q^2
 
-KTerm = tuple[LaurentQ, tuple[str, str, str, str]]
+KTerm = tuple[PackedColumn, tuple[str, str, str, str]]
 
 _COMMUTATORS: dict[str, tuple[KTerm, ...]] = {
     "22": ((_Q1_, ("1", "a-", "1", "a-")), (_MQ1, ("1", "k", "A-", "k"))),

@@ -5,7 +5,8 @@ computation routes (built from explicit factored products), so equality
 tests against these are genuine cross-checks.  assert_zeroed_key_caught
 is the one negative control of the block sweep, shared by R and K,
 assert_packed_invariants the one check of a packed value's form and
-bounds, and assert_true_column that of a packed column's norms.
+bounds, assert_true_column that of a packed column's norms, and
+reference_evaluate the term-by-term evaluation at q-powers.
 """
 
 from __future__ import annotations
@@ -49,6 +50,15 @@ def assert_true_column(col) -> None:
         _norms(_unpack(p, col.w)) for p in col.ps
     ]
     assert col.w == _width_for(max(col.nis, default=0))
+
+
+def reference_evaluate(poly: MultiPolyQ, point) -> LaurentQ:
+    """poly with variable v at q^point[v], term by term: a LaurentQ sum of
+    coeff * q^(point . exps) that never reads the polynomial's column."""
+    total = LaurentQ.zero()
+    for exps, coeff in poly.items():
+        total = total + coeff.shifted(sum(k * e for k, e in zip(point, exps)))
+    return total
 
 
 # Fractions as unreduced (num, den) pairs of LaurentQ, for references that

@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qreflect import memo, qfamily, tensorops, threedk, threedr
 from qreflect.exactq import DomainError, LaurentQ, PackedColumn, accumulate
 from qreflect.multipoly import MultiPolyQ, VARS3, VARS4, shift_sum, variables
 from qreflect.qfamily import q_polynomial, q_polynomial_alt_route
-from qreflect.threedk import verify_e_all
-from qreflect.threedr import p_polynomial
+from qreflect.threedk import k_block_states, k_element, verify_e_all
+from qreflect.threedr import p_polynomial, r_block_states, r_element
 
-from conftest import assert_packed_invariants, assert_true_column, qc, reference_q10
+from conftest import (
+    assert_packed_invariants,
+    assert_true_column,
+    qc,
+    reference_evaluate,
+    reference_q10,
+)
 
 X, Y, Z, W = variables(VARS4)
 
@@ -382,6 +389,132 @@ class TestColumnsBuiltOnce:
         distinct = len({id(poly) for poly in used})
         assert len(used) > distinct
         assert len(builds) <= distinct
+
+
+# -- evaluation at q-powers from the kept column ----------------------------------------
+
+
+def assert_evaluates(poly, point):
+    """evaluate_at_q_powers equals the term-by-term reference, in canonical form."""
+    got = poly.evaluate_at_q_powers(point)
+    assert got == reference_evaluate(poly, point)
+    assert_packed_invariants(got)
+    return got
+
+
+def points(names):
+    """Points with odd, negative and zero coordinates."""
+    return st.tuples(*(st.integers(-5, 5),) * len(names))
+
+
+@st.composite
+def evaluation_cases(draw, names):
+    """(poly, point) over wide coefficients at stride 1 and 2.  Now and then
+    the polynomial gains a negated copy of itself, its exponents moved by a
+    vector and its coefficients shifted back, so that its value at the point
+    cancels to zero; a zero move makes it the zero polynomial."""
+    poly = draw(wide_polys(names))
+    point = draw(points(names))
+    if draw(st.booleans()):
+        move = draw(st.tuples(*(st.integers(0, 2),) * len(names)))
+        back = -sum(map(mul, point, move))
+        twin = {tuple(map(add, e, move)): -c.shifted(back) for e, c in poly.items()}
+        poly = poly + MultiPolyQ(names, twin)
+    return poly, point
+
+
+class TestEvaluateFromColumn:
+    @ARITIES
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_against_reference(self, names, data):
+        poly, point = data.draw(evaluation_cases(names))
+        assert_evaluates(poly, point)
+        # The kept state serves a second point and the first one again.
+        other = data.draw(points(names))
+        assert_evaluates(poly, other)
+        assert_evaluates(poly, point)
+
+    @ARITIES
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_evaluated_multiplied_evaluated(self, names, data):
+        # A product shares its larger factor's column; evaluating the
+        # factors before and after it, and the product, agree.
+        a, b = data.draw(wide_polys(names)), data.draw(wide_polys(names))
+        point = data.draw(points(names))
+        first = [assert_evaluates(poly, point) for poly in (a, b)]
+        product = a * b
+        assert assert_evaluates(product, point) == first[0] * first[1]
+        assert [assert_evaluates(poly, point) for poly in (a, b)] == first
+        if a._column is not None:
+            assert_true_column(a._column)
+
+    @pytest.mark.parametrize("bits", [31, 63])
+    @pytest.mark.parametrize("point", [(0, 0, 0, 0), (1, 0, 0, 0), (-1, 2, 0, 0)])
+    def test_sum_wider_than_the_column(self, bits, point):
+        # Each entry fits the column's slots, but the sum's bound, three
+        # times 2^bits - 1, needs the next width, so the column is
+        # re-packed there: at stride 2, or at stride 1 when an odd
+        # coordinate splits the parities.
+        c = LaurentQ({0: 2**bits - 1, 2: -(2**bits - 1)})
+        poly = MultiPolyQ(VARS4, {(0, 0, 0, 0): c, (1, 0, 0, 0): c, (0, 1, 0, 0): c.shifted(-point[1])})
+        column = poly._as_column()
+        got = assert_evaluates(poly, point)
+        assert got._w > column.w
+        assert poly._as_column() is column
+
+    def test_zero_polynomial(self):
+        assert MultiPolyQ.zero(VARS4).evaluate_at_q_powers((1, -2, 3, 0)).is_zero
+        assert MultiPolyQ.zero(VARS4)._evaluation is None
+
+    @pytest.mark.parametrize("point", [(2.0, 0, 0, 0), (0.5, 0, 0, 0)])
+    def test_float_coordinate_is_a_type_error(self, point):
+        # A float never reaches a shift, truncated or not.
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            q_polynomial(1, 0).evaluate_at_q_powers(point)
+
+    @pytest.mark.parametrize("point", [(1, 2, 3), (1, 2, 3, 4, 5)])
+    def test_wrong_arity_is_a_domain_error(self, point):
+        with pytest.raises(DomainError, match="wrong arity"):
+            q_polynomial(1, 0).evaluate_at_q_powers(point)
+
+
+class TestEvaluationState:
+    def test_state_lives_on_the_polynomial(self):
+        # The evaluation state is a slot of the evaluated polynomial: no
+        # memo table is added, and clearing the tables drops it with the
+        # polynomials, so a rebuild gives the same elements.
+        names = sorted(memo.tables())
+        keys = [out + inp for out in k_block_states(3, 4) for inp in k_block_states(3, 4)]
+        r_keys = [out + inp for out in r_block_states(3, 2) for inp in r_block_states(3, 2)]
+        before = [k_element(*key) for key in keys] + [r_element(*key) for key in r_keys]
+        assert all(before)
+        assert q_polynomial(1, 1)._evaluation is not None
+        assert sorted(memo.tables()) == names
+        for module in (qfamily, threedr, threedk, tensorops):
+            module.clear_caches()
+        assert q_polynomial(1, 1)._evaluation is None
+        after = [k_element(*key) for key in keys] + [r_element(*key) for key in r_keys]
+        assert after == before
+        assert sorted(memo.tables()) == names
+
+    def test_warm_reflection_builds_no_element(self, monkeypatch):
+        state = (0, 2, 0, 1, 2, 0, 2, 0, 1)
+        assert tensorops.verify_reflection(state).passed
+        calls = []
+
+        def counted(fn):
+            def wrapped(*args, **kw):
+                calls.append(fn)
+                return fn(*args, **kw)
+            return wrapped
+
+        monkeypatch.setattr(tensorops, "k_element", counted(tensorops.k_element))
+        monkeypatch.setattr(tensorops, "r_element", counted(tensorops.r_element))
+        monkeypatch.setattr(MultiPolyQ, "evaluate_at_q_powers", counted(MultiPolyQ.evaluate_at_q_powers))
+        assert tensorops.verify_reflection(state).passed
+        assert calls == []
 
 
 class TestIntegerExponents:

@@ -47,6 +47,7 @@ from qreflect.tensorops import (
     combination,
     compare_words,
     oscillator_relations_report,
+    scalar_column,
     states_up_to,
     verify_blocks,
     verify_intertwiner,
@@ -1021,6 +1022,29 @@ class TestCombination:
             (multiple, [(c, v)]),
         ):
             assert_vector_matches(out, reference_combination(terms))
+
+    def test_scalar_columns_are_built_once(self, monkeypatch):
+        # +, - and the intertwiner relations multiply by columns built at
+        # import, so a warm relation check builds no PackedColumn; a
+        # scalar given as a LaurentQ still becomes one.
+        v = apply_K(SparseVector.unit(K_SIGNATURE, (1, 1, 1, 1)), (0, 1, 2, 3))
+        w = apply_K(SparseVector.unit(K_SIGNATURE, (2, 1, 0, 1)), (0, 1, 2, 3))
+        assert verify_intertwiner("33", (2, 1, 2, 0)).passed
+        builds = []
+        init = tensorops.PackedColumn.__init__
+
+        def counted_init(self, pairs):
+            builds.append(self)
+            init(self, pairs)
+
+        monkeypatch.setattr(tensorops.PackedColumn, "__init__", counted_init)
+        total, difference = v + w, v - w
+        assert verify_intertwiner("33", (2, 1, 2, 0)).passed
+        assert builds == []
+        c = LaurentQ.monomial(2, -1)
+        assert combination([(scalar_column(c), v)]) == combination([(c, v)]) == v.scaled(c)
+        assert total == combination([(LaurentQ.one(), v), (LaurentQ.one(), w)])
+        assert difference == combination([(LaurentQ.one(), v), (LaurentQ.integer(-1), w)])
 
 
 class TestValuesAtTheEdges:
