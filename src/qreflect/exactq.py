@@ -605,6 +605,14 @@ class PackedColumn:
         self.outs, self.los = tuple([out for out, _ in pairs]), tuple([rec[0] for rec in recs])
         self.ps = tuple(ps if self.w == w else [_repack(p, w, s, self.w, s) for p in ps])
 
+    def values(self) -> dict:
+        """Each entry as a LaurentQ at the column's width, stride and true norms, by output."""
+        w, s = self.w, self.s
+        return {
+            out: _make(lo, p, w, n1, ni, s, True)
+            for out, lo, p, n1, ni in zip(self.outs, self.los, self.ps, self.n1s, self.nis)
+        }
+
 
 def to_records(values: list[LaurentQ]) -> tuple[list[list[int]], int, int]:
     """Nonzero values as kernel records [lo, p, n1, ni], with their width and stride.

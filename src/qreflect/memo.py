@@ -12,11 +12,14 @@ entries of one local input at their true norms, which no call
 changes.  Its index (R_index, K_index, gen_a+_index, ...) maps each field
 layout to a dict from the local code of an input to its column, the int
 codes of its outputs there and its exponents, so a local input is
-decoded and looked up once per layout.  An element override never reads
-or fills either.  `clear` empties every table.  The lru_caches of exactq,
-on the one q-Pochhammer product behind its three public Pochhammer
-functions and on the Gaussian binomials, cache pure functions and read no
-table, so they are not registered here.
+decoded and looked up once per layout.  K_local is filled by K's column
+builder (threedk.k_column), which keeps there the columns of block
+(m, n-1) it builds a column from.  An element override never reads or
+fills either table.  `clear` empties every table.  The lru_caches of
+exactq, on the one q-Pochhammer product behind its three public
+Pochhammer functions and on the Gaussian binomials, and of threedk, on
+the primary route's denominator (q^2;q^2)_b (q^4;q^4)_c, cache pure
+functions and read no table, so they are not registered here.
 """
 
 from __future__ import annotations

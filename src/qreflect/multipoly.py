@@ -230,10 +230,13 @@ class MultiPolyQ:
         runs at the width of that bound (_width_for), at stride 2 when the
         column has stride 2 and every entry lands at one parity.  The
         polynomial keeps what this needs (_evaluation), built on first
-        evaluation: the column's exponents by variable, the sums of its
-        entries' ||.||_1 and ||.||_inf, the width of the latter and, by
-        stride, the column's ints at that width and stride (its own ints
-        where both match, else re-packed once).
+        evaluation: the column's exponents by variable, whether its los
+        share one parity, the sums of its entries' ||.||_1 and ||.||_inf,
+        the width of the latter and, by stride, the column's ints at that
+        width and stride (its own ints where both match, else re-packed
+        once).  A point whose coordinates are all even, as every K and R
+        point is, keeps the los' parities, so only an odd point looks at
+        the parities of the landing exponents.
         """
         # index() rejects a float or other non-integer before any shift.
         point = tuple(map(index, exps))
@@ -244,13 +247,18 @@ class MultiPolyQ:
         column = self._as_column()
         if self._evaluation is None:
             ni = sum(column.nis)
-            self._evaluation = (tuple(zip(*column.outs)), sum(column.n1s), ni, _width_for(ni), {})
-        by_var, n1, ni, w, packed = self._evaluation
+            one_parity = len({lo & 1 for lo in column.los}) == 1
+            self._evaluation = (
+                tuple(zip(*column.outs)), one_parity, sum(column.n1s), ni, _width_for(ni), {}
+            )
+        by_var, one_parity, n1, ni, w, packed = self._evaluation
         los = column.los
         for k, var_exps in zip(point, by_var):
             if k:
                 los = list(map(add, los, map(k.__mul__, var_exps)))
-        s = 2 if column.s == 2 and len({lo & 1 for lo in los}) == 1 else 1
+        if any([k & 1 for k in point]):
+            one_parity = len({lo & 1 for lo in los}) == 1
+        s = 2 if column.s == 2 and one_parity else 1
         ps = packed.get(s)
         if ps is None:
             ps = packed[s] = column.ps if (column.w, column.s) == (w, s) else tuple(

@@ -40,8 +40,13 @@ generator's block is the one state it maps its input to.  The memo table
 holds the nonzero column of each local input seen, packed
 (exactq.PackedColumn), and is the only cache of an operator's elements; it
 sits in the package's one registry (memo), whose single clear is every
-module's clear_caches.  A second registered table per operator, its
-index, maps each layout (field width and the shifts of op's sites) and
+module's clear_caches.  A column the table lacks is built element by
+element, except K's: K's column builder, threedk.k_column, derives its
+d >= 1 entries by the bridge recursion from the columns of block
+(m, n-1), which it builds first and keeps in the same table, and only
+the d = 0 row is evaluated.  An element override always goes element by
+element.  A second registered table per operator, its index, maps each
+layout (field width and the shifts of op's sites) and
 local input code to that column, its outputs' codes and its exponents, so
 a local input is decoded and looked up, and its out codes built, once per
 layout.  apply_local clears op's fields of each input code once (base), so
@@ -50,7 +55,8 @@ the arithmetic: one int multiply, one shift-add and one int key per matrix
 element, and one record per output.  One sweep, verify_blocks, checks R or
 K block by block: its weights, its element routes against each other
 (through the one cross-check, report.cross_check), its transpose symmetry
-up to the operator's norm, and op^2 = 1.  Operator applications,
+up to the operator's norm, op^2 = 1 and, for K, the columns its builder
+makes in a table of the sweep's own.  Operator applications,
 generators included, and sums of scaled vectors (combination: every +, -,
 scaled and each side of an intertwiner relation) are each one
 exactq.apply_columns call, which drops the cancelled terms; a scalar is a
@@ -88,7 +94,7 @@ from .exactq import (
     to_records,
 )
 from .report import VerificationError, VerificationReport
-from .threedk import k_block_states, k_element, k_norm, k_weights
+from .threedk import k_block_states, k_column, k_element, k_norm, k_weights
 from .threedr import r_block_states, r_element, r_norm, r_weights
 
 
@@ -378,7 +384,11 @@ class LocalOperator(NamedTuple):
     norm serve verify_blocks, which sweeps R and K only: route is the
     element route that cross-checks all the others, and norm(*s) the
     normalisation N with op[out,inp] N(out) = op[inp,out] N(inp).  A
-    generator has route "" and norm None.
+    generator has route "" and norm None.  build(inp, table, element),
+    when op has one, builds the column of inp into table from columns it
+    builds or finds there (K's is threedk.k_column, the bridge recursion,
+    whose d = 0 entries are element's); without one, a column is element
+    at each output of inp's block.
     """
 
     name: str
@@ -390,6 +400,7 @@ class LocalOperator(NamedTuple):
     norm: Callable[..., LaurentQ] | None
     table: dict
     index: dict
+    build: Callable[[tuple[int, ...], dict, ElementFn], PackedColumn] | None = None
 
 
 # The element functions are looked up at call time, so that a function
@@ -415,6 +426,7 @@ K_OPERATOR = LocalOperator(
     k_norm,
     memo.table("K_local"),
     memo.table("K_index"),
+    k_column,
 )
 
 
@@ -447,9 +459,13 @@ def apply_local(
 ) -> SparseVector:
     """Apply op at the given positions; exactly finite, as each input's column is one block.
 
-    An element function given here replaces op.element (a negative control
-    passes a corrupted one); its columns and their index are kept for this
-    call only, so a corrupted column never reaches op.table or op.index.
+    A column op.table lacks is built by op.build when op has one (K's
+    bridge recursion, which keeps the columns it builds on the way in
+    op.table), else element by element.  An element function given here
+    replaces op.element (a negative control passes a corrupted one); its
+    columns are built element by element, and they and their index are
+    kept for this call only, so a corrupted column never reaches op.table
+    or op.index, and no recursion can pass over a corrupted element.
     When a column has an output occupation too large for the vector's
     fields, every code is first widened to the largest field the call's
     columns need.  The vector's records go to exactq.apply_columns as they
@@ -465,14 +481,14 @@ def apply_local(
             f"{tuple(s.name for s in got)}, need {tuple(s.name for s in op.signature)}"
         )
     if element is None:
-        table, index, element = op.table, op.index, op.element
+        table, index, element, build = op.table, op.index, op.element, op.build
     else:
-        table, index = {}, {}
+        table, index, build = {}, {}, None
     codes, width = vec._codes, vec._width
-    terms, need = _coded_terms(op, table, index, element, codes, size, width, positions)
+    terms, need = _coded_terms(op, table, index, element, build, codes, size, width, positions)
     if need > width:
         codes, width = _widened(codes, size, width, need), need
-        terms, need = _coded_terms(op, table, index, element, codes, size, width, positions)
+        terms, need = _coded_terms(op, table, index, element, build, codes, size, width, positions)
         if need > width:
             raise VerificationError(
                 f"{op.name} at {tuple(positions)} needs {need}-bit fields after widening to {width}"
@@ -482,14 +498,15 @@ def apply_local(
     return SparseVector._coded(vec.signature, out, width, w, s)
 
 
-def _coded_terms(op, table, index, element, codes, size, width, positions):
+def _coded_terms(op, table, index, element, build, codes, size, width, positions):
     """(apply_columns terms of op at positions on coded states, field width needed).
 
     A term is (record, base.__add__, hit): base is its state's code with
     op's fields cleared, an output's code is base plus its out code, and
     the hit is (column, out codes, column.los) of its local code.  index
     keeps the hit of each local code per layout (field width, op's field
-    shifts), so a local code is decoded, looked up in table and given its
+    shifts), so a local code is decoded, looked up in table (where build,
+    or else element at each output, puts a missing column) and given its
     out codes once per layout, when every output occupation fits the
     width.  A column that does not fit raises the width needed above
     width, and the terms are then not usable.
@@ -509,7 +526,9 @@ def _coded_terms(op, table, index, element, codes, size, width, positions):
         if hit is None:
             inp = fields(lc)
             column = table.get(inp)
-            if column is None:
+            if column is None and build is not None:
+                column = build(inp, table, element)
+            elif column is None:
                 block = op.states(*op.weights(*inp))
                 column = table[inp] = PackedColumn([(o, element(*o, *inp)) for o in block])
             top = max(map(max, column.outs), default=0).bit_length()
@@ -746,14 +765,17 @@ def verify_blocks(op: LocalOperator, max_m: int, max_n: int) -> VerificationRepo
     """op's identities on each weight block (m, n), m <= max_m, n <= max_n, in order:
     each state op.states lists has op.weights (m, n); each key's element routes
     agree (op.route, through report.cross_check); op[out,inp] N(out) =
-    op[inp,out] N(inp) for out < inp, with N = op.norm; and op^2 = 1 on each
-    unit vector.  op^2 is applied with the route check's values (zero where
-    it failed) through apply_local's element override (zero off the block, as
-    op is), so the sweep neither reads nor fills op.table: no bad column
-    fools or outlives it.
+    op[inp,out] N(inp) for out < inp, with N = op.norm; op^2 = 1 on each
+    unit vector; and, when op has a column builder (op.build), the column
+    it builds for each input equals the route check's values, one check per
+    column naming its first differing key.  op^2 is applied with the route
+    check's values (zero where they failed) through apply_local's element
+    override (zero off the block, as op is), and op.build fills a table of
+    this sweep's own, from op.element at the primary route, so the sweep
+    neither reads nor fills op.table: no bad column fools or outlives it.
     """
     rep = VerificationReport(f"{op.name} blocks, m<={max_m}, n<={max_n}")
-    positions, zero = tuple(range(len(op.signature))), LaurentQ.zero()
+    positions, zero, built = tuple(range(len(op.signature))), LaurentQ.zero(), {}
     for m, n in product(range(max_m + 1), range(max_n + 1)):
         states = op.states(m, n)
         for s in states:
@@ -772,6 +794,22 @@ def verify_blocks(op: LocalOperator, max_m: int, max_n: int) -> VerificationRepo
             unit = SparseVector.unit(op.signature, inp)
             twice = apply_local(op, apply_local(op, unit, positions, element), positions, element)
             rep.absorb(compare_words(f"{op.name}^2 on {inp}", twice, unit))
+        if op.build is None:
+            continue
+        for inp in states:
+            try:
+                got = op.build(inp, built, op.element).values()
+            except VerificationError as exc:
+                rep.record(False, str(exc))
+                continue
+            for out in states:
+                key = (*out, *inp)
+                lhs, rhs = got.get(out, zero), values[key]
+                if lhs != rhs:
+                    rep.record(False, f"{op.name} column builder at {key}", str(lhs), str(rhs))
+                    break
+            else:
+                rep.count()
     return rep
 
 

@@ -12,15 +12,21 @@ K operator conserves it.  Two routes produce the element:
 
 Both reduce by exact division to a polynomial in q lying in
 q^eta Z[q^2] with eta = bd + jl mod 2; mismatches of any kind raise
-(route="both" cross-checks one key by report.cross_check).  The only
-cache of K elements is the column table of tensorops.apply_local.  On
-each block K is an involution, symmetric up to its normalisation k_norm:
+(route="both" cross-checks one key by report.cross_check).  The primary
+route's denominator is one cached product per (b, c).  Beside the two
+routes, k_column builds a whole column of K, the entries of one input,
+by the element-level bridge recursion (verify_bridge_recursion): an entry with d >= 1 is one packed sum
+of at most six shifted entries of block (m, n-1) and one exact division
+by 1 - q^{2d}, so only the d = 0 row evaluates Q.  The only cache of K
+elements is the column table of tensorops.apply_local (K_local), which
+k_column fills.  On each block K is an involution, symmetric up to its
+normalisation k_norm:
 
   K^{abcd}_{ijkl} (q^2)_b (q^2)_d (q^4)_a (q^4)_c
     = K^{ijkl}_{abcd} (q^2)_j (q^2)_l (q^4)_i (q^4)_k;
 
-both, and the route agreement, are checked block by block by
-tensorops.verify_blocks.
+both, the route agreement and k_column's columns are checked block by
+block by tensorops.verify_blocks.
 
 The module also verifies the fourteen difference equations E22..E55 that
 characterize the Q family (each one the image of a generator
@@ -30,8 +36,18 @@ levels.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from functools import lru_cache
+
 from . import memo
-from .exactq import DomainError, LaurentQ, qq_pochhammer
+from .exactq import (
+    DomainError,
+    ExactDivisionError,
+    LaurentQ,
+    PackedColumn,
+    qq_pochhammer,
+    qq_pochhammer_tail,
+)
 from .multipoly import MultiPolyQ, VARS4, shift_sum, variables
 from .qfamily import _q4, phi_bc, phi_k, q_polynomial
 from .report import VerificationError, VerificationReport, cross_check
@@ -63,14 +79,93 @@ def k_element(
     if route == "primary":
         value = q_polynomial(b, c).evaluate_at_q_powers((4 * i, 2 * j, 4 * k, 2 * l))
         num = value.shifted(phi_k(*key) - phi_bc(b, c))
-        den = qq_pochhammer(2, b) * qq_pochhammer(4, c)
-        return _check_element(num.exact_div(den), key)
+        return _check_element(num.exact_div(_k_denominator(b, c)), key)
     if route == "dual":
         value = q_polynomial(j, k).evaluate_at_q_powers((4 * a, 2 * b, 4 * c, 2 * d))
         num = value.shifted(phi_k(*key) - phi_bc(j, k))
         num = num * qq_pochhammer(2, l) * qq_pochhammer(4, i)
         return _check_element(num.exact_div(k_norm(a, b, c, d)), key)
     return cross_check(k_element, key, K_ROUTES)
+
+
+@lru_cache(maxsize=None)
+def _k_denominator(b: int, c: int) -> LaurentQ:
+    """The primary route's denominator (q^2;q^2)_b (q^4;q^4)_c."""
+    return qq_pochhammer(2, b) * qq_pochhammer(4, c)
+
+
+def k_column(
+    inp: tuple[int, int, int, int],
+    table: dict,
+    element: Callable[..., LaurentQ],
+) -> PackedColumn:
+    """K's packed column at input inp = (i,j,k,l), built by the bridge recursion.
+
+    The entry at an output (a,b,c,d) with d = 0 is element(a,b,c,0,i,j,k,l).
+    One with d >= 1 is, by the bridge recursion (verify_bridge_recursion)
+    solved for K^{a,b,c,d}_{i,j,k,l},
+
+      q^{-b-2c} [ q^{2k+l}(1-q^{2j}) K^{a,b,c,d-1}_{i+1,j-1,k,l}
+                + q^{2i+l}(1-q^{4k}) K^{a,b,c,d-1}_{i,j+1,k-1,l}
+                + q^{2i+j}(1-q^{2l}) K^{a,b,c,d-1}_{i,j,k,l-1} ] / (1 - q^{2d}),
+
+    one LaurentQ.sum_shifted of at most six shifted entries of the
+    predecessor columns (block (m, n-1); a term whose factor is 1 - q^0
+    is left out, so no predecessor has a negative index), one exact_div
+    and _check_element.  table maps inputs to their columns: inp's is
+    built into it, after every predecessor it lacks, each the same way,
+    from an explicit work list, so a chain of any depth builds without
+    recursion.  A numerator that 1 - q^{2d} does not divide raises
+    VerificationError naming its key.
+    """
+    work = [inp]
+    while work:
+        top = work[-1]
+        if top in table:
+            work.pop()
+            continue
+        terms = _bridge_terms(*top)
+        missing = [pred for pred, _, _ in terms if pred not in table]
+        if missing:
+            work += missing
+            continue
+        terms = [(table[pred].values(), shift, gap) for pred, shift, gap in terms]
+        pairs = []
+        for out in k_block_states(*k_weights(*top)):
+            a, b, c, d = out
+            if not d:
+                pairs.append((out, element(*out, *top)))
+                continue
+            key, prev, base = (*out, *top), (a, b, c, d - 1), -b - 2 * c
+            summands = []
+            for values, shift, gap in terms:
+                value = values.get(prev)
+                if value is not None:
+                    summands += [(value, base + shift), (-value, base + shift + gap)]
+            try:
+                value = LaurentQ.sum_shifted(summands).exact_div(qq_pochhammer_tail(2, d - 1, d))
+            except ExactDivisionError:
+                raise VerificationError(
+                    f"bridge numerator of {key} is not divisible by 1 - q^{2 * d}"
+                ) from None
+            pairs.append((out, _check_element(value, key)))
+        table[top] = PackedColumn(pairs)
+        work.pop()
+    return table[inp]
+
+
+def _bridge_terms(i: int, j: int, k: int, l: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """(predecessor input, q-shift, gap) of each bridge term of input (i,j,k,l):
+    the term is q^shift (1 - q^gap) times the predecessor's entry, and
+    those with gap 0 are left out."""
+    terms = []
+    if j:
+        terms.append(((i + 1, j - 1, k, l), 2 * k + l, 2 * j))
+    if k:
+        terms.append(((i, j + 1, k - 1, l), 2 * i + l, 4 * k))
+    if l:
+        terms.append(((i, j, k, l - 1), 2 * i + j, 2 * l))
+    return terms
 
 
 def k_norm(a: int, b: int, c: int, d: int) -> LaurentQ:

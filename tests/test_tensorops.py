@@ -20,7 +20,7 @@ import qreflect
 from qreflect import exactq, memo, tensorops
 from qreflect.exactq import DomainError, LaurentQ, _make, accumulate, from_record
 from qreflect.multipoly import VARS3, MultiPolyQ
-from qreflect.report import VerificationReport
+from qreflect.report import VerificationError, VerificationReport
 from qreflect.tensorops import (
     INTERTWINER_RELATIONS,
     K_OPERATOR,
@@ -55,7 +55,7 @@ from qreflect.tensorops import (
     verify_tetrahedron,
     zeroed_key,
 )
-from qreflect.threedk import k_element
+from qreflect.threedk import k_column, k_element
 from qreflect.threedr import r_element
 
 from conftest import assert_packed_invariants, assert_true_column, assert_zeroed_key_caught
@@ -1170,22 +1170,118 @@ class TestKInvolution:
 
     def test_report_counts_every_failure(self, monkeypatch):
         # With one K element zeroed the sweep fails the transpose check at one
-        # pair and K^2 = 1 at two unit vectors: three failures, one reported.
+        # pair, K^2 = 1 at two unit vectors and the column builder at the
+        # zeroed key, whose d = 1 entry the bridge recursion builds from
+        # unzeroed d = 0 entries: four failures, one reported.
         from qreflect import tensorops
 
         key = (1, 0, 0, 1, 0, 1, 0, 0)
         monkeypatch.setattr(tensorops, "k_element", zeroed_key(k_element, key))
         rep = verify_blocks(K_OPERATOR, 3, 5)
-        assert rep.failures == 3
+        assert rep.failures == 4
         assert rep.summary().endswith(
             "FAIL (K transpose at (0, 1, 0, 0, 1, 0, 0, 1): "
-            f"lhs={rep.first_failure.lhs} rhs={rep.first_failure.rhs}), 3 failed"
+            f"lhs={rep.first_failure.lhs} rhs={rep.first_failure.rhs}), 4 failed"
         )
-        assert rep.to_json()["failures"] == 3
+        assert rep.to_json()["failures"] == 4
         monkeypatch.undo()
         rep = verify_blocks(K_OPERATOR, 3, 5)
         assert rep.passed and rep.failures == 0
         assert "failed" not in rep.summary() and "failures" not in rep.to_json()
+
+
+class TestBridgeColumns:
+    """K_local's columns come from the bridge recursion (threedk.k_column)."""
+
+    def test_recursive_columns_equal_the_primary_columns(self, restore_tables):
+        # Every input of the blocks m <= 4, n <= 8, reached in order by K on
+        # its unit vector, so that each block's predecessors are built on the way.
+        memo.clear()
+        positions = (0, 1, 2, 3)
+        inputs = [inp for m in range(5) for n in range(9) for inp in K_OPERATOR.states(m, n)]
+        for inp in inputs:
+            apply_K(SparseVector.unit(K_SIGNATURE, inp), positions)
+        for inp in inputs:
+            block = K_OPERATOR.states(*K_OPERATOR.weights(*inp))
+            primary = exactq.PackedColumn([(out, k_element(*out, *inp)) for out in block])
+            assert COLUMN_FIELDS(K_OPERATOR.table[inp]) == COLUMN_FIELDS(primary), inp
+
+    def test_only_the_d_zero_row_is_evaluated(self, monkeypatch, restore_tables):
+        memo.clear()
+        calls = []
+
+        def counted(*key, **kw):
+            calls.append(key)
+            return k_element(*key, **kw)
+
+        monkeypatch.setattr(tensorops, "k_element", counted)
+        apply_K(SparseVector.unit(K_SIGNATURE, (1, 1, 1, 2)), (0, 1, 2, 3))
+        assert calls and all(key[3] == 0 for key in calls)
+        assert len(set(calls)) == len(calls)
+
+    def test_override_keeps_the_per_element_path(self, restore_tables):
+        positions = (0, 1, 2, 3)
+        vec = SparseVector(
+            K_SIGNATURE, [(occ, LaurentQ.monomial(2 * sum(occ), 1 + sum(occ))) for occ in
+                          product(range(3), repeat=4)]
+        )
+        table_result = apply_K(vec, positions)
+
+        def snapshot():
+            return dict(K_OPERATOR.table), {layout: dict(hits) for layout, hits in K_OPERATOR.index.items()}
+
+        before = snapshot()
+        key = (1, 0, 0, 1, 0, 1, 0, 0)
+        assert key[3] >= 1 and not real_k(*key).is_zero
+        corrupted = zeroed_key(real_k, key)
+        bad = apply_K(vec, positions, element=corrupted)
+        assert bad != table_result
+        assert bad == reference_apply(K_OPERATOR, vec, positions, corrupted)
+        assert snapshot() == before
+
+    def test_a_long_predecessor_chain_builds_without_recursion(self, restore_tables):
+        # (0,0,0,l)'s one predecessor is (0,0,0,l-1): a chain 2,000 deep.
+        inp = (0, 0, 0, 2000)
+        out = apply_K(SparseVector.unit(K_SIGNATURE, inp), (0, 1, 2, 3))
+        assert out == SparseVector(K_SIGNATURE, [(inp, k_element(*inp, *inp))])
+        assert all((0, 0, 0, l) in K_OPERATOR.table for l in range(2001))
+
+    def test_an_inexact_numerator_names_its_key(self):
+        # One predecessor entry off by 1 adds q^s (1 - q^2) to a numerator
+        # that 1 - q^4 must divide.
+        table = {}
+        k_column((1, 0, 0, 2), table, k_element)
+        values = table[(1, 0, 0, 2)].values()
+        values[(0, 1, 0, 1)] += 1
+        table[(1, 0, 0, 2)] = exactq.PackedColumn(values.items())
+        with pytest.raises(VerificationError, match=r"\(0, 1, 0, 2, 0, 1, 0, 2\) is not divisible by 1 - q\^4"):
+            k_column((0, 1, 0, 2), table, k_element)
+
+    def test_sweep_names_the_first_downstream_key(self, monkeypatch):
+        # A d = 0 element zeroed on every route: the route check takes the
+        # zero, so the column builder agrees with it at the zeroed key and
+        # fails only where the recursion carries the zero into a d >= 1 entry.
+        from qreflect import report
+
+        key = (0, 1, 0, 0, 1, 0, 0, 1)
+        assert not k_element(*key).is_zero
+        failed = []
+        fail = report.VerificationReport.fail
+
+        def spy(self, location, lhs="", rhs=""):
+            failed.append(location)
+            fail(self, location, lhs, rhs)
+
+        before = dict(K_OPERATOR.table)
+        monkeypatch.setattr(report.VerificationReport, "fail", spy)
+        monkeypatch.setattr(tensorops, "k_element", zeroed_key(k_element, key))
+        rep = verify_blocks(K_OPERATOR, 1, 3)
+        assert not rep.passed
+        columns = [location for location in failed if location.startswith("K column builder")]
+        assert columns[0] == "K column builder at (0, 1, 0, 1, 0, 1, 0, 1)", failed
+        keys = [tuple(map(int, re.findall(r"-?\d+", location))) for location in columns]
+        assert all(len(k) == 8 and k[3] >= 1 for k in keys), failed
+        assert K_OPERATOR.table == before
 
 
 class TestVerifyBlocks:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import qreflect.threedk as threedk
-from qreflect.exactq import DomainError, LaurentQ
+from qreflect.exactq import DomainError, LaurentQ, qq_pochhammer
 from qreflect.multipoly import VARS4, q_power
 from qreflect.report import VerificationError
 from qreflect.tensorops import K_OPERATOR, verify_blocks
@@ -74,6 +74,12 @@ class TestKElement:
         assert threedk._check_element(value, key) is value
         with pytest.raises(VerificationError, match=r"\(0, 1, 0, 1, 1, 0, 0, 2\)"):
             threedk._check_element(value.shifted(1), key)
+
+    def test_denominator_is_one_cached_product_per_bc(self):
+        for b, c in ((0, 0), (2, 1), (3, 3)):
+            den = threedk._k_denominator(b, c)
+            assert den == qq_pochhammer(2, b) * qq_pochhammer(4, c)
+            assert threedk._k_denominator(b, c) is den
 
     def test_parity_and_polynomiality(self):
         for m in range(4):
